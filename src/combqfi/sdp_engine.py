@@ -866,30 +866,29 @@ def _interior_point(
     it = 0
     stall = 0
     degraded = 0
-    relgap = p_res = d_res = np.inf
     best = None
     best_merit = np.inf
 
-    def residuals():
+    def stationarity(x_bl, nu_e, nu_l):
         r_stat = c.copy()
         for j in range(nblk):
-            comp.adjoint_into(j, -x_blocks[j], r_stat)
+            comp.adjoint_into(j, -x_bl[j], r_stat)
         if comp.e_rows.shape[0]:
-            r_stat -= comp.e_rows.T @ nu
+            r_stat -= comp.e_rows.T @ nu_e
         for v in comp.locals:
             pins = comp.local_pins[v.name]
             if len(pins):
                 sub = np.zeros(v.m)
-                sub[pins] = nu_loc[v.name]
+                sub[pins] = nu_l[v.name]
                 r_stat[v.sl] -= sub
-        r_blocks = [comp.block_matrix(j, z) - s_blocks[j] for j in range(nblk)]
-        r_e = comp.e_rhs - comp.e_rows @ z if comp.e_rows.shape[0] else np.zeros(0)
-        r_pin = {}
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            vals = v.spec.pin_values[pins] if len(pins) else np.zeros(0)
-            r_pin[v.name] = vals - z[v.sl][pins]
-        return r_stat, r_blocks, r_e, r_pin
+        return r_stat
+
+    def dual_res(r_stat):
+        # the stationarity residual is scaled by the terms entering the sum
+        # (c - r_stat is the accumulated adjoint part), the customary measure
+        return float(np.linalg.norm(r_stat)) / (
+            1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
+        )
 
     def dual_objective():
         out = float(comp.e_rhs @ nu) if comp.e_rows.shape[0] else 0.0
@@ -900,9 +899,16 @@ def _interior_point(
         out -= sum(float(np.real(np.trace(comp.consts[j] @ x_blocks[j]))) for j in range(nblk))
         return out
 
-    for it in range(1, max_iter + 1):
-        r_stat, r_blocks, r_e, r_pin = residuals()
-        mu = sum(float(np.real(np.trace(x_blocks[j] @ s_blocks[j]))) for j in range(nblk)) / ntot
+    def measures():
+        """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
+        r_stat = stationarity(x_blocks, nu, nu_loc)
+        r_blocks = [comp.block_matrix(j, z) - s_blocks[j] for j in range(nblk)]
+        r_e = comp.e_rhs - comp.e_rows @ z if comp.e_rows.shape[0] else np.zeros(0)
+        r_pin = {}
+        for v in comp.locals:
+            pins = comp.local_pins[v.name]
+            vals = v.spec.pin_values[pins] if len(pins) else np.zeros(0)
+            r_pin[v.name] = vals - z[v.sl][pins]
         pobj = float(c @ z)
         dobj = dual_objective()
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -911,11 +917,12 @@ def _interior_point(
             float(np.linalg.norm(r_e)) if len(r_e) else 0.0,
             max((float(np.linalg.norm(r)) for r in r_pin.values()), default=0.0),
         ) / (1.0 + float(np.linalg.norm(z)))
-        # the stationarity residual is scaled by the terms entering the sum
-        # (c - r_stat is the accumulated adjoint part), the customary measure
-        d_res = float(np.linalg.norm(r_stat)) / (
-            1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
-        )
+        res = (r_stat, r_blocks, r_e, r_pin)
+        return res, pobj, dobj, relgap, p_res, dual_res(r_stat)
+
+    for it in range(1, max_iter + 1):
+        (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, d_res = measures()
+        mu = sum(float(np.real(np.trace(x_blocks[j] @ s_blocks[j]))) for j in range(nblk)) / ntot
         history.append((comp.obj_sign * pobj, comp.obj_sign * dobj, mu, p_res, d_res))
         merit = max(relgap, p_res, d_res)
         if merit < best_merit:
@@ -1020,20 +1027,7 @@ def _interior_point(
         accepted = False
         for _ in range(4):
             z_t, s_t, x_t, nu_t, nl_t = try_step(ap, ad)
-            r_stat_t = c.copy()
-            for j in range(nblk):
-                comp.adjoint_into(j, -x_t[j], r_stat_t)
-            if comp.e_rows.shape[0]:
-                r_stat_t -= comp.e_rows.T @ nu_t
-            for v in comp.locals:
-                pins = comp.local_pins[v.name]
-                if len(pins):
-                    sub = np.zeros(v.m)
-                    sub[pins] = nl_t[v.name]
-                    r_stat_t[v.sl] -= sub
-            d_res_t = float(np.linalg.norm(r_stat_t)) / (
-                1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat_t))
-            )
+            d_res_t = dual_res(stationarity(x_t, nu_t, nl_t))
             if d_res_t <= max(30.0 * d_res, 10.0 * feas_tol):
                 accepted = True
                 break
@@ -1045,23 +1039,10 @@ def _interior_point(
 
     if status != "optimal" and best is not None:
         z, nu, nu_loc, s_blocks, x_blocks = best
-        r_stat, r_blocks, r_e, r_pin = residuals()
-        pobj = float(c @ z)
-        dobj = dual_objective()
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        p_res = max(
-            max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
-            float(np.linalg.norm(r_e)) if len(r_e) else 0.0,
-            max((float(np.linalg.norm(r)) for r in r_pin.values()), default=0.0),
-        ) / (1.0 + float(np.linalg.norm(z)))
-        d_res = float(np.linalg.norm(r_stat)) / (
-            1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
-        )
+        _, _, _, relgap, p_res, d_res = measures()
         if relgap <= gap_tol and p_res <= 10 * feas_tol and d_res <= 10 * feas_tol:
             status = "optimal"
-    r_stat, r_blocks, r_e, r_pin = residuals()
-    pobj = float(c @ z)
-    dobj = dual_objective()
+    (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, _, _ = measures()
     compl = max(
         (
             float(np.linalg.norm(x_blocks[j] @ s_blocks[j]))
@@ -1077,7 +1058,7 @@ def _interior_point(
         objective=comp.obj_sign * pobj,
         variables=mats,
         coords=coords,
-        gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+        gap=relgap,
         iterations=it,
         primal_residual=max(
             max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
