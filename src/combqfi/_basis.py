@@ -9,14 +9,20 @@ Frobenius inner product.
 
 Every basis element has at most one nonzero entry per row, which the solver
 exploits for batched congruence transforms.
+
+Coordinate maps use a split of the factor list into two halves: element
+``(a, b)`` is ``A_a (x) C_b`` with ``A_a``/``C_b`` elements of the half bases,
+so ``matrices`` and ``coords_many`` are two dense GEMMs against the half
+stacks plus one reshape/transpose.  The stacks cost ``D_A^4 + D_B^4``
+complex entries (``d^4`` for a single factor of dimension ``d``).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def factor_basis(d: int) -> list[np.ndarray]:
@@ -44,6 +50,15 @@ def factor_basis(d: int) -> list[np.ndarray]:
         m[k, k] = -k
         out.append(m / np.sqrt(k * (k + 1)))
     return out
+
+
+def _split(dims: tuple[int, ...]) -> int:
+    """Split point 1 <= k < L of the factor list with the least D_A^4 + D_B^4."""
+    side = math.prod(dims)
+    return min(
+        range(1, len(dims)),
+        key=lambda k: math.prod(dims[:k]) ** 4 + (side // math.prod(dims[:k])) ** 4,
+    )
 
 
 def congruence_many(
@@ -114,45 +129,61 @@ class ProductBasis:
         self.n = cols.shape[0]
         assert self.n == self.side * self.side
         self.is_identity = patterns == 0  # (n, L)
-        # sparse map: vec(sum_a c_a B_a) = vecmat.T @ c
-        rows = np.repeat(np.arange(self.n), self.side)
-        flat = (np.arange(self.side)[None, :] * self.side + self.cols).reshape(-1)
-        data = self.vals.reshape(-1)
-        keep = data != 0
-        self.vecmat = sp.csr_matrix(
-            (data[keep], (rows[keep], flat[keep])), shape=(self.n, self.side**2)
-        )
-        self._vecmat_conj = self.vecmat.conj()
+        # dense half stacks, flattened: (n_A, D_A^2) complex and, as real
+        # (re, im) pairs, (n_B, 2 D_B^2); a single factor has a trivial A
+        if self.n_factors < 2:
+            self._a = None
+            hb = self
+        else:
+            k = _split(self.dims)
+            ha, hb = product_basis(self.dims[:k]), product_basis(self.dims[k:])
+            self._a = ha.elements(np.arange(ha.n)).reshape(ha.n, -1)
+            self._a_conj = self._a.conj()
+        self._nb, self._db = hb.n, hb.side
+        self._na, self._da = self.n // hb.n, self.side // hb.side
+        self._b = hb.elements(np.arange(hb.n)).reshape(hb.n, -1).view(np.float64)
 
     # -- coordinate maps ---------------------------------------------------
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Real coordinates of a (nearly) Hermitian matrix."""
-        v = np.asarray(m, dtype=complex).reshape(-1)
-        return np.asarray((self._vecmat_conj @ v).real)
+        return self.coords_many(np.asarray(m)[None])[0]
 
     def coords_many(self, ms: np.ndarray) -> np.ndarray:
-        """Coordinates of a stack (k, side, side) -> (k, n)."""
-        k = ms.shape[0]
-        v = ms.reshape(k, -1).T
-        return np.asarray((self._vecmat_conj @ v).real).T
+        """Coordinates of a stack (k, side, side) -> (k, n): Re Tr(B_a^dag M)."""
+        ms = np.asarray(ms, dtype=complex)
+        k, da, db = ms.shape[0], self._da, self._db
+        if self._a is None:
+            t = ms.reshape(k, -1)
+        else:
+            # contract the A half: (k, D_B^2, D_A^2) @ conj(A)^T -> (k, n_A, D_B^2)
+            t = ms.reshape(k, da, db, da, db).transpose(0, 2, 4, 1, 3)
+            t = (t.reshape(k * db * db, da * da) @ self._a_conj.T).reshape(k, db * db, -1)
+            t = np.ascontiguousarray(t.transpose(0, 2, 1))
+        # the real part of the B contraction is one real GEMM on (re, im) pairs
+        return (t.reshape(-1, db * db).view(np.float64) @ self._b.T).reshape(k, self.n)
 
     def matrix(self, c: np.ndarray) -> np.ndarray:
-        v = self.vecmat.T @ np.asarray(c, dtype=float)
-        return np.asarray(v).reshape(self.side, self.side)
+        return self.matrices(np.asarray(c)[None])[0]
 
     def matrices(self, cs: np.ndarray) -> np.ndarray:
         """(m, n) coordinate rows -> (m, side, side) matrices."""
-        v = (self.vecmat.T @ np.asarray(cs, dtype=float).T).T
-        return np.asarray(v).reshape(-1, self.side, self.side)
+        cs = np.asarray(cs, dtype=float)
+        k, da, db = cs.shape[0], self._da, self._db
+        # real coefficients against (re, im) pairs of the B stack: (k n_A, D_B^2)
+        t = (cs.reshape(-1, self._nb) @ self._b).view(complex)
+        if self._a is None:
+            return t.reshape(k, self.side, self.side)
+        # contract the A half: (k, D_B^2, n_A) @ A -> (k, D_B^2, D_A^2)
+        t = t.reshape(k, self._na, db * db).transpose(0, 2, 1) @ self._a
+        t = t.reshape(k, db, db, da, da).transpose(0, 3, 1, 4, 2)
+        return t.reshape(k, self.side, self.side)
 
     def elements(self, idx: np.ndarray) -> np.ndarray:
         """Dense stack of basis elements for the given indices."""
-        k = len(idx)
-        out = np.zeros((k, self.side, self.side), dtype=complex)
-        r = np.arange(self.side)
-        for j, a in enumerate(idx):
-            out[j, r, self.cols[a]] = self.vals[a]
+        idx = np.asarray(idx)
+        out = np.zeros((len(idx), self.side, self.side), dtype=complex)
+        out[np.arange(len(idx))[:, None], np.arange(self.side), self.cols[idx]] = self.vals[idx]
         return out
 
     # -- solver helpers ----------------------------------------------------
@@ -186,22 +217,6 @@ class ProductBasis:
             yr[lo:hi] = yf.real
             yi[lo:hi] = yf.imag
         return yr @ yr.T + yi @ yi.T
-
-    def sandwich_cross(
-        self, z: np.ndarray, idx: np.ndarray, mats: np.ndarray, chunk: int = 512
-    ) -> np.ndarray:
-        """Cross Gram <Z B_a Z, mats_b> for a in idx; mats (m, side, side)."""
-        k = len(idx)
-        m = mats.shape[0]
-        mf = mats.reshape(m, -1)
-        out = np.empty((k, m))
-        for lo in range(0, k, chunk):
-            hi = min(k, lo + chunk)
-            sel = idx[lo:hi]
-            s = self.vals[sel][:, :, None] * z[self.cols[sel], :]
-            y = np.matmul(z[None, :, :], s).reshape(hi - lo, -1)
-            out[lo:hi] = (y.conj() @ mf.T).real
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -307,8 +307,7 @@ def _sandwich_rows(
     d_t = layout.dim(con.target)
     target_basis = product_basis((d_t,))
     rows, rhs = [], []
-    for a in range(d_t * d_t):
-        e = target_basis.matrix(np.eye(d_t * d_t)[a])
+    for e in target_basis.elements(np.arange(target_basis.n)):
         lifted = LabeledMatrix(
             SubsystemLayout.of((con.target, d_t)), e, hermitian=True
         )

@@ -354,7 +354,7 @@ def _synthesis_solve(
             blocks.append(se.PsdBlockSpec(d_var, None, [(name, se.EmbedDiag(0))]))
             eff = sp.contract(omega)
             objective[name] = rbasis.coords(eff)
-            imgs = np.stack([sp.lift(m) for m in rbasis.matrices(np.eye(rbasis.n))])
+            imgs = np.stack([sp.lift(m) for m in rbasis.elements(np.arange(rbasis.n))])
             branch_rows.append((name, _saddle_rows(fc, h, imgs)))
             tr_row = np.zeros(rbasis.n)
             tr_row[0] = np.sqrt(d_var)

@@ -224,7 +224,7 @@ def build_factorized_problem(
     flat = []
     if ker.shape[1]:
         kb = product_basis((ker.shape[1],))
-        flat = [hb.coords(np.conj(ker) @ e @ ker.T) for e in kb.matrices(np.eye(kb.n))]
+        flat = [hb.coords(np.conj(ker) @ e @ ker.T) for e in kb.elements(np.arange(kb.n))]
     return se.SdpProblem(
         variables=[
             se.HermitianVariable("lam", (1,), init=np.array([lam0])),
