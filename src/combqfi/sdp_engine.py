@@ -644,6 +644,8 @@ class _KktFactors:
             self.full_scale = dg
             scaled = self.full / dg[:, None] / dg[None, :]
             self.full_lu = sla.lu_factor(scaled)
+            if not np.all(np.diagonal(self.full_lu[0])):
+                raise np.linalg.LinAlgError("Newton system is singular to working precision")
         else:
             self.full_scale = None
             self.full_lu = None
@@ -949,7 +951,10 @@ def _interior_point(
             break
 
         winvs = [_nt_scaling_inv(s_blocks[j], x_blocks[j]) for j in range(nblk)]
-        kkt = _KktFactors(comp, winvs)
+        try:
+            kkt = _KktFactors(comp, winvs)
+        except np.linalg.LinAlgError:
+            break  # precision is exhausted: keep the best iterate
 
         nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
         rc_aff = [-x_blocks[j] for j in range(nblk)]

@@ -5,7 +5,7 @@ import pytest
 
 from combqfi.comb_algebra import choi_from_kraus, kraus_product_comb, validate_comb
 from combqfi.errors import CombValidationError
-from combqfi.metrology_zoo import ad_phase_channel, pf_rx_channel, rz
+from combqfi.metrology_zoo import ad_phase_channel, bf_phase_channel, pf_rx_channel, rz
 from combqfi.qfi_oracle import verify_strategy
 from combqfi.strategy_spaces import StrategySetSpec, primal_space
 from combqfi.strategy_synthesis import (
@@ -72,6 +72,23 @@ class TestOptimalStrategy:
         assert abs(v["trace"] - 4.0) < 1e-8
         assert v["purification_residual"] < 1e-8
         assert abs(v["purification_norm"] - v["trace"]) < 1e-8
+
+    @pytest.mark.parametrize(
+        "p", [0.11239886108023578, 0.7505409503856707, 0.87786790373901, 0.983213916576278]
+    )
+    def test_par_closure_on_bit_flip(self, p):
+        # points where the synthesis SDP's Newton system became singular to
+        # working precision near the optimum (an exact zero LU pivot); the
+        # solve must end at its best iterate, not fail
+        fc = product_comb(bf_phase_channel(p, np.pi / 2), 2)
+        spec = StrategySetSpec.qubits("par", 2)
+        res = task_qfi(fc, spec)
+        s = purify_strategy(optimal_strategy(fc, spec, res))
+        assert primal_space(spec)[0].residual(s.marginal) < 1e-8
+        ver = verify_strategy(
+            s.purification, s.purification_layout, s.future_labels, fc, res.value
+        )
+        assert ver.relative_gap < 1e-4
 
     def test_saddle_residual_behaviour(self, damping_task, rng):
         fc = damping_task
