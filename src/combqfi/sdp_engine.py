@@ -919,8 +919,7 @@ def _interior_point(
             float(np.linalg.norm(r_e)) if len(r_e) else 0.0,
             max((float(np.linalg.norm(r)) for r in r_pin.values()), default=0.0),
         ) / (1.0 + float(np.linalg.norm(z)))
-        res = (r_stat, r_blocks, r_e, r_pin)
-        return res, pobj, dobj, relgap, p_res, dual_res(r_stat)
+        return (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, dual_res(r_stat)
 
     for it in range(1, max_iter + 1):
         (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, d_res = measures()
