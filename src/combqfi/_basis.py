@@ -10,11 +10,12 @@ Frobenius inner product.
 Every basis element has at most one nonzero entry per row, which the solver
 exploits for batched congruence transforms.
 
-Coordinate maps use a split of the factor list into two halves: element
-``(a, b)`` is ``A_a (x) C_b`` with ``A_a``/``C_b`` elements of the half bases,
-so ``matrices`` and ``coords_many`` are two dense GEMMs against the half
-stacks plus one reshape/transpose.  The stacks cost ``D_A^4 + D_B^4``
-complex entries (``d^4`` for a single factor of dimension ``d``).
+On several factors, element ``(a, b)`` is ``A_a (x) C_b`` over a split of the
+factor list into two halves, so ``matrices`` and ``coords_many`` are two dense
+GEMMs against the half stacks (``D_A^4 + D_B^4 <= D^4/8`` complex entries,
+``D^2 (D_A^2 + D_B^2)`` flops per map).  A single factor of dimension d <= 8
+keeps its own dense stack; a larger one, such as a high-rank gauge, gathers
+the p<q pairs and transforms the diagonal, ``O(d^2)`` per matrix.
 """
 
 from __future__ import annotations
@@ -24,32 +25,33 @@ from functools import lru_cache
 
 import numpy as np
 
+def _diag_transform(d: int) -> np.ndarray:
+    """Orthogonal (d, d): row j is the diagonal of the j-th diagonal element
+    of the factor basis (I/sqrt(d), then the traceless ones)."""
+    k, j = np.arange(d)[:, None], np.arange(d)[None, :]
+    w = np.where(j < k, 1.0, np.where(j == k, -k, 0.0)) / np.sqrt(np.maximum(k * (k + 1), 1))
+    w[0] = 1.0 / np.sqrt(d)
+    return w
 
-def factor_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of C^{d x d}, identity first.
 
-    Order: I/sqrt(d); for each p<q (lex) the symmetric then antisymmetric
-    element; then the d-1 diagonal traceless elements.
+def _factor_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row map of the Gell-Mann basis of C^{d x d}: ``B_a[r, cols[a, r]] =
+    vals[a, r]`` (0 on empty rows).  Order: I/sqrt(d); for each p<q (lex)
+    the symmetric then antisymmetric element; the d-1 traceless diagonal ones.
     """
-    out = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    p, q = np.triu_indices(d, 1)
+    sym = 1 + 2 * np.arange(len(p))
     s = 1.0 / np.sqrt(2.0)
-    for p in range(d):
-        for q in range(p + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[p, q] = s
-            m[q, p] = s
-            out.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[p, q] = -1j * s
-            m[q, p] = 1j * s
-            out.append(m)
-    for k in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(k):
-            m[j, j] = 1.0
-        m[k, k] = -k
-        out.append(m / np.sqrt(k * (k + 1)))
-    return out
+    cols = np.zeros((d * d, d), dtype=np.int64)
+    vals = np.zeros((d * d, d), dtype=complex)
+    for a in (sym, sym + 1):
+        cols[a, p], cols[a, q] = q, p
+    vals[sym, p], vals[sym, q] = s, s
+    vals[sym + 1, p], vals[sym + 1, q] = -1j * s, 1j * s
+    w, diag = _diag_transform(d), np.r_[0, d * (d - 1) + 1 : d * d]
+    cols[diag] = np.where(w != 0, np.arange(d), 0)
+    vals[diag] = w
+    return cols, vals
 
 
 def _split(dims: tuple[int, ...]) -> int:
@@ -93,47 +95,38 @@ class ProductBasis:
         # start from the trivial one-element basis on a 1-dim space
         cols = np.zeros((1, 1), dtype=np.int64)
         vals = np.ones((1, 1), dtype=complex)
-        patterns = np.zeros((1, 0), dtype=np.int16)
-        side = 1
         for d in self.dims:
-            fb = factor_basis(d)
-            fcols = np.zeros((d * d, d), dtype=np.int64)
-            fvals = np.zeros((d * d, d), dtype=complex)
-            for a, m in enumerate(fb):
-                for r in range(d):
-                    nz = np.nonzero(m[r])[0]
-                    if nz.size:
-                        fcols[a, r] = nz[0]
-                        fvals[a, r] = m[r, nz[0]]
+            fcols, fvals = _factor_rows(d)
             # combine: new index (a_old, a_f), new row (r_old, r_f)
-            n_old, n_f = cols.shape[0], d * d
-            ncols = (cols[:, None, :, None] * d + fcols[None, :, None, :]).reshape(
-                n_old * n_f, side * d
-            )
-            nvals = (vals[:, None, :, None] * fvals[None, :, None, :]).reshape(
-                n_old * n_f, side * d
-            )
-            patterns = np.concatenate(
-                [
-                    np.repeat(patterns, n_f, axis=0),
-                    np.tile(
-                        np.arange(n_f, dtype=np.int16)[:, None], (n_old, 1)
-                    ).reshape(n_old * n_f, 1),
-                ],
-                axis=1,
-            )
-            cols, vals, side = ncols, nvals, side * d
-        self.cols = cols
-        self.vals = vals
-        self.patterns = patterns  # (n, L) per-factor basis index
-        self.n = cols.shape[0]
+            n = cols.shape[0] * d * d
+            cols = (cols[:, None, :, None] * d + fcols[None, :, None, :]).reshape(n, -1)
+            vals = (vals[:, None, :, None] * fvals[None, :, None, :]).reshape(n, -1)
+        self.cols, self.vals, self.n = cols, vals, cols.shape[0]
         assert self.n == self.side * self.side
-        self.is_identity = patterns == 0  # (n, L)
+        # (n, L) per-factor basis index, in the lex order of the combination
+        sizes = [d * d for d in self.dims]
+        self.patterns = np.indices(sizes, dtype=np.int16).reshape(self.n_factors, self.n).T
+        self.is_identity = self.patterns == 0  # (n, L)
+        if self.n_factors < 2 and self.side > 8:
+            # Gell-Mann structure on the (re, im) slots of the flat matrix:
+            # pair j's coordinates 1 + 2j (real) and 2 + 2j (imaginary) each
+            # fill two off-diagonal slots, (p, q) and (q, p)
+            d, s = self.side, 1.0 / np.sqrt(2.0)
+            p, q = np.triu_indices(d, 1)
+            up, lo = 2 * (p * d + q), 2 * (q * d + p)
+            self._slots = np.stack([up, lo, up + 1, lo + 1], axis=1).reshape(-1)
+            self._wts = np.tile([s, s, -s, s], len(p))
+            self._src, self._sign = np.zeros(2 * self.n, dtype=np.int64), np.zeros(2 * self.n)
+            self._src[self._slots] = np.repeat(np.arange(1, d * (d - 1) + 1), 2)
+            self._sign[self._slots] = self._wts
+            self._diag, self._dd = np.r_[0, d * (d - 1) + 1 : d * d], 2 * np.arange(d) * (d + 1)
+            self._w, self._b = _diag_transform(d), None
+            return
         # dense half stacks, flattened: (n_A, D_A^2) complex and, as real
-        # (re, im) pairs, (n_B, 2 D_B^2); a single factor has a trivial A
+        # (re, im) pairs, (n_B, 2 D_B^2); a small single factor is its own
+        # B half and has no A half
         if self.n_factors < 2:
-            self._a = None
-            hb = self
+            self._a, hb = None, self
         else:
             k = _split(self.dims)
             ha, hb = product_basis(self.dims[:k]), product_basis(self.dims[k:])
@@ -152,7 +145,15 @@ class ProductBasis:
     def coords_many(self, ms: np.ndarray) -> np.ndarray:
         """Coordinates of a stack (k, side, side) -> (k, n): Re Tr(B_a^dag M)."""
         ms = np.asarray(ms, dtype=complex)
-        k, da, db = ms.shape[0], self._da, self._db
+        k = ms.shape[0]
+        if self._b is None:
+            f = np.ascontiguousarray(ms).reshape(k, -1).view(np.float64)
+            t = np.take(f, self._slots, axis=1) * self._wts
+            out = np.empty((k, self.n))
+            out[:, 1 : self.n - self.side + 1] = t[:, ::2] + t[:, 1::2]
+            out[:, self._diag] = np.take(f, self._dd, axis=1) @ self._w.T
+            return out
+        da, db = self._da, self._db
         if self._a is None:
             t = ms.reshape(k, -1)
         else:
@@ -169,7 +170,12 @@ class ProductBasis:
     def matrices(self, cs: np.ndarray) -> np.ndarray:
         """(m, n) coordinate rows -> (m, side, side) matrices."""
         cs = np.asarray(cs, dtype=float)
-        k, da, db = cs.shape[0], self._da, self._db
+        k = cs.shape[0]
+        if self._b is None:
+            out = np.take(cs, self._src, axis=1) * self._sign
+            out[:, self._dd] = np.take(cs, self._diag, axis=1) @ self._w
+            return out.view(complex).reshape(k, self.side, self.side)
+        da, db = self._da, self._db
         # real coefficients against (re, im) pairs of the B stack: (k n_A, D_B^2)
         t = (cs.reshape(-1, self._nb) @ self._b).view(complex)
         if self._a is None:

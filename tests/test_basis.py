@@ -8,13 +8,32 @@ import numpy as np
 import pytest
 
 import combqfi
-from combqfi._basis import factor_basis, product_basis
+from combqfi._basis import product_basis
 
-DIMS = [(1,), (2,), (3,), (16,), (2, 3), (3, 2, 4), (2, 2, 2, 2), (4, 4), (2,) * 6]
+DIMS = [(1,), (2,), (3,), (9,), (16,), (2, 3), (3, 2, 4), (2, 2, 2, 2), (4, 4), (2,) * 6]
+# a single factor above dimension 8 takes the Gell-Mann path and keeps no
+# dense stack; (64,) is the gauge of a rank-64 comb
+MAP_DIMS = DIMS + [(64,)]
 
 
 def rand_c(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def factor_basis(d):
+    """Dense Gell-Mann basis of C^{d x d}: I/sqrt(d); for each p<q (lex) the
+    symmetric then antisymmetric element; the d-1 traceless diagonal ones."""
+    out = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    s = 1.0 / np.sqrt(2.0)
+    for p in range(d):
+        for q in range(p + 1, d):
+            for up in (s, -1j * s):
+                m = np.zeros((d, d), dtype=complex)
+                m[p, q], m[q, p] = up, np.conj(up)
+                out.append(m)
+    for k in range(1, d):
+        out.append(np.diag([1.0] * k + [-k] + [0.0] * (d - k - 1)) / np.sqrt(k * (k + 1)) + 0j)
+    return out
 
 
 def kron_element(dims, pattern):
@@ -39,7 +58,7 @@ def test_elements_are_kronecker_products(dims, rng):
     assert np.allclose(gram, np.eye(len(idx)), atol=1e-14)
 
 
-@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("dims", MAP_DIMS, ids=str)
 def test_matrices_is_the_sum_of_elements(dims, rng):
     basis = product_basis(dims)
     idx = rng.choice(basis.n, min(basis.n, 48), replace=False)
@@ -50,7 +69,7 @@ def test_matrices_is_the_sum_of_elements(dims, rng):
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
-@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("dims", MAP_DIMS, ids=str)
 def test_coords_many_is_the_adjoint(dims, hermitian, rng):
     basis = product_basis(dims)
     cs = rng.standard_normal((4, basis.n))
@@ -63,7 +82,7 @@ def test_coords_many_is_the_adjoint(dims, hermitian, rng):
     assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("dims", MAP_DIMS, ids=str)
 def test_single_and_stacked_forms_agree(dims, rng):
     basis = product_basis(dims)
     cs = rng.standard_normal((2, basis.n))
@@ -75,7 +94,7 @@ def test_single_and_stacked_forms_agree(dims, rng):
         assert np.allclose(basis.coords(ms[j]), coords[j], rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("dims", MAP_DIMS, ids=str)
 def test_round_trip(dims, rng):
     basis = product_basis(dims)
     c = rng.standard_normal(basis.n)
