@@ -506,6 +506,10 @@ def _lyapunov_solve(lam: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarr
 # Newton system
 
 
+class _SingularNewton(np.linalg.LinAlgError):
+    """The reduced Newton matrix has an exact zero LU pivot."""
+
+
 class _KktFactors:
     """Per-iteration factorization of the Newton normal system.
 
@@ -645,7 +649,7 @@ class _KktFactors:
             scaled = self.full / dg[:, None] / dg[None, :]
             self.full_lu = sla.lu_factor(scaled)
             if not np.all(np.diagonal(self.full_lu[0])):
-                raise np.linalg.LinAlgError("Newton system is singular to working precision")
+                raise _SingularNewton("Newton system is singular to working precision")
         else:
             self.full_scale = None
             self.full_lu = None
@@ -834,6 +838,9 @@ def solve(
 
     A malformed problem, and any linear-algebra failure inside the iteration
     (a failed factorization, a non-finite iterate), raise SolverFailureError.
+    A reduced Newton system that is singular to working precision (an exact
+    zero pivot of its LU) ends the solve at the best iterate instead, with
+    status ``numerical-limit`` unless that iterate meets the tolerances.
     """
     comp = _Compiled(problem)
     try:
@@ -952,8 +959,8 @@ def _interior_point(
         winvs = [_nt_scaling_inv(s_blocks[j], x_blocks[j]) for j in range(nblk)]
         try:
             kkt = _KktFactors(comp, winvs)
-        except np.linalg.LinAlgError:
-            break  # precision is exhausted: keep the best iterate
+        except _SingularNewton:
+            break  # no Newton direction to take: keep the best iterate
 
         nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
         rc_aff = [-x_blocks[j] for j in range(nblk)]
@@ -1041,12 +1048,12 @@ def _interior_point(
             break  # keep the best iterate
         z, s_blocks, x_blocks, nu, nu_loc = z_t, s_t, x_t, nu_t, nl_t
 
-    if status != "optimal" and best is not None:
+    restored = status != "optimal" and best is not None
+    if restored:
         z, nu, nu_loc, s_blocks, x_blocks = best
-        _, _, _, relgap, p_res, d_res = measures()
-        if relgap <= gap_tol and p_res <= 10 * feas_tol and d_res <= 10 * feas_tol:
-            status = "optimal"
-    (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, _, _ = measures()
+    (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, d_res = measures()
+    if restored and relgap <= gap_tol and p_res <= 10 * feas_tol and d_res <= 10 * feas_tol:
+        status = "optimal"
     compl = max(
         (
             float(np.linalg.norm(x_blocks[j] @ s_blocks[j]))
