@@ -183,6 +183,35 @@ class TestSolverContracts:
         with pytest.raises(SolverFailureError, match="not positive definite"):
             solve(lambda_min_problem(rand_herm(rng, 4)))
 
+    @pytest.mark.parametrize("fault", ["zero pivot", "raise"])
+    def test_singular_newton_ends_at_best_iterate(self, rng, monkeypatch, fault):
+        # only an exact zero pivot of the reduced Newton LU ends the solve at
+        # its best iterate; any other failure in the factorization is typed
+        import scipy.linalg as sla
+
+        real, calls = sla.lu_factor, []
+
+        def lu_factor(a, *args, **kwargs):
+            calls.append(1)
+            if len(calls) < 3:
+                return real(a, *args, **kwargs)
+            if fault == "raise":
+                raise np.linalg.LinAlgError("factorization failed")
+            lu, piv = real(a, *args, **kwargs)
+            lu[-1, -1] = 0.0
+            return lu, piv
+
+        monkeypatch.setattr(sla, "lu_factor", lu_factor)
+        prob = lambda_min_problem(rand_herm(rng, 4))
+        if fault == "raise":
+            with pytest.raises(SolverFailureError, match="factorization failed"):
+                solve(prob)
+            return
+        sol = solve(prob)
+        assert sol.status == "numerical-limit"
+        assert sol.iterations == 3
+        assert sol.objective in [h[0] for h in sol.history]
+
     def test_psd_solver_survives_rounding_indefinite(self, rng):
         from combqfi.sdp_engine import _psd_solver
 
