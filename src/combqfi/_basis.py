@@ -108,17 +108,17 @@ class ProductBasis:
         self.patterns = np.indices(sizes, dtype=np.int16).reshape(self.n_factors, self.n).T
         self.is_identity = self.patterns == 0  # (n, L)
         if self.n_factors < 2 and self.side > 8:
-            # Gell-Mann structure on the (re, im) slots of the flat matrix:
-            # pair j's coordinates 1 + 2j (real) and 2 + 2j (imaginary) each
-            # fill two off-diagonal slots, (p, q) and (q, p)
+            # Gell-Mann structure: pair j = (p, q) has coordinates 1 + 2j and
+            # 2 + 2j, the real and imaginary part of sqrt(2) M[q, p]
             d, s = self.side, 1.0 / np.sqrt(2.0)
             p, q = np.triu_indices(d, 1)
-            up, lo = 2 * (p * d + q), 2 * (q * d + p)
-            self._slots = np.stack([up, lo, up + 1, lo + 1], axis=1).reshape(-1)
-            self._wts = np.tile([s, s, -s, s], len(p))
+            a = 1 + 2 * np.arange(len(p))
+            up, lo = 2 * (p * d + q), 2 * (q * d + p)  # real slots of (p, q), (q, p)
             self._src, self._sign = np.zeros(2 * self.n, dtype=np.int64), np.zeros(2 * self.n)
-            self._src[self._slots] = np.repeat(np.arange(1, d * (d - 1) + 1), 2)
-            self._sign[self._slots] = self._wts
+            for slot, src, sign in ((up, a, s), (up + 1, a + 1, -s), (lo, a, s), (lo + 1, a + 1, s)):
+                self._src[slot], self._sign[slot] = src, sign
+            # flat positions of the upper and lower pair entries, then the diagonal
+            self._pick = np.concatenate([p * d + q, q * d + p, np.arange(d) * (d + 1)])
             self._diag, self._dd = np.r_[0, d * (d - 1) + 1 : d * d], 2 * np.arange(d) * (d + 1)
             self._w, self._b = _diag_transform(d), None
             return
@@ -147,12 +147,13 @@ class ProductBasis:
         ms = np.asarray(ms, dtype=complex)
         k = ms.shape[0]
         if self._b is None:
-            f = np.ascontiguousarray(ms).reshape(k, -1).view(np.float64)
-            t = np.take(f, self._slots, axis=1) * self._wts
-            out = np.empty((k, self.n))
-            out[:, 1 : self.n - self.side + 1] = t[:, ::2] + t[:, 1::2]
-            out[:, self._diag] = np.take(f, self._dd, axis=1) @ self._w.T
-            return out
+            # (lower + conj(upper)) / sqrt(2) of pair j is coordinate 1 + 2j
+            # plus i times coordinate 2 + 2j
+            m = (self.n - self.side) // 2
+            t = np.take(ms.reshape(k, -1), self._pick, axis=1)
+            off = ((t[:, m : 2 * m] + t[:, :m].conj()) * (1.0 / np.sqrt(2.0))).view(np.float64)
+            dv = t[:, 2 * m :].real @ self._w.T
+            return np.concatenate([dv[:, :1], off, dv[:, 1:]], axis=1)
         da, db = self._da, self._db
         if self._a is None:
             t = ms.reshape(k, -1)
