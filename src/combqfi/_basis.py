@@ -109,7 +109,7 @@ class ProductBasis:
         self.is_identity = self.patterns == 0  # (n, L)
         if self.n_factors < 2 and self.side > 8:
             # Gell-Mann structure: pair j = (p, q) has coordinates 1 + 2j and
-            # 2 + 2j, the real and imaginary part of sqrt(2) M[q, p]
+            # 2 + 2j, the real and imaginary part of sqrt(2) M[q, p] for Hermitian M
             d, s = self.side, 1.0 / np.sqrt(2.0)
             p, q = np.triu_indices(d, 1)
             a = 1 + 2 * np.arange(len(p))
