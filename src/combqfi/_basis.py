@@ -64,21 +64,22 @@ def _split(dims: tuple[int, ...]) -> int:
 
 
 def congruence_many(
-    z: np.ndarray, ms: np.ndarray, support: np.ndarray | None = None
+    z: np.ndarray, ms: np.ndarray, support: np.ndarray | None = None, rows: slice = slice(None)
 ) -> np.ndarray:
-    """Z @ M_a @ Z for a stack (k, n, n) of matrices, as two flat GEMMs.
+    """Rows ``rows`` of Z @ M_a @ Z for a stack (k, n, n) of matrices, as two
+    flat GEMMs with ``len(rows)`` output rows per matrix: Z[rows] M_a first.
 
     ``support`` lists the rows/columns outside which every M_a vanishes.
     """
     k, n, _ = ms.shape
-    zl, zr = z, z
+    zl, zr = z[rows], z
     if support is not None:
         ms = ms[:, support][:, :, support]
-        zl, zr = z[:, support], z[support, :]
-    s = ms.shape[1]
-    y = (ms.reshape(k * s, s) @ zr).reshape(k, s, n)
-    y = zl @ y.transpose(1, 0, 2).reshape(s, k * n)
-    return y.reshape(n, k, n).transpose(1, 0, 2)
+        zl, zr = zl[:, support], z[support, :]
+    b, s = zl.shape
+    y = (zl @ ms.transpose(1, 0, 2).reshape(s, k * s)).reshape(b, k, s)
+    y = y.transpose(1, 0, 2).reshape(k * b, s) @ zr
+    return y.reshape(k, b, n)
 
 
 class ProductBasis:

@@ -49,10 +49,7 @@ class ExperimentConfig:
     strategies: tuple[str, ...]
     sweep: dict | None = None
     gap_tol: float = 1e-8
-    synthesize: bool = False
     validate_oracle: bool = True
-    seed: int = 0
-    signal_after_noise: bool = True
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
@@ -89,9 +86,7 @@ class ExperimentConfig:
             strategies=strategies,
             sweep=sweep,
             gap_tol=float(doc.get("tolerances", {}).get("gap", 1e-8)),
-            synthesize=bool(doc.get("synthesize", False)),
             validate_oracle=bool(doc.get("validate_oracle", True)),
-            seed=int(doc.get("seed", 0)),
         )
 
 
@@ -201,7 +196,7 @@ def _score_one(args):
         return {"ok": False, "error": f"config: {e}"}
 
 
-def run_task(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
+def run_task(config: ExperimentConfig, out_path: str | None) -> int:
     result = _score_one((config, None))
     if not result["ok"]:
         print(f"error: {result['error']}", file=sys.stderr)
@@ -395,8 +390,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--tol-gap", type=float, default=None)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1)
     pv = sub.add_parser("validate")
     pv.add_argument("strategy")
     pv.add_argument("config")
@@ -408,7 +404,7 @@ def main(argv=None) -> int:
         if args.tol_gap is not None:
             config.gap_tol = args.tol_gap
         if args.command == "run":
-            return run_task(config, args.out, jobs=args.jobs)
+            return run_task(config, args.out)
         return sweep(config, args.out, jobs=args.jobs)
     except (ConfigError, CombValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)

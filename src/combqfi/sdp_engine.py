@@ -15,7 +15,6 @@ Deterministic: fixed initial point, no randomness anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,17 +33,23 @@ class EmbedDiag:
     def __init__(self, offset: int):
         self.offset = int(offset)
 
+    def rows(self, basis: ProductBasis, side: int) -> range:
+        """Block rows the adjoint reads; the image also vanishes outside them."""
+        return range(self.offset, self.offset + basis.side)
+
+    support = rows
+
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         o, n = self.offset, m.shape[0]
         out[o : o + n, o : o + n] += m
 
-    def adjoint_coords(self, mat: np.ndarray, basis: ProductBasis) -> np.ndarray:
+    def adjoint_coords_many(
+        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
+    ) -> np.ndarray:
         o, n = self.offset, basis.side
-        return basis.coords(mat[o : o + n, o : o + n])
-
-    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        o, n = self.offset, basis.side
-        return basis.coords_many(np.ascontiguousarray(mats[:, o : o + n, o : o + n]))
+        return basis.coords_many(
+            np.ascontiguousarray(mats[:, o - row0 : o - row0 + n, o : o + n])
+        )
 
     def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
         el = basis.elements(idx)
@@ -60,17 +65,20 @@ class ScaledIdentity:
     def __init__(self, offset: int, size: int, scale: float = 1.0):
         self.offset, self.size, self.scale = int(offset), int(size), float(scale)
 
+    def rows(self, basis: ProductBasis, side: int) -> range:
+        return range(self.offset, self.offset + self.size)
+
+    support = rows
+
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         idx = np.arange(self.offset, self.offset + self.size)
         out[idx, idx] += self.scale * m.reshape(-1)[0]
 
-    def adjoint_coords(self, mat: np.ndarray, basis: ProductBasis) -> np.ndarray:
+    def adjoint_coords_many(
+        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
+    ) -> np.ndarray:
         idx = np.arange(self.offset, self.offset + self.size)
-        return np.array([self.scale * float(np.real(mat[idx, idx].sum()))])
-
-    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        idx = np.arange(self.offset, self.offset + self.size)
-        return self.scale * np.real(mats[:, idx, idx].sum(axis=1))[:, None]
+        return self.scale * np.real(mats[:, idx - row0, idx].sum(axis=1))[:, None]
 
     def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
         out = np.zeros((len(idx), side, side), dtype=complex)
@@ -80,40 +88,56 @@ class ScaledIdentity:
 
 
 class GaugeOffdiag:
-    """Hermitian r x r variable h entering as ``i Cbar conj(h)`` on the
-    (rows, cols) off-diagonal block plus the Hermitian transpose."""
+    """Hermitian r x r variable h entering as the block row
+    ``[i Cbar_0 conj(h), ..., i Cbar_{k-1} conj(h)]`` at (rows, cols) plus
+    its Hermitian transpose; ``cbar`` is a (k, D, r) stack, and a (D, r)
+    matrix is the k = 1 case."""
 
     def __init__(self, cbar: np.ndarray, row_offset: int, col_offset: int):
-        self.cbar = np.asarray(cbar, dtype=complex)  # (D, r)
+        cbar = np.asarray(cbar, dtype=complex)
+        self.cbar = cbar[None] if cbar.ndim == 2 else cbar  # (k, D, r)
         self.row_offset = int(row_offset)
         self.col_offset = int(col_offset)
-        self.d, self.r = self.cbar.shape
+        self.k, self.d, self.r = self.cbar.shape
+        self._flat = self.cbar.reshape(self.k * self.d, self.r)
+
+    def rows(self, basis: ProductBasis, side: int) -> range:
+        return range(self.row_offset, self.row_offset + self.d)
+
+    def support(self, basis: ProductBasis, side: int) -> np.ndarray:
+        co = self.col_offset
+        return np.union1d(self.rows(basis, side), np.arange(co, co + self.k * self.r))
+
+    def _row_block(self, ms: np.ndarray) -> np.ndarray:
+        """(n, D, k r) block rows of the images of a stack of r x r matrices."""
+        l = 1j * np.matmul(self._flat, ms.conj())
+        return l.reshape(-1, self.k, self.d, self.r).transpose(0, 2, 1, 3).reshape(
+            -1, self.d, self.k * self.r
+        )
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
-        l = 1j * self.cbar @ m.conj()
-        ro, co = self.row_offset, self.col_offset
-        out[ro : ro + self.d, co : co + self.r] += l
-        out[co : co + self.r, ro : ro + self.d] += l.conj().T
+        l = self._row_block(m[None])[0]
+        ro, co, w = self.row_offset, self.col_offset, self.k * self.r
+        out[ro : ro + self.d, co : co + w] += l
+        out[co : co + w, ro : ro + self.d] += l.conj().T
 
-    def adjoint_coords(self, mat: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        # <A(h), M> = 2 Re[i Tr(conj(h) K)] = <h, i (K^T - conj(K))>
-        # for K = M[cols, rows] @ cbar
-        ro, co = self.row_offset, self.col_offset
-        k = mat[co : co + self.r, ro : ro + self.d] @ self.cbar
-        return basis.coords(1j * (k.T - k.conj()))
-
-    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        ro, co = self.row_offset, self.col_offset
-        k = np.matmul(mats[:, co : co + self.r, ro : ro + self.d], self.cbar)
+    def adjoint_coords_many(
+        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
+    ) -> np.ndarray:
+        # <A(h), M> = 2 Re[i Tr(conj(h) K)] = <h, i (K^T - conj(K))> for
+        # K = sum_j M[rows, cols_j]^dag Cbar_j, exact for Hermitian M
+        ro, co = self.row_offset - row0, self.col_offset
+        b = mats[:, ro : ro + self.d, co : co + self.k * self.r].conj()
+        b = b.reshape(-1, self.d, self.k, self.r).transpose(0, 3, 2, 1)
+        k = (b.reshape(-1, self.k * self.d) @ self._flat).reshape(-1, self.r, self.r)
         return basis.coords_many(1j * (np.transpose(k, (0, 2, 1)) - k.conj()))
 
     def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
-        el = basis.elements(idx)
-        l = 1j * np.einsum("dk,akl->adl", self.cbar, el.conj(), optimize=True)
+        l = self._row_block(basis.elements(idx))
         out = np.zeros((len(idx), side, side), dtype=complex)
-        ro, co = self.row_offset, self.col_offset
-        out[:, ro : ro + self.d, co : co + self.r] = l
-        out[:, co : co + self.r, ro : ro + self.d] = np.transpose(l, (0, 2, 1)).conj()
+        ro, co, w = self.row_offset, self.col_offset, self.k * self.r
+        out[:, ro : ro + self.d, co : co + w] = l
+        out[:, co : co + w, ro : ro + self.d] = np.transpose(l, (0, 2, 1)).conj()
         return out
 
 
@@ -123,13 +147,19 @@ class DenseImages:
     def __init__(self, images: np.ndarray):
         self.images = np.asarray(images, dtype=complex)
 
+    def rows(self, basis: ProductBasis, side: int) -> range:
+        return range(side)
+
+    def support(self, basis: ProductBasis, side: int) -> np.ndarray:
+        nz = self.images != 0
+        return np.flatnonzero(nz.any(axis=(0, 1)) | nz.any(axis=(0, 2)))
+
     def add_apply_coords(self, out: np.ndarray, c: np.ndarray) -> None:
         out += np.tensordot(c, self.images, axes=(0, 0))
 
-    def adjoint_coords(self, mat: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        return np.real(np.einsum("aij,ji->a", self.images, mat, optimize=True))
-
-    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
+    def adjoint_coords_many(
+        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
+    ) -> np.ndarray:
         return np.real(np.einsum("aij,bji->ba", self.images, mats, optimize=True))
 
     def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
@@ -214,86 +244,6 @@ class SdpSolution:
         return self.status == "optimal"
 
 
-def dump_problem(problem: SdpProblem, path: str) -> None:
-    """Debug dump of the problem in a documented JSON schema.
-
-    Matrices are row-major nested lists of [re, im] pairs; maps are recorded
-    by kind with their defining data so external tools can rebuild the
-    block structure and cross-validate.
-    """
-
-    def cplx(m):
-        m = np.asarray(m, dtype=complex)
-        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-    doc = {
-        "schema_version": 1,
-        "sense": problem.sense,
-        "variables": [
-            {
-                "name": v.name,
-                "dims": list(v.dims),
-                "pinned": (
-                    None
-                    if v.pin_mask is None
-                    else {
-                        "coords": np.nonzero(v.pin_mask)[0].tolist(),
-                        "values": np.asarray(v.pin_values)[v.pin_mask].tolist(),
-                    }
-                ),
-            }
-            for v in problem.variables
-        ],
-        "objective": {k: np.asarray(c).tolist() for k, c in problem.objective.items()},
-        "equalities": [
-            {
-                "coefs": {k: np.asarray(c).tolist() for k, c in row.coefs.items()},
-                "rhs": row.rhs,
-            }
-            for row in problem.equalities
-        ],
-        "blocks": [],
-    }
-    for b in problem.blocks:
-        terms = []
-        for name, mp in b.terms:
-            if isinstance(mp, EmbedDiag):
-                terms.append({"var": name, "kind": "embed_diag", "offset": mp.offset})
-            elif isinstance(mp, ScaledIdentity):
-                terms.append(
-                    {
-                        "var": name,
-                        "kind": "scaled_identity",
-                        "offset": mp.offset,
-                        "size": mp.size,
-                        "scale": mp.scale,
-                    }
-                )
-            elif isinstance(mp, GaugeOffdiag):
-                terms.append(
-                    {
-                        "var": name,
-                        "kind": "gauge_offdiag",
-                        "row_offset": mp.row_offset,
-                        "col_offset": mp.col_offset,
-                        "cbar": cplx(mp.cbar),
-                    }
-                )
-            else:
-                terms.append(
-                    {"var": name, "kind": "dense_images", "images": [cplx(f) for f in mp.images]}
-                )
-        doc["blocks"].append(
-            {
-                "side": b.side,
-                "const": None if b.const is None else cplx(b.const),
-                "terms": terms,
-            }
-        )
-    with open(path, "w") as f:
-        json.dump(doc, f)
-
-
 # ---------------------------------------------------------------------------
 # compiled problem
 
@@ -351,6 +301,19 @@ class _Compiled:
         self.block_terms: list[list[tuple[_Var, LinearMap]]] = [
             [(self.vars[name], mp) for name, mp in b.terms] for b in problem.blocks
         ]
+        # per block: the imaged terms with the support of their images, and
+        # the smallest row band of W F W that their adjoints and the local
+        # sub-block read
+        self.img_terms: list[list[tuple[_Var, LinearMap, np.ndarray]]] = []
+        self.bands: list[slice] = []
+        for j, b in enumerate(problem.blocks):
+            img = [(v, mp) for v, mp in self.block_terms[j] if v.local_block != j]
+            self.img_terms.append(
+                [(v, mp, np.asarray(mp.support(v.basis, b.side))) for v, mp in img]
+            )
+            spans = [mp.rows(v.basis, b.side) for v, mp in self.block_terms[j]]
+            lo = min((r.start for r in spans), default=0)
+            self.bands.append(slice(lo, max((r.stop for r in spans), default=b.side)))
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -417,7 +380,7 @@ class _Compiled:
 
     def adjoint_into(self, j: int, mat: np.ndarray, out: np.ndarray) -> None:
         for v, mp in self.block_terms[j]:
-            out[v.sl] += mp.adjoint_coords(mat, v.basis)
+            out[v.sl] += mp.adjoint_coords_many(mat[None], v.basis)[0]
 
     def initial_z(self) -> np.ndarray:
         z = np.zeros(self.m_total)
@@ -534,7 +497,8 @@ class _KktFactors:
         self.loc: dict[str, dict] = {}
         for j, block in enumerate(comp.problem.blocks):
             winv = winvs[j]
-            img = [(v, mp) for v, mp in comp.block_terms[j] if v.local_block != j]
+            img = comp.img_terms[j]
+            band = comp.bands[j]
             locvar = comp.local_of_block.get(j)
             c_loc = None
             if locvar is not None:
@@ -552,34 +516,24 @@ class _KktFactors:
                     info["gsolve"] = _psd_solver(gm)
                 self.loc[locvar.name] = info
                 if img:
-                    c_loc = np.zeros((locvar.m, sum(v.m for v, _ in img)))
-            if img:
-                col = 0
-                for v, mp in img:
-                    chunk = 256
-                    for lo in range(0, v.m, chunk):
-                        idx = np.arange(lo, min(v.m, lo + chunk))
-                        f = mp.images_chunk(v.basis, idx, block.side)
-                        nz = f != 0
-                        support = np.flatnonzero(nz.any(axis=(0, 1)) | nz.any(axis=(0, 2)))
-                        y = congruence_many(winv, f, support)
-                        for v2, mp2 in img:
-                            vals = mp2.adjoint_coords_many(y, v2.basis)  # (k, m_v2)
-                            self.h_uu[
-                                v2.offset_in_u : v2.offset_in_u + v2.m,
-                                v.offset_in_u + lo : v.offset_in_u + lo + len(idx),
-                            ] += vals.T
-                        if locvar is not None:
-                            sub = locvar.map.offset
-                            n = locvar.basis.side
-                            c_loc[:, col + lo : col + lo + len(idx)] = (
-                                locvar.basis.coords_many(
-                                    np.ascontiguousarray(
-                                        y[:, sub : sub + n, sub : sub + n]
-                                    )
-                                ).T
-                            )
-                    col += v.m
+                    c_loc = np.zeros((locvar.m, sum(v.m for v, _, _ in img)))
+            col = 0
+            for v, mp, support in img:
+                chunk = 256
+                for lo in range(0, v.m, chunk):
+                    idx = np.arange(lo, min(v.m, lo + chunk))
+                    f = mp.images_chunk(v.basis, idx, block.side)
+                    y = congruence_many(winv, f, support, band)
+                    for v2, mp2, _ in img:
+                        vals = mp2.adjoint_coords_many(y, v2.basis, band.start)  # (k, m_v2)
+                        self.h_uu[
+                            v2.offset_in_u : v2.offset_in_u + v2.m,
+                            v.offset_in_u + lo : v.offset_in_u + lo + len(idx),
+                        ] += vals.T
+                    if c_loc is not None:
+                        c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
+                        c_loc[:, col + lo : col + lo + len(idx)] = c_new.T
+                col += v.m
             if locvar is not None:
                 self.loc[locvar.name]["c_loc"] = c_loc
                 self.loc[locvar.name]["img"] = img
@@ -597,7 +551,7 @@ class _KktFactors:
             n_c = c_loc.shape[1] if c_loc is not None else 0
             u_idx = (
                 np.concatenate(
-                    [np.arange(vv.offset_in_u, vv.offset_in_u + vv.m) for vv, _ in img]
+                    [np.arange(vv.offset_in_u, vv.offset_in_u + vv.m) for vv, _, _ in img]
                 )
                 if img
                 else np.zeros(0, dtype=int)

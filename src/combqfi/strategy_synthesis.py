@@ -120,6 +120,7 @@ def polish_gauge(p_marg: np.ndarray, fc: FactorizedComb) -> np.ndarray:
 
 def _filter_rows(
     rows: np.ndarray,
+    scale: float = 0.0,
     rtol: float = 1e-4,
     pin_mask: np.ndarray | None = None,
     pin_values: np.ndarray | None = None,
@@ -130,7 +131,11 @@ def _filter_rows(
     hand side.  At the exact gauge the stationarity rows are rank
     deficient; with a finite-precision gauge the lost directions reappear
     at noise level and would wrongly cut the optimizers away, so singular
-    directions below ``rtol`` are dropped.
+    directions below ``rtol`` times the larger of the top singular value
+    and ``scale`` are dropped.  For rows over unit basis elements ``scale``
+    is the comb's own ||C|| ||Cdot||: when the performance operator
+    vanishes every row is noise, and a cut relative to the noise alone
+    would keep some of it.
     """
     if rows.size == 0:
         return rows, np.zeros(0)
@@ -141,7 +146,7 @@ def _filter_rows(
             rhs = -rows[:, pin_mask] @ pin_values[pin_mask]
         rows[:, pin_mask] = 0.0
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rtol * max(float(s[0]), 1e-300)
+    keep = s > rtol * max(float(s[0]), scale, 1e-300)
     new_rhs = (u.T @ rhs)[keep] / s[keep]
     return vt[keep], new_rhs
 
@@ -245,6 +250,7 @@ def _synthesis_solve(
     omega = performance_operator(fc, h)
     omega_coords = pbasis.coords(omega.entries)
     trace_target = float(spec.out_dims_product)
+    row_scale = float(np.linalg.norm(fc.vectors, 2) * np.linalg.norm(fc.dvectors, 2))
 
     variables: list[se.HermitianVariable] = []
     blocks: list[se.PsdBlockSpec] = []
@@ -279,6 +285,7 @@ def _synthesis_solve(
         objective["p"] = omega_coords
         rows, rhs = _filter_rows(
             _saddle_rows_for(fc, h, layout.dims),
+            row_scale,
             pin_mask=comp.kill_mask,
             pin_values=comp.pin_values,
         )
@@ -327,7 +334,7 @@ def _synthesis_solve(
             mask[0] = False
             shared_kill &= mask
         rows, rhs = _filter_rows(
-            srows, pin_mask=shared_kill, pin_values=np.zeros(pbasis.n)
+            srows, row_scale, pin_mask=shared_kill, pin_values=np.zeros(pbasis.n)
         )
         for row, rv in zip(rows, rhs):
             equalities.append(

@@ -208,11 +208,7 @@ def build_factorized_problem(
         const[:dv, dv:] = a0
         const[dv:, :dv] = a0.conj().T
         const[dv:, dv:] = 0.25 * np.eye(k * r)
-        terms: list[tuple[str, se.LinearMap]] = [("lam", se.ScaledIdentity(0, dv, 1.0))]
-        terms += [
-            ("h", se.GaugeOffdiag(ck[j], row_offset=0, col_offset=dv + j * r))
-            for j in range(k)
-        ]
+        terms = [("lam", se.ScaledIdentity(0, dv, 1.0)), ("h", se.GaugeOffdiag(ck, 0, dv))]
         blocks.append(se.PsdBlockSpec(side, const, terms))
         lam0 = max(lam0, 4.2 * float(np.linalg.norm(a0, 2)) ** 2 + 1.0)
     # gauge directions that no block sees (the SWITCH wires hide some) would

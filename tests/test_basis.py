@@ -116,3 +116,21 @@ def test_import_leaves_scipy_sparse_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("band", [slice(0, 8), slice(5, 17), slice(0, 24)], ids=str)
+@pytest.mark.parametrize("with_support", [False, True])
+def test_congruence_over_a_row_band(band, with_support, rng):
+    from combqfi._basis import congruence_many
+
+    n, k = 24, 5
+    g = rand_c(rng, (n, n))
+    z = g @ g.conj().T
+    support = np.r_[0:3, 9:20] if with_support else None
+    ms = np.zeros((k, n, n), dtype=complex)
+    sup = np.arange(n) if support is None else support
+    ms[np.ix_(np.arange(k), sup, sup)] = rand_c(rng, (k, len(sup), len(sup)))
+    full = np.stack([z @ m @ z for m in ms])
+    part = congruence_many(z, ms, support, band)
+    assert part.shape == (k, band.stop - band.start, n)
+    assert np.max(np.abs(part - full[:, band])) <= 1e-13 * np.max(np.abs(full))

@@ -61,6 +61,13 @@ class TestRun:
         assert abs(doc["results"]["swi"]["value"] - 1.5) < 1e-3
         assert doc["results"]["seq"]["oracle_gap"] < 1e-4
 
+    def test_keys_without_effect_are_accepted(self, tmp_path):
+        doc = base_config(strategies=["par"], synthesize=True, seed=7, signal_after_noise=False)
+        cfg = write(tmp_path, "c.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["results"]["par"]["value"] - 2.25) < 1e-6
+
     def test_malformed_json_exit_3(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"schema_version": 1')

@@ -1,4 +1,3 @@
-import json
 import sys
 
 import numpy as np
@@ -15,7 +14,6 @@ from combqfi.sdp_engine import (
     PsdBlockSpec,
     ScaledIdentity,
     SdpProblem,
-    dump_problem,
     solve,
 )
 
@@ -321,12 +319,57 @@ class TestStructuredMaps:
         assert abs(sol.objective - 5.0) < 1e-6  # sqrt(3^2 + 4^2)
 
 
-def test_dump_problem_schema(tmp_path, rng):
-    a = rand_herm(rng, 3)
-    prob = rho_max_problem(a)
-    path = tmp_path / "prob.json"
-    dump_problem(prob, str(path))
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    assert doc["blocks"][0]["terms"][0]["kind"] == "embed_diag"
-    assert doc["variables"][0]["pinned"]["coords"] == [0]
+class TestStackedGauge:
+    """A (k, D, r) GaugeOffdiag is the block row [i C_0 h, ..., i C_{k-1} h]."""
+
+    k, d, r, ro, co = 3, 4, 2, 1, 6
+
+    def maps(self, rng):
+        cbar = rng.standard_normal((self.k, self.d, self.r)) + 1j * rng.standard_normal(
+            (self.k, self.d, self.r)
+        )
+        single = [GaugeOffdiag(cbar[j], self.ro, self.co + j * self.r) for j in range(self.k)]
+        return GaugeOffdiag(cbar, self.ro, self.co), single
+
+    @property
+    def side(self):
+        return self.co + self.k * self.r + 1
+
+    def test_adjoint_identity(self, rng):
+        stacked, _ = self.maps(rng)
+        basis = product_basis((self.r,))
+        for _ in range(4):
+            c = rng.standard_normal(basis.n)
+            m = rand_herm(rng, self.side)
+            img = np.zeros((self.side, self.side), dtype=complex)
+            stacked.add_apply(img, basis.matrix(c))
+            lhs = np.real(np.vdot(img, m))
+            rhs = float(c @ stacked.adjoint_coords_many(m[None], basis)[0])
+            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+        # the image stack holds the images of the basis elements
+        imgs = stacked.images_chunk(basis, np.arange(basis.n), self.side)
+        for a, el in enumerate(basis.elements(np.arange(basis.n))):
+            img = np.zeros((self.side, self.side), dtype=complex)
+            stacked.add_apply(img, el)
+            assert np.allclose(imgs[a], img, atol=1e-14)
+
+    def test_apply_is_the_sum_of_single_maps(self, rng):
+        stacked, single = self.maps(rng)
+        h = rand_herm(rng, self.r)
+        out = np.zeros((self.side, self.side), dtype=complex)
+        stacked.add_apply(out, h)
+        ref = np.zeros_like(out)
+        for mp in single:
+            mp.add_apply(ref, h)
+        assert np.allclose(out, ref, atol=1e-14)
+        assert np.allclose(out, out.conj().T)
+
+    def test_adjoint_reads_its_row_band(self, rng):
+        stacked, single = self.maps(rng)
+        basis = product_basis((self.r,))
+        ms = np.stack([rand_herm(rng, self.side) for _ in range(3)])
+        full = stacked.adjoint_coords_many(ms, basis)
+        ref = sum(mp.adjoint_coords_many(ms, basis) for mp in single)
+        band = ms[:, self.ro : self.ro + self.d]
+        assert np.allclose(full, ref, atol=1e-13)
+        assert np.allclose(stacked.adjoint_coords_many(band, basis, self.ro), full, atol=1e-13)

@@ -93,6 +93,21 @@ class TestOptimalStrategy:
         )
         assert ver.relative_gap < 1e-4
 
+    @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
+    def test_closure_on_the_dead_comb(self, kind):
+        # full damping leaves Omega(h) ~ 0 at the optimal gauge, so every
+        # stationarity row is rounding noise; imposing it (sup kept rows
+        # that clashed with the trace row) must not fail the synthesis
+        fc = product_comb(ad_phase_channel(1.0, np.pi / 2), 2)
+        spec = StrategySetSpec.qubits(kind, 2)
+        res = task_qfi(fc, spec)
+        s = purify_strategy(optimal_strategy(fc, spec, res))
+        ver = verify_strategy(
+            s.purification, s.purification_layout, s.future_labels, fc, res.value
+        )
+        assert abs(res.value) < 1e-8
+        assert abs(ver.j_oracle - res.value) <= 1e-6
+
     def test_saddle_residual_behaviour(self, damping_task, rng):
         fc = damping_task
         spec = StrategySetSpec.qubits("seq", 2)

@@ -208,3 +208,49 @@ class TestTaskQfi:
             fc = product_comb(ad_phase_channel(p, np.pi / 2), 2)
             vals.append(task_qfi(fc, StrategySetSpec.qubits("seq", 2)).value)
         assert all(vals[i] >= vals[i + 1] - 1e-6 for i in range(len(vals) - 1))
+
+
+def _split_gauge(problem):
+    """The same factorized problem with the gauge as one term per column of G."""
+    from dataclasses import replace
+
+    from combqfi import sdp_engine as se
+
+    blocks = []
+    for b in problem.blocks:
+        terms = []
+        for name, mp in b.terms:
+            if isinstance(mp, se.GaugeOffdiag):
+                terms += [
+                    (name, se.GaugeOffdiag(c, mp.row_offset, mp.col_offset + j * mp.r))
+                    for j, c in enumerate(mp.cbar)
+                ]
+            else:
+                terms.append((name, mp))
+        blocks.append(replace(b, terms=terms))
+    return replace(problem, blocks=blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_gauge_matches_per_column_terms(n, rng):
+    from combqfi import sdp_engine as se
+    from combqfi.strategy_spaces import primal_space
+    from combqfi.task_qfi import build_factorized_problem
+
+    fc = product_comb(ad_phase_channel(0.2, np.pi / 2), n)
+    stacked = build_factorized_problem(fc, primal_space(StrategySetSpec.qubits("par", n)))
+    split = _split_gauge(stacked)
+    assert [len(b.terms) for b in stacked.blocks] == [2]
+    assert len(split.blocks[0].terms) == 2 ** n + 1
+    winvs = []
+    for b in stacked.blocks:
+        g = rng.standard_normal((b.side, b.side)) + 1j * rng.standard_normal((b.side, b.side))
+        winvs.append(g @ g.conj().T / b.side + np.eye(b.side))
+    full = se._KktFactors(se._Compiled(stacked), winvs).full
+    ref = se._KktFactors(se._Compiled(split), winvs).full
+    assert np.linalg.norm(full - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the engine still takes several terms of one variable, to the same optimum
+    a, b = se.solve(stacked), se.solve(split)
+    assert a.optimal and b.optimal
+    gap = max(a.gap, b.gap) * (1.0 + abs(a.objective) + abs(b.objective))
+    assert abs(a.objective - b.objective) <= gap
