@@ -516,8 +516,7 @@ class _KktFactors:
                     info["gsolve"] = _psd_solver(gm)
                 self.loc[locvar.name] = info
                 if img:
-                    c_loc = np.zeros((locvar.m, sum(v.m for v, _, _ in img)))
-            col = 0
+                    c_loc = np.zeros((locvar.m, m_u))
             for v, mp, support in img:
                 chunk = 256
                 for lo in range(0, v.m, chunk):
@@ -532,11 +531,14 @@ class _KktFactors:
                         ] += vals.T
                     if c_loc is not None:
                         c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
-                        c_loc[:, col + lo : col + lo + len(idx)] = c_new.T
-                col += v.m
+                        c_loc[:, v.offset_in_u + lo : v.offset_in_u + lo + len(idx)] += c_new.T
             if locvar is not None:
-                self.loc[locvar.name]["c_loc"] = c_loc
-                self.loc[locvar.name]["img"] = img
+                # the coordinates of the imaged variables, each once however
+                # many terms of the block it enters through
+                u_idx = np.unique([i for v, _, _ in img for i in range(v.offset_in_u, v.sl.stop)])
+                u_idx = u_idx.astype(int)
+                self.loc[locvar.name]["u_idx"] = u_idx
+                self.loc[locvar.name]["c_loc"] = None if c_loc is None else c_loc[:, u_idx]
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
         # rhs-independent eliminations and the reduced saddle matrix
         e_u = comp.e_rows[:, :m_u]
@@ -547,15 +549,8 @@ class _KktFactors:
             info = self.loc[v.name]
             pins = info["pins"]
             c_loc = info["c_loc"]
-            img = info["img"]
+            u_idx = info["u_idx"]
             n_c = c_loc.shape[1] if c_loc is not None else 0
-            u_idx = (
-                np.concatenate(
-                    [np.arange(vv.offset_in_u, vv.offset_in_u + vv.m) for vv, _, _ in img]
-                )
-                if img
-                else np.zeros(0, dtype=int)
-            )
             e_q = comp.e_rows[:, v.sl]
             cols = []
             if n_c:
@@ -568,7 +563,7 @@ class _KktFactors:
                 tb = np.zeros((v.m, 0))
             t_c = tb[:, :n_c]
             t_e = tb[:, n_c:]
-            info.update(t_c=t_c, t_e=t_e, u_idx=u_idx, n_c=n_c, e_q=e_q)
+            info.update(t_c=t_c, t_e=t_e, n_c=n_c, e_q=e_q)
             if n_c:
                 red_a[np.ix_(u_idx, u_idx)] -= c_loc.T @ t_c
                 if g:

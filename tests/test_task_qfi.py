@@ -254,3 +254,33 @@ def test_stacked_gauge_matches_per_column_terms(n, rng):
     assert a.optimal and b.optimal
     gap = max(a.gap, b.gap) * (1.0 + abs(a.objective) + abs(b.objective))
     assert abs(a.objective - b.objective) <= gap
+
+
+def test_split_gauge_next_to_an_eliminated_variable():
+    # the Q form eliminates Q inside the block that h also enters; with h
+    # given as two row-halves of the gauge term, both terms must reach the
+    # reduced Newton matrix
+    from dataclasses import replace
+
+    from combqfi import sdp_engine as se
+    from combqfi.task_qfi import build_problem
+
+    fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 1)
+    prob = build_problem(fc, dual_space(StrategySetSpec.qubits("par", 1)))
+    blocks = []
+    for b in prob.blocks:
+        terms = []
+        for name, mp in b.terms:
+            if isinstance(mp, se.GaugeOffdiag):
+                d = mp.d // 2
+                terms += [
+                    (name, se.GaugeOffdiag(mp.cbar[:, :d], mp.row_offset, mp.col_offset)),
+                    (name, se.GaugeOffdiag(mp.cbar[:, d:], mp.row_offset + d, mp.col_offset)),
+                ]
+            else:
+                terms.append((name, mp))
+        blocks.append(replace(b, terms=terms))
+    a = se.solve(prob, verify_newton=True)
+    b = se.solve(replace(prob, blocks=blocks), verify_newton=True)
+    assert a.optimal and b.optimal
+    assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(a.objective))
