@@ -8,7 +8,9 @@ and a linear objective.  The algorithm is primal-dual path following with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector; the Newton normal
 equations are solved by eliminating, per block, the coordinates of a
 variable embedded as a diagonal sub-block, whose scaled Gram operator is a
-congruence map with an exact inverse and is never materialized.
+congruence map with an exact inverse and is never materialized.  The rest
+of the Newton matrix is assembled from congruences W F W of the images F,
+each computed only over the band of block rows that the adjoints read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
