@@ -320,7 +320,7 @@ class TestStructuredMaps:
 
 
 class TestStackedGauge:
-    """A (k, D, r) GaugeOffdiag is the block row [i C_0 h, ..., i C_{k-1} h]."""
+    """A (k, D, r) GaugeOffdiag is the block row [i Cbar_j conj(h)]_j."""
 
     k, d, r, ro, co = 3, 4, 2, 1, 6
 
