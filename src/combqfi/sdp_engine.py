@@ -17,6 +17,7 @@ Deterministic: fixed initial point, no randomness anywhere.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,39 +144,7 @@ class GaugeOffdiag:
         return out
 
 
-class DenseImages:
-    """Explicit stack of Hermitian images, one per variable coordinate."""
-
-    def __init__(self, images: np.ndarray):
-        self.images = np.asarray(images, dtype=complex)
-
-    def rows(self, basis: ProductBasis, side: int) -> range:
-        return range(side)
-
-    def support(self, basis: ProductBasis, side: int) -> np.ndarray:
-        nz = self.images != 0
-        return np.flatnonzero(nz.any(axis=(0, 1)) | nz.any(axis=(0, 2)))
-
-    def add_apply_coords(self, out: np.ndarray, c: np.ndarray) -> None:
-        out += np.tensordot(c, self.images, axes=(0, 0))
-
-    def adjoint_coords_many(
-        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
-    ) -> np.ndarray:
-        return np.real(np.einsum("aij,bji->ba", self.images, mats, optimize=True))
-
-    def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
-        return self.images[idx]
-
-
-LinearMap = EmbedDiag | ScaledIdentity | GaugeOffdiag | DenseImages
-
-
-def apply_map(mp: LinearMap, out: np.ndarray, coords: np.ndarray, basis: ProductBasis) -> None:
-    if isinstance(mp, DenseImages):
-        mp.add_apply_coords(out, coords)
-    else:
-        mp.add_apply(out, basis.matrix(coords))
+LinearMap = EmbedDiag | ScaledIdentity | GaugeOffdiag
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +346,7 @@ class _Compiled:
     def block_matrix(self, j: int, z: np.ndarray) -> np.ndarray:
         out = self.consts[j].copy()
         for v, mp in self.block_terms[j]:
-            apply_map(mp, out, z[v.sl], v.basis)
+            mp.add_apply(out, v.basis.matrix(z[v.sl]))
         return hermitize(out)
 
     def adjoint_into(self, j: int, mat: np.ndarray, out: np.ndarray) -> None:
@@ -598,7 +567,10 @@ class _KktFactors:
             dg = np.maximum(dg, 1e-8 * dg.max() if dg.max() > 0 else 1.0)
             self.full_scale = dg
             scaled = self.full / dg[:, None] / dg[None, :]
-            self.full_lu = sla.lu_factor(scaled)
+            # an exact zero pivot is handled below, so its warning is noise
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                self.full_lu = sla.lu_factor(scaled)
             if not np.all(np.diagonal(self.full_lu[0])):
                 raise _SingularNewton("Newton system is singular to working precision")
         else:
@@ -620,7 +592,7 @@ class _KktFactors:
         for j, block in enumerate(comp.problem.blocks):
             mat = np.zeros((block.side, block.side), dtype=complex)
             for v, mp in comp.block_terms[j]:
-                apply_map(mp, mat, dz[v.sl], v.basis)
+                mp.add_apply(mat, v.basis.matrix(dz[v.sl]))
             y = self.winvs[j] @ mat @ self.winvs[j]
             comp.adjoint_into(j, hermitize(y), out)
         return out
@@ -726,7 +698,7 @@ class _KktFactors:
         for j in range(nblk):
             a_dz = np.zeros((comp.problem.blocks[j].side,) * 2, dtype=complex)
             for v, mp in comp.block_terms[j]:
-                apply_map(mp, a_dz, dz[v.sl], v.basis)
+                mp.add_apply(a_dz, v.basis.matrix(dz[v.sl]))
             dsj = hermitize(r_blocks[j] + a_dz)
             dxj = hermitize(rc[j] - self.winvs[j] @ dsj @ self.winvs[j])
             ds.append(dsj)

@@ -1,7 +1,7 @@
 """Primal and dual affine spaces of the five strategy families.
 
 Spaces are stored as symbolic constraint lists (neutralization identities,
-trace pinning, wire-sandwich conditions) and compiled, in the product
+trace pinning, pairing with a factorized primal) and compiled, in the product
 Hermitian basis, into coordinate pinning plus a few dense rows.  Every
 neutralization-type constraint acts diagonally on product-basis coordinates,
 which is what makes the compilation exact.
@@ -24,7 +24,6 @@ from .tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
     identity,
-    partial_trace,
     permute_factors,
     permute_vector,
     tensor,
@@ -106,17 +105,11 @@ class TraceEquals:
 
 
 @dataclass(frozen=True)
-class SandwichEquals:
-    """Chained-wire contraction of Q must equal the identity.
+class PairsWithFactorized:
+    """<Q, rho (x) L> = Tr rho for every probe rho of a factorized primal
+    space, so Q pairs to 1 with each of its strategy marginals."""
 
-    After tracing out ``traced``, contract each (from_out, to_in) pair with
-    the unnormalized maximally entangled vector on both sides; the result on
-    ``target`` must be I.
-    """
-
-    wire_pairs: tuple[tuple[str, str], ...]
-    traced: str
-    target: str
+    primal: AffineSpace
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ class CoordinateMask:
     __hash__ = None  # type: ignore[assignment]
 
 
-Constraint = NeutralizeCombo | TraceEquals | SandwichEquals | CoordinateMask
+Constraint = NeutralizeCombo | TraceEquals | PairsWithFactorized | CoordinateMask
 
 
 @dataclass(frozen=True)
@@ -273,11 +266,12 @@ def _compile(space: AffineSpace) -> CompiledSpace:
         elif isinstance(con, TraceEquals):
             kill[0] = True
             values[0] = con.value / sqrt_d
-        elif isinstance(con, SandwichEquals):
-            r, v = _sandwich_rows(basis, layout, con)
-            rows.append(r)
-            rhs.append(v)
-            continue
+        elif isinstance(con, PairsWithFactorized):
+            psp = con.primal
+            pb = product_basis(tuple(psp.layout.dim(l) for l in psp.var_labels))
+            probes = pb.elements(np.arange(pb.n))
+            rows.append(basis.coords_many(np.stack([psp.lift(e) for e in probes])))
+            rhs.append(np.real(np.trace(probes, axis1=1, axis2=2)))
         elif isinstance(con, CoordinateMask):
             kill |= con.kill
         else:
@@ -294,37 +288,6 @@ def _compile(space: AffineSpace) -> CompiledSpace:
     else:
         rmat, rvec = None, None
     return CompiledSpace(kill, values, rmat, rvec)
-
-
-def _sandwich_rows(
-    basis: ProductBasis, layout: SubsystemLayout, con: SandwichEquals
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows <B_a, adj(E_s)> for the target-space Hermitian basis elements.
-
-    The adjoint of the sandwich map lifts a target operator E to
-    E_target (x) |I>><<I|_pairs (x) I_traced, permuted into layout order.
-    """
-    d_t = layout.dim(con.target)
-    target_basis = product_basis((d_t,))
-    rows, rhs = [], []
-    for e in target_basis.elements(np.arange(target_basis.n)):
-        lifted = LabeledMatrix(
-            SubsystemLayout.of((con.target, d_t)), e, hermitian=True
-        )
-        for out_l, in_l in con.wire_pairs:
-            d = layout.dim(out_l)
-            ket = max_ent_ket(d)
-            wire = LabeledMatrix(
-                SubsystemLayout.of((out_l, d), (in_l, d)),
-                np.outer(ket, ket.conj()),
-                hermitian=True,
-            )
-            lifted = tensor(lifted, wire)
-        lifted = tensor(lifted, identity(layout.restrict([con.traced])))
-        lifted = permute_factors(lifted, layout.labels)
-        rows.append(basis.coords(lifted.entries))
-        rhs.append(float(np.real(np.trace(e))))
-    return np.asarray(rows), np.asarray(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +332,9 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
     n = spec.n_steps
     tr = float(spec.in_dims_product)
     spaces = []
-    for perm in spec.branches:
+    # the SWITCH dual pairs to 1 with its factorized primal, branch by branch
+    primals = primal_space(spec) if spec.kind == "swi" else [None] * len(spec.branches)
+    for perm, psp in zip(spec.branches, primals):
         if spec.kind == "par":
             evens = tuple(str(2 * i) for i in range(1, n + 1))
             cons: list[Constraint] = [
@@ -390,15 +355,7 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
             ] + [TraceEquals(tr)]
             canon = _scaled_identity(layout, tr)
         elif spec.kind == "swi":
-            wires = tuple(
-                (str(2 * perm[i]), str(2 * perm[i + 1] - 1)) for i in range(n - 1)
-            )
-            con = SandwichEquals(
-                wire_pairs=wires,
-                traced=str(2 * perm[-1]),
-                target=str(2 * perm[0] - 1),
-            )
-            cons = [con]
+            cons = [PairsWithFactorized(psp)]
             d = spec.slot_dims[0][0]
             canon = _scaled_identity(layout, layout.total_dim / d**n)
         else:  # pragma: no cover
@@ -627,8 +584,3 @@ def control_free_space(n: int, d: int) -> AffineSpace:
     """
     spec = StrategySetSpec("swi", n, tuple((d, d) for _ in range(n)))
     return primal_space(spec)[0]
-
-
-def control_free_dual_space(n: int, d: int) -> AffineSpace:
-    spec = StrategySetSpec("swi", n, tuple((d, d) for _ in range(n)))
-    return dual_space(spec)[0]

@@ -1,37 +1,29 @@
 """Recover an optimal strategy from the solved gauge, purify it into the
 strategy set, and decompose definite-order strategies into isometries.
 
-The recovery maximizes Tr[P Omega(h_opt)] over the strategy marginals
-subject to the stationarity condition that C^dag P^T (Cdot - i C h_opt) is
-Hermitian; any maximizer is a saddle partner of h_opt and attains the task
-QFI, which the state-QFI oracle re-checks downstream.
+Factorized sets (parallel and the SWITCH) are read off the task duals: the
+probe blocks of the factorized program's block duals sum to unit trace, so
+they are a feasible strategy, and weak duality puts its exact QFI within
+the solver gap of the task value.  The other sets maximize
+Tr[P Omega(h_opt)] over the strategy marginals subject to the stationarity
+condition that C^dag P^T (Cdot - i C h_opt) is Hermitian; any maximizer is
+a saddle partner of h_opt and attains the task QFI.  The state-QFI oracle
+re-checks either downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sdp_engine as se
 from ._basis import product_basis
-from .comb_algebra import (
-    FactorizedComb,
-    comb_tower_sets,
-    max_ent_ket,
-    purify,
-    validate_comb,
-)
+from .comb_algebra import FactorizedComb, purify, validate_comb
 from .errors import CombValidationError, SynthesisFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, primal_space
 from .task_qfi import QfiResult, performance_operator
-from .tensor_algebra import (
-    LabeledMatrix,
-    SubsystemLayout,
-    hermitize,
-    partial_trace,
-    permute_factors,
-)
+from .tensor_algebra import LabeledMatrix, SubsystemLayout, hermitize, permute_factors
 
 
 @dataclass(frozen=True)
@@ -120,10 +112,10 @@ def polish_gauge(p_marg: np.ndarray, fc: FactorizedComb) -> np.ndarray:
 
 def _filter_rows(
     rows: np.ndarray,
-    scale: float = 0.0,
+    scale: float,
+    pin_mask: np.ndarray,
+    pin_values: np.ndarray,
     rtol: float = 1e-4,
-    pin_mask: np.ndarray | None = None,
-    pin_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce homogeneous constraint rows to their significant row space.
 
@@ -137,43 +129,32 @@ def _filter_rows(
     vanishes every row is noise, and a cut relative to the noise alone
     would keep some of it.
     """
-    if rows.size == 0:
-        return rows, np.zeros(0)
     rows = rows.copy()
-    rhs = np.zeros(rows.shape[0])
-    if pin_mask is not None:
-        if pin_values is not None:
-            rhs = -rows[:, pin_mask] @ pin_values[pin_mask]
-        rows[:, pin_mask] = 0.0
+    rhs = -rows[:, pin_mask] @ pin_values[pin_mask]
+    rows[:, pin_mask] = 0.0
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > rtol * max(float(s[0]), scale, 1e-300)
     new_rhs = (u.T @ rhs)[keep] / s[keep]
     return vt[keep], new_rhs
 
 
-def _saddle_rows(fc: FactorizedComb, h: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Real rows encoding Hermiticity of the saddle map: column a holds the
-    Hermitian coordinates of i (M_a - M_a^dag), M_a = saddle_map(images[a])."""
-    g = fc.dvectors - 1j * fc.vectors @ h
-    k, d, _ = images.shape
-    x = (np.ascontiguousarray(images.transpose(0, 2, 1)).reshape(k * d, d) @ g).reshape(k, d, -1)
-    m = fc.vectors.conj().T @ x
-    return product_basis((fc.rank,)).coords_many(1j * (m - m.conj().transpose(0, 2, 1))).T
-
-
 def _saddle_rows_for(
     fc: FactorizedComb, h: np.ndarray, space_dims: tuple[int, ...]
 ) -> np.ndarray:
-    """Saddle rows over every product-basis coordinate of the space."""
-    vb = product_basis(space_dims)
+    """Real rows encoding Hermiticity of the saddle map over every
+    product-basis coordinate of the space: column a holds the Hermitian
+    coordinates of i (M_a - M_a^dag), M_a = saddle_map(B_a)."""
+    g = fc.dvectors - 1j * fc.vectors @ h
+    vb, hb = product_basis(space_dims), product_basis((fc.rank,))
+    cols = []
     chunk = 256  # basis elements per batch: bounds the dense image stack
-    return np.concatenate(
-        [
-            _saddle_rows(fc, h, vb.elements(np.arange(lo, min(vb.n, lo + chunk))))
-            for lo in range(0, vb.n, chunk)
-        ],
-        axis=1,
-    )
+    for lo in range(0, vb.n, chunk):
+        el = vb.elements(np.arange(lo, min(vb.n, lo + chunk)))
+        k, d, _ = el.shape
+        x = (np.ascontiguousarray(el.transpose(0, 2, 1)).reshape(k * d, d) @ g).reshape(k, d, -1)
+        m = fc.vectors.conj().T @ x
+        cols.append(hb.coords_many(1j * (m - m.conj().transpose(0, 2, 1))).T)
+    return np.concatenate(cols, axis=1)
 
 
 def optimal_strategy(
@@ -185,13 +166,83 @@ def optimal_strategy(
 ) -> StrategyChoi:
     """Recover a strategy attaining the solved task QFI.
 
-    Maximizes the pairing with the performance operator over the strategy
-    marginals subject to the stationarity rows, then re-polishes the gauge
-    (a closed-form Lyapunov solve) and, if needed, re-solves once so the
-    pair (strategy, gauge) is a numerically consistent saddle.
+    Factorized sets (par, swi) read the strategy off the task solve's block
+    duals: their probe blocks sum to unit trace, so together they are a
+    feasible strategy whose exact QFI, Tr[P Omega(h)] at the closed-form
+    gauge h = polish_gauge(P), is within the solver gap of the task value.
+    The other sets maximize the pairing with the performance operator over
+    the strategy marginals subject to the stationarity rows, then re-polish
+    the gauge and, if needed, re-solve once so the pair (strategy, gauge)
+    is a numerically consistent saddle.
     """
     lam = result.value
     spaces = primal_space(spec)
+    if spec.kind in ("par", "swi"):
+        marg, branches = _factorized_strategy(spec, spaces, result)
+        h2 = polish_gauge(marg.entries, fc)
+        omega = performance_operator(fc, h2).entries
+        achieved = float(np.real(np.vdot(omega, marg.entries)))
+    else:
+        marg, branches, achieved, h2 = _solved_strategy(
+            fc, spec, spaces, result, gap_tol, objective_rtol
+        )
+    # relative agreement, with an absolute floor for the zero-information case
+    tol = max(objective_rtol * abs(lam), 2e-8 * (1.0 + abs(lam)))
+    if abs(achieved - lam) > tol:
+        raise SynthesisFailureError(
+            f"saddle mismatch: synthesis objective {achieved:.8f} vs task QFI "
+            f"{lam:.8f}; saddle residual {saddle_residual(marg, fc, h2):.2e}"
+        )
+    return StrategyChoi(
+        marginal=marg,
+        spec=spec,
+        branches=branches,
+        achieved_objective=achieved,
+        gauge=h2,
+    )
+
+
+def _factorized_strategy(
+    spec: StrategySetSpec, spaces: list[AffineSpace], result: QfiResult
+) -> tuple[LabeledMatrix, list[Branch] | None]:
+    """Marginal (and SWITCH branches) from the lifted block-dual probes."""
+    ops = [_psd_clean(c) for c in result.candidates]
+    tr = sum(float(np.real(np.trace(op))) for op in ops)
+    if tr <= 1e-12:
+        raise SynthesisFailureError(f"block-dual probes have trace {tr:.2e}")
+    ops = [op * (spec.out_dims_product / tr) for op in ops]
+    marg = LabeledMatrix(spec.process_layout(), sum(ops), hermitian=True)
+    if spec.kind == "par":
+        return marg, None
+    return marg, _branches(spaces, ops, spec.out_dims_product)
+
+
+def _branches(
+    spaces: list[AffineSpace], ops: list[np.ndarray], trace_target: float
+) -> list[Branch]:
+    """Branch records: weight Tr op / trace_target and the op normalized to it."""
+    branches = []
+    for sp, op in zip(spaces, ops):
+        q = float(np.real(np.trace(op))) / trace_target
+        if q > 1e-10:
+            norm_op = LabeledMatrix(sp.layout, op / q, hermitian=True)
+            rk = int(np.sum(np.linalg.eigvalsh(norm_op.entries) > 1e-9))
+            branches.append(Branch(sp.branch_tag, q, norm_op, rk))
+        else:
+            branches.append(Branch(sp.branch_tag, max(q, 0.0), None, 0))
+    return branches
+
+
+def _solved_strategy(
+    fc: FactorizedComb,
+    spec: StrategySetSpec,
+    spaces: list[AffineSpace],
+    result: QfiResult,
+    gap_tol: float,
+    objective_rtol: float,
+):
+    """Synthesis SDP for seq, sup and ico, seeded by the block duals."""
+    lam = result.value
     h = result.h_opt.h
     # the task solve's dual blocks encode a near-optimal strategy; polishing
     # the gauge against it makes the stationarity rows consistent to the
@@ -201,7 +252,7 @@ def optimal_strategy(
     tr = float(np.real(np.trace(cand_sum)))
     if tr > 1e-12:
         cand = LabeledMatrix(layout, cand_sum * spec.out_dims_product / tr)
-        if spec.kind in ("par", "seq", "ico"):
+        if spec.kind in ("seq", "ico"):
             cand = spaces[0].project(cand)
             w, u = np.linalg.eigh(cand.entries)
             if w[0] < 0:
@@ -221,20 +272,7 @@ def optimal_strategy(
         h3 = polish_gauge(marg2.entries, fc)
         if saddle_residual(marg2, fc, h3) <= saddle_residual(marg, fc, h2):
             marg, branches, achieved, h2 = marg2, branches2, achieved2, h3
-    # relative agreement, with an absolute floor for the zero-information case
-    tol = max(objective_rtol * abs(lam), 2e-8 * (1.0 + abs(lam)))
-    if abs(achieved - lam) > tol:
-        raise SynthesisFailureError(
-            f"saddle mismatch: synthesis objective {achieved:.8f} vs task QFI "
-            f"{lam:.8f}; saddle residual {saddle_residual(marg, fc, h2):.2e}"
-        )
-    return StrategyChoi(
-        marginal=marg,
-        spec=spec,
-        branches=branches,
-        achieved_objective=achieved,
-        gauge=h2,
-    )
+    return marg, branches, achieved, h2
 
 
 def _synthesis_solve(
@@ -340,42 +378,6 @@ def _synthesis_solve(
             equalities.append(
                 se.EqualityRow({f"b{i}": row for i in range(len(spaces))}, float(rv))
             )
-    elif spec.kind in ("par", "swi"):
-        # factorized branches: the only variable per branch is the probe
-        tr_row_coefs = {}
-        branch_rows = []
-        var_dims = tuple(
-            spaces[0].layout.dim(l) for l in spaces[0].var_labels
-        )
-        d_var = int(np.prod(var_dims))
-        rbasis = product_basis(var_dims)
-        for i, sp in enumerate(spaces):
-            name = f"r{i}"
-            variables.append(
-                se.HermitianVariable(
-                    name,
-                    var_dims,
-                    init=rbasis.coords(np.eye(d_var) / (d_var * len(spaces))),
-                )
-            )
-            blocks.append(se.PsdBlockSpec(d_var, None, [(name, se.EmbedDiag(0))]))
-            eff = sp.contract(omega)
-            objective[name] = rbasis.coords(eff)
-            imgs = np.stack([sp.lift(m) for m in rbasis.elements(np.arange(rbasis.n))])
-            branch_rows.append((name, _saddle_rows(fc, h, imgs)))
-            tr_row = np.zeros(rbasis.n)
-            tr_row[0] = np.sqrt(d_var)
-            tr_row_coefs[name] = tr_row
-        equalities.append(se.EqualityRow(tr_row_coefs, 1.0))
-        joint = np.concatenate([rows for _, rows in branch_rows], axis=1)
-        kept, krhs = _filter_rows(joint)
-        ncol = branch_rows[0][1].shape[1]
-        for row, rv in zip(kept, krhs):
-            coefs = {
-                name: row[i * ncol : (i + 1) * ncol]
-                for i, (name, _) in enumerate(branch_rows)
-            }
-            equalities.append(se.EqualityRow(coefs, float(rv)))
     else:  # pragma: no cover
         raise SynthesisFailureError(f"unknown strategy kind {spec.kind!r}")
 
@@ -396,40 +398,10 @@ def _synthesis_solve(
     if spec.kind in ("seq", "ico"):
         marg = LabeledMatrix(layout, _psd_clean(sol.variables["p"]), hermitian=True)
         branches = None
-    elif spec.kind == "par":
-        rho = _psd_clean(sol.variables["r0"])
-        marg = LabeledMatrix(layout, spaces[0].lift(rho), hermitian=True)
-        branches = None
-    elif spec.kind == "sup":
-        ops = [
-            LabeledMatrix(layout, _psd_clean(sol.variables[f"b{i}"]), hermitian=True)
-            for i in range(len(spaces))
-        ]
-        marg = LabeledMatrix(layout, sum(o.entries for o in ops), hermitian=True)
-        branches = []
-        for sp, op in zip(spaces, ops):
-            q = float(np.real(np.trace(op.entries))) / trace_target
-            if q > 1e-10:
-                norm_op = LabeledMatrix(layout, op.entries / q, hermitian=True)
-                rk = int(np.sum(np.linalg.eigvalsh(norm_op.entries) > 1e-9))
-                branches.append(Branch(sp.branch_tag, q, norm_op, rk))
-            else:
-                branches.append(Branch(sp.branch_tag, max(q, 0.0), None, 0))
-    else:  # swi
-        branches = []
-        acc = None
-        for i, sp in enumerate(spaces):
-            rho = _psd_clean(sol.variables[f"r{i}"])
-            q = float(np.real(np.trace(rho)))
-            full = sp.lift(rho)
-            acc = full if acc is None else acc + full
-            if q > 1e-10:
-                norm_op = LabeledMatrix(layout, full / q, hermitian=True)
-                rk = int(np.sum(np.linalg.eigvalsh(norm_op.entries) > 1e-9))
-                branches.append(Branch(sp.branch_tag, q, norm_op, rk))
-            else:
-                branches.append(Branch(sp.branch_tag, max(q, 0.0), None, 0))
-        marg = LabeledMatrix(layout, acc, hermitian=True)
+    else:  # sup
+        ops = [_psd_clean(sol.variables[f"b{i}"]) for i in range(len(spaces))]
+        marg = LabeledMatrix(layout, sum(ops), hermitian=True)
+        branches = _branches(spaces, ops, trace_target)
     return marg, branches, achieved
 
 

@@ -22,7 +22,7 @@ from combqfi.qfi_oracle import verify_strategy
 from combqfi.strategy_spaces import (
     StrategySetSpec,
     causal_witness_value,
-    control_free_dual_space,
+    control_free_space,
     dual_space,
     ocb_process,
     ocb_witness,
@@ -35,7 +35,7 @@ from combqfi.strategy_synthesis import (
     purify_strategy,
     saddle_residual,
 )
-from combqfi.task_qfi import product_comb, solve_task, task_qfi
+from combqfi.task_qfi import product_comb, solve_factorized, task_qfi
 
 sys.path.insert(0, "tests")
 from util import random_channel, random_isometry, random_seq_marginal  # noqa: E402
@@ -261,7 +261,7 @@ def test_criterion_7_ocb_checks():
 def test_criterion_8_non_markovian_memory():
     t0 = time.time()
     spec = StrategySetSpec.qubits("seq", 2)
-    cf_space = control_free_dual_space(2, 2)
+    cf_space = control_free_space(2, 2)
     grid = np.linspace(0.25, 3.0, 12)
     ok = True
     excess = []
@@ -270,7 +270,7 @@ def test_criterion_8_non_markovian_memory():
         fm = nonmarkovian_swap_comb(0.0, 1.0, float(t), markovian=True)
         jn = task_qfi(fn, spec).value
         jm = task_qfi(fm, spec).value
-        jcf = solve_task(fn, [cf_space]).value
+        jcf = solve_factorized(fn, [cf_space]).value
         ok &= jn >= jm - 1e-8
         ok &= jcf <= jn + 1e-8
         excess.append(jn - jm)

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from combqfi._basis import product_basis
 from combqfi.errors import SolverFailureError
 from combqfi.sdp_engine import (
-    DenseImages,
     EmbedDiag,
     EqualityRow,
     GaugeOffdiag,
@@ -210,6 +210,24 @@ class TestSolverContracts:
         assert sol.iterations == 3
         assert sol.objective in [h[0] for h in sol.history]
 
+    def test_exactly_singular_newton_is_silent(self):
+        # two scalars with the same image leave the reduced Newton matrix
+        # exactly singular at the first iteration; the solver handles the
+        # zero pivot, so no LinAlgWarning may reach the caller
+        terms = [("s", ScaledIdentity(0, 2)), ("t", ScaledIdentity(0, 2))]
+        prob = SdpProblem(
+            variables=[HermitianVariable("s", (1,)), HermitianVariable("t", (1,))],
+            blocks=[PsdBlockSpec(2, -np.diag([1.0, -2.0]), terms)],
+            objective={"s": np.array([1.0]), "t": np.array([1.0])},
+            sense="min",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prob)
+        assert sol.status == "numerical-limit"
+        assert sol.iterations == 1
+        assert sol.objective == sol.history[0][0]
+
     def test_psd_solver_survives_rounding_indefinite(self, rng):
         from combqfi.sdp_engine import _psd_solver
 
@@ -282,36 +300,19 @@ class TestStructuredMaps:
                        options=dict(fatol=1e-13, xatol=1e-10, maxiter=20000)).fun
         assert abs(sol.objective / 4.0 - ref) < 1e-5
 
-    def test_dense_images_and_equalities(self, rng):
+    def test_pinned_embedding_and_equalities(self):
         # max <w, x> over the 3-dim PSD cone slice x0 I + x1 X + x2 Z >= 0,
-        # x0 = 1: the optimum is on the unit circle of (x1, x2)
-        basis = product_basis((1,))
-        imgs = np.stack(
-            [
-                np.eye(2, dtype=complex),
-                np.array([[0, 1], [1, 0]], dtype=complex),
-                np.array([[1, 0], [0, -1]], dtype=complex),
-            ]
-        )
+        # x0 = 1: the optimum is on the unit circle of (x1, x2); the slice is
+        # one 2x2 variable with its Y coordinate pinned and its trace fixed
+        # by an equality row
+        basis = product_basis((2,))
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        pin = np.array([False, False, True, False])
         prob = SdpProblem(
-            variables=[
-                HermitianVariable("x0", (1,)),
-                HermitianVariable("x1", (1,)),
-                HermitianVariable("x2", (1,)),
-            ],
-            blocks=[
-                PsdBlockSpec(
-                    2,
-                    None,
-                    [
-                        ("x0", DenseImages(imgs[:1])),
-                        ("x1", DenseImages(imgs[1:2])),
-                        ("x2", DenseImages(imgs[2:3])),
-                    ],
-                )
-            ],
-            equalities=[EqualityRow({"x0": np.array([1.0])}, 1.0)],
-            objective={"x1": np.array([3.0]), "x2": np.array([4.0])},
+            variables=[HermitianVariable("x", (2,), pin_mask=pin, pin_values=np.zeros(4))],
+            blocks=[PsdBlockSpec(2, None, [("x", EmbedDiag(0))])],
+            equalities=[EqualityRow({"x": basis.coords(np.eye(2))}, 2.0)],
+            objective={"x": basis.coords((3 * x + 4 * z) / 2.0)},
             sense="max",
         )
         sol = solve(prob, verify_newton=True)

@@ -79,15 +79,35 @@ class TestOptimalStrategy:
         + [0.87786790373901, 0.9452631578947369, 0.983213916576278],
     )
     def test_par_closure_on_bit_flip(self, p):
-        # points where the synthesis SDP's Newton system became singular to
-        # working precision near the optimum (an exact zero LU pivot); which
-        # points do depends on the rounding of the basis maps, and the solve
-        # must end at its best iterate, not fail
+        # points that once made a par synthesis SDP's Newton system singular
+        # to working precision (an exact zero LU pivot); par strategies are
+        # read off the task solve's block duals and reach no synthesis solve,
+        # and the strategy read there must still close at every one of them
         fc = product_comb(bf_phase_channel(p, np.pi / 2), 2)
         spec = StrategySetSpec.qubits("par", 2)
         res = task_qfi(fc, spec)
         s = purify_strategy(optimal_strategy(fc, spec, res))
         assert primal_space(spec)[0].residual(s.marginal) < 1e-8
+        ver = verify_strategy(
+            s.purification, s.purification_layout, s.future_labels, fc, res.value
+        )
+        assert ver.relative_gap < 1e-4
+
+    @pytest.mark.parametrize("kind", ["par", "swi"])
+    def test_factorized_sets_solve_no_synthesis_sdp(self, kind, damping_task, monkeypatch):
+        # par and swi strategies are read off the task solve's block duals
+        import combqfi.strategy_synthesis as ss
+
+        fc = damping_task
+        spec = StrategySetSpec.qubits(kind, 2)
+        res = task_qfi(fc, spec)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("optimal_strategy solved an SDP")
+
+        monkeypatch.setattr(ss.se, "solve", no_solve)
+        s = purify_strategy(optimal_strategy(fc, spec, res))
+        assert abs(s.achieved_objective - res.value) / res.value < 1e-5
         ver = verify_strategy(
             s.purification, s.purification_layout, s.future_labels, fc, res.value
         )
