@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
-from .comb_algebra import FactorizedComb
 from .errors import CombValidationError, ConfigError, SolverFailureError, SynthesisFailureError
 from .metrology_zoo import (
     ChannelSpec,
@@ -26,7 +25,7 @@ from .metrology_zoo import (
 )
 from .qfi_oracle import verify_strategy
 from .strategy_spaces import StrategySetSpec, control_free_space, primal_space
-from .strategy_synthesis import StrategyChoi, optimal_strategy, purify_strategy, saddle_residual
+from .strategy_synthesis import StrategyChoi, optimal_strategy, purify_strategy
 from .task_qfi import product_comb, solve_factorized, task_qfi
 from .tensor_algebra import LabeledMatrix, SubsystemLayout
 

@@ -8,8 +8,8 @@ input factor first, matching the layout order H_1, H_2, ... of a process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .tensor_algebra import (
     SubsystemLayout,
     hermitize,
     neutralize,
-    partial_trace,
     permute_factors,
     permute_vector,
 )

@@ -8,14 +8,12 @@ caller flips it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .comb_algebra import (
     FactorizedComb,
     KrausChannel,
-    choi_from_kraus,
     compose_kraus,
     kraus_product_comb,
     process_layout,

@@ -1,14 +1,14 @@
-"""Recover an optimal strategy from the solved gauge, purify it into the
+"""Recover an optimal strategy from the solved task, purify it into the
 strategy set, and decompose definite-order strategies into isometries.
 
-Factorized sets (parallel and the SWITCH) are read off the task duals: the
-probe blocks of the factorized program's block duals sum to unit trace, so
-they are a feasible strategy, and weak duality puts its exact QFI within
-the solver gap of the task value.  The other sets maximize
-Tr[P Omega(h_opt)] over the strategy marginals subject to the stationarity
-condition that C^dag P^T (Cdot - i C h_opt) is Hermitian; any maximizer is
-a saddle partner of h_opt and attains the task QFI.  The state-QFI oracle
-re-checks either downstream.
+Every set's strategy is read off the task solve's block duals.  The probe
+blocks of the factorized program (parallel and the SWITCH) and the
+bottom-right blocks X_22 of the dual-space form (the other sets) are, up to
+scale, the strategy marginals of each branch; normalized, projected onto
+the branch's affine hull and nudged toward its canonical point where that
+leaves a negative eigenvalue, they are a feasible strategy whose exact QFI
+is within the solver gap of the task value.  The state-QFI oracle re-checks
+it downstream.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp_engine as se
-from ._basis import product_basis
 from .comb_algebra import FactorizedComb, purify, validate_comb
 from .errors import CombValidationError, SynthesisFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, primal_space
@@ -73,20 +71,14 @@ class StrategyChoi:
         return out
 
 
-def saddle_map(p_marg: np.ndarray, fc: FactorizedComb, h: np.ndarray) -> np.ndarray:
-    """C^dag P^T (Cdot - i C h), Hermitian exactly at a saddle point."""
-    g = fc.dvectors - 1j * fc.vectors @ h
-    return fc.vectors.conj().T @ p_marg.T @ g
-
-
 def saddle_residual(
     p_marg: LabeledMatrix | np.ndarray, fc: FactorizedComb, h: np.ndarray
 ) -> float:
-    m = saddle_map(
-        p_marg.entries if isinstance(p_marg, LabeledMatrix) else np.asarray(p_marg),
-        fc,
-        np.asarray(h, dtype=complex),
-    )
+    """Anti-Hermitian part of C^dag P^T (Cdot - i C h), zero exactly at a
+    saddle point."""
+    p = p_marg.entries if isinstance(p_marg, LabeledMatrix) else np.asarray(p_marg)
+    g = fc.dvectors - 1j * fc.vectors @ np.asarray(h, dtype=complex)
+    m = fc.vectors.conj().T @ p.T @ g
     return float(np.linalg.norm(m - m.conj().T))
 
 
@@ -110,82 +102,33 @@ def polish_gauge(p_marg: np.ndarray, fc: FactorizedComb) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def _filter_rows(
-    rows: np.ndarray,
-    scale: float,
-    pin_mask: np.ndarray,
-    pin_values: np.ndarray,
-    rtol: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce homogeneous constraint rows to their significant row space.
-
-    Components on pinned coordinates are constants and move to the right
-    hand side.  At the exact gauge the stationarity rows are rank
-    deficient; with a finite-precision gauge the lost directions reappear
-    at noise level and would wrongly cut the optimizers away, so singular
-    directions below ``rtol`` times the larger of the top singular value
-    and ``scale`` are dropped.  For rows over unit basis elements ``scale``
-    is the comb's own ||C|| ||Cdot||: when the performance operator
-    vanishes every row is noise, and a cut relative to the noise alone
-    would keep some of it.
-    """
-    rows = rows.copy()
-    rhs = -rows[:, pin_mask] @ pin_values[pin_mask]
-    rows[:, pin_mask] = 0.0
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rtol * max(float(s[0]), scale, 1e-300)
-    new_rhs = (u.T @ rhs)[keep] / s[keep]
-    return vt[keep], new_rhs
-
-
-def _saddle_rows_for(
-    fc: FactorizedComb, h: np.ndarray, space_dims: tuple[int, ...]
-) -> np.ndarray:
-    """Real rows encoding Hermiticity of the saddle map over every
-    product-basis coordinate of the space: column a holds the Hermitian
-    coordinates of i (M_a - M_a^dag), M_a = saddle_map(B_a)."""
-    g = fc.dvectors - 1j * fc.vectors @ h
-    vb, hb = product_basis(space_dims), product_basis((fc.rank,))
-    cols = []
-    chunk = 256  # basis elements per batch: bounds the dense image stack
-    for lo in range(0, vb.n, chunk):
-        el = vb.elements(np.arange(lo, min(vb.n, lo + chunk)))
-        k, d, _ = el.shape
-        x = (np.ascontiguousarray(el.transpose(0, 2, 1)).reshape(k * d, d) @ g).reshape(k, d, -1)
-        m = fc.vectors.conj().T @ x
-        cols.append(hb.coords_many(1j * (m - m.conj().transpose(0, 2, 1))).T)
-    return np.concatenate(cols, axis=1)
-
-
 def optimal_strategy(
     fc: FactorizedComb,
     spec: StrategySetSpec,
     result: QfiResult,
-    gap_tol: float = 1e-9,
     objective_rtol: float = 1e-5,
 ) -> StrategyChoi:
     """Recover a strategy attaining the solved task QFI.
 
-    Factorized sets (par, swi) read the strategy off the task solve's block
-    duals: their probe blocks sum to unit trace, so together they are a
-    feasible strategy whose exact QFI, Tr[P Omega(h)] at the closed-form
-    gauge h = polish_gauge(P), is within the solver gap of the task value.
-    The other sets maximize the pairing with the performance operator over
-    the strategy marginals subject to the stationarity rows, then re-polish
-    the gauge and, if needed, re-solve once so the pair (strategy, gauge)
-    is a numerically consistent saddle.
+    The strategy is read off the task solve's block duals, with no further
+    SDP: scaled to the strategy trace, the per-branch candidates are a
+    feasible strategy (after projection onto each branch's affine hull and,
+    if that leaves a negative eigenvalue, a small mix toward the branch's
+    canonical point).  Its exact QFI, Tr[P Omega(h)] at the closed-form
+    gauge h = polish_gauge(P), is within the solver gap of the task value;
+    the mix costs at most eps times the task value, since the QFI is
+    concave in P.
     """
     lam = result.value
     spaces = primal_space(spec)
-    if spec.kind in ("par", "swi"):
-        marg, branches = _factorized_strategy(spec, spaces, result)
-        h2 = polish_gauge(marg.entries, fc)
-        omega = performance_operator(fc, h2).entries
-        achieved = float(np.real(np.vdot(omega, marg.entries)))
-    else:
-        marg, branches, achieved, h2 = _solved_strategy(
-            fc, spec, spaces, result, gap_tol, objective_rtol
-        )
+    ops = _block_dual_ops(spec, spaces, result)
+    marg = LabeledMatrix(spec.process_layout(), sum(ops), hermitian=True)
+    branches = None
+    if spec.kind in ("swi", "sup"):
+        branches = _branches(spaces, ops, spec.out_dims_product)
+    h2 = polish_gauge(marg.entries, fc)
+    omega = performance_operator(fc, h2).entries
+    achieved = float(np.real(np.vdot(omega, marg.entries)))
     # relative agreement, with an absolute floor for the zero-information case
     tol = max(objective_rtol * abs(lam), 2e-8 * (1.0 + abs(lam)))
     if abs(achieved - lam) > tol:
@@ -202,19 +145,47 @@ def optimal_strategy(
     )
 
 
-def _factorized_strategy(
+def _block_dual_ops(
     spec: StrategySetSpec, spaces: list[AffineSpace], result: QfiResult
-) -> tuple[LabeledMatrix, list[Branch] | None]:
-    """Marginal (and SWITCH branches) from the lifted block-dual probes."""
-    ops = [_psd_clean(c) for c in result.candidates]
+) -> list[np.ndarray]:
+    """Per-branch strategy operators q_i P_i, with total trace out_dims_product.
+
+    Factorized sets (par, swi) lift PSD probes, so each operator already
+    lies in its hull.  The Q-form block duals of the other sets are
+    projected onto their hulls and made PSD by ``_mix_to_psd``.
+    """
+    factorized = spaces[0].is_factorized
+    ops = [_psd_clean(c) if factorized else c for c in result.candidates]
     tr = sum(float(np.real(np.trace(op))) for op in ops)
     if tr <= 1e-12:
-        raise SynthesisFailureError(f"block-dual probes have trace {tr:.2e}")
-    ops = [op * (spec.out_dims_product / tr) for op in ops]
-    marg = LabeledMatrix(spec.process_layout(), sum(ops), hermitian=True)
-    if spec.kind == "par":
-        return marg, None
-    return marg, _branches(spaces, ops, spec.out_dims_product)
+        raise SynthesisFailureError(f"block duals have trace {tr:.2e}")
+    target = float(spec.out_dims_product)
+    ops = [op * (target / tr) for op in ops]
+    if factorized:
+        return ops
+    out = []
+    for sp, op in zip(spaces, ops):
+        q = float(np.real(np.trace(op))) / target
+        if q <= 0.0:
+            out.append(np.zeros_like(op))
+            continue
+        m = sp.project(LabeledMatrix(sp.layout, op / q, hermitian=True))
+        out.append(q * _mix_to_psd(m, sp.canonical).entries)
+    return out
+
+
+def _mix_to_psd(m: LabeledMatrix, canon: LabeledMatrix) -> LabeledMatrix:
+    """(1 - eps) m + eps canon with eps = -w / (c_min - w) when m has least
+    eigenvalue w < 0: PSD by concavity of the least eigenvalue, and in any
+    affine hull holding both m and canon."""
+    w = float(np.linalg.eigvalsh(m.entries)[0])
+    if w >= 0.0:
+        return m
+    c_min = float(np.linalg.eigvalsh(canon.entries)[0])
+    eps = -w / (c_min - w)
+    return LabeledMatrix(
+        m.layout, (1.0 - eps) * m.entries + eps * canon.entries, hermitian=True
+    )
 
 
 def _branches(
@@ -231,178 +202,6 @@ def _branches(
         else:
             branches.append(Branch(sp.branch_tag, max(q, 0.0), None, 0))
     return branches
-
-
-def _solved_strategy(
-    fc: FactorizedComb,
-    spec: StrategySetSpec,
-    spaces: list[AffineSpace],
-    result: QfiResult,
-    gap_tol: float,
-    objective_rtol: float,
-):
-    """Synthesis SDP for seq, sup and ico, seeded by the block duals."""
-    lam = result.value
-    h = result.h_opt.h
-    # the task solve's dual blocks encode a near-optimal strategy; polishing
-    # the gauge against it makes the stationarity rows consistent to the
-    # candidate's own accuracy rather than the solver tolerance
-    layout = spec.process_layout()
-    cand_sum = sum(result.candidates)
-    tr = float(np.real(np.trace(cand_sum)))
-    if tr > 1e-12:
-        cand = LabeledMatrix(layout, cand_sum * spec.out_dims_product / tr)
-        if spec.kind in ("seq", "ico"):
-            cand = spaces[0].project(cand)
-            w, u = np.linalg.eigh(cand.entries)
-            if w[0] < 0:
-                cand = LabeledMatrix(
-                    layout, (u * np.clip(w, 0.0, None)) @ u.conj().T
-                )
-        h = polish_gauge(cand.entries, fc)
-    marg, branches, achieved = _synthesis_solve(fc, spec, spaces, h, result, gap_tol)
-    h2 = polish_gauge(marg.entries, fc)
-    scale = max(abs(lam), 1.0)
-    if saddle_residual(marg, fc, h2) > 1e-8 * scale or (
-        abs(achieved - lam) > objective_rtol * max(abs(lam), 1e-6)
-    ):
-        marg2, branches2, achieved2 = _synthesis_solve(
-            fc, spec, spaces, h2, result, gap_tol
-        )
-        h3 = polish_gauge(marg2.entries, fc)
-        if saddle_residual(marg2, fc, h3) <= saddle_residual(marg, fc, h2):
-            marg, branches, achieved, h2 = marg2, branches2, achieved2, h3
-    return marg, branches, achieved, h2
-
-
-def _synthesis_solve(
-    fc: FactorizedComb,
-    spec: StrategySetSpec,
-    spaces: list[AffineSpace],
-    h: np.ndarray,
-    result: QfiResult,
-    gap_tol: float,
-):
-    layout = spec.process_layout()
-    pbasis = product_basis(layout.dims)
-    omega = performance_operator(fc, h)
-    omega_coords = pbasis.coords(omega.entries)
-    trace_target = float(spec.out_dims_product)
-    row_scale = float(np.linalg.norm(fc.vectors, 2) * np.linalg.norm(fc.dvectors, 2))
-
-    variables: list[se.HermitianVariable] = []
-    blocks: list[se.PsdBlockSpec] = []
-    equalities: list[se.EqualityRow] = []
-    objective: dict[str, np.ndarray] = {}
-
-    # strategy candidates hidden in the task solve's dual blocks seed the start
-    duals = result.candidates
-    dual_tr = sum(max(float(np.real(np.trace(dq))), 0.0) for dq in duals)
-
-    if spec.kind in ("seq", "ico"):
-        sp = spaces[0]
-        comp = sp.compiled
-        init = None
-        if dual_tr > 1e-12:
-            cand = LabeledMatrix(layout, hermitize(duals[0]) * trace_target / dual_tr)
-            # blend toward the canonical interior point: starting on the
-            # optimal face makes the barrier fight the initialization
-            init = 0.7 * pbasis.coords(sp.project(cand).entries) + 0.3 * pbasis.coords(
-                sp.canonical.entries
-            )
-        variables.append(
-            se.HermitianVariable(
-                "p",
-                layout.dims,
-                pin_mask=comp.kill_mask,
-                pin_values=comp.pin_values,
-                init=init,
-            )
-        )
-        blocks.append(se.PsdBlockSpec(layout.total_dim, None, [("p", se.EmbedDiag(0))]))
-        objective["p"] = omega_coords
-        rows, rhs = _filter_rows(
-            _saddle_rows_for(fc, h, layout.dims),
-            row_scale,
-            pin_mask=comp.kill_mask,
-            pin_values=comp.pin_values,
-        )
-        for row, rv in zip(rows, rhs):
-            equalities.append(se.EqualityRow({"p": row}, float(rv)))
-        if comp.rows is not None:
-            for row, rhs_v in zip(comp.rows, comp.rhs):
-                equalities.append(se.EqualityRow({"p": row}, float(rhs_v)))
-    elif spec.kind == "sup":
-        srows = _saddle_rows_for(fc, h, layout.dims)
-        tr_row_coefs = {}
-        for i, sp in enumerate(spaces):
-            name = f"b{i}"
-            comp = sp.compiled
-            mask = comp.kill_mask.copy()
-            mask[0] = False  # branch cone: the trace pin becomes the weight
-            values = comp.pin_values.copy()
-            values[0] = 0.0
-            if dual_tr > 1e-12:
-                cand = LabeledMatrix(layout, hermitize(duals[i]) * trace_target / dual_tr)
-                w_i = max(float(np.real(np.trace(duals[i]))), 1e-6) / dual_tr
-                init = w_i * (
-                    0.7 * pbasis.coords(sp.project(cand).entries)
-                    + 0.3 * pbasis.coords(sp.canonical.entries)
-                )
-            else:
-                init = pbasis.coords(sp.canonical.entries) / len(spaces)
-            variables.append(
-                se.HermitianVariable(
-                    name, layout.dims, pin_mask=mask, pin_values=values, init=init
-                )
-            )
-            blocks.append(
-                se.PsdBlockSpec(layout.total_dim, None, [(name, se.EmbedDiag(0))])
-            )
-            objective[name] = omega_coords
-            tr_row = np.zeros(pbasis.n)
-            tr_row[0] = np.sqrt(layout.total_dim)
-            tr_row_coefs[name] = tr_row
-        equalities.append(se.EqualityRow(tr_row_coefs, trace_target))
-        # all branch spaces share the same kill pattern up to relabeling;
-        # strip the components every branch pins to zero
-        shared_kill = np.ones(pbasis.n, dtype=bool)
-        for sp in spaces:
-            mask = sp.compiled.kill_mask.copy()
-            mask[0] = False
-            shared_kill &= mask
-        rows, rhs = _filter_rows(
-            srows, row_scale, pin_mask=shared_kill, pin_values=np.zeros(pbasis.n)
-        )
-        for row, rv in zip(rows, rhs):
-            equalities.append(
-                se.EqualityRow({f"b{i}": row for i in range(len(spaces))}, float(rv))
-            )
-    else:  # pragma: no cover
-        raise SynthesisFailureError(f"unknown strategy kind {spec.kind!r}")
-
-    problem = se.SdpProblem(
-        variables=variables,
-        blocks=blocks,
-        equalities=equalities,
-        objective=objective,
-        sense="max",
-    )
-    sol = se.solve(problem, gap_tol=gap_tol, feas_tol=1e-9)
-    if sol.status == "infeasible" or sol.gap > 1e-4:
-        raise SynthesisFailureError(
-            f"synthesis SDP failed: status {sol.status}, gap {sol.gap:.2e}"
-        )
-    achieved = float(sol.objective)
-
-    if spec.kind in ("seq", "ico"):
-        marg = LabeledMatrix(layout, _psd_clean(sol.variables["p"]), hermitian=True)
-        branches = None
-    else:  # sup
-        ops = [_psd_clean(sol.variables[f"b{i}"]) for i in range(len(spaces))]
-        marg = LabeledMatrix(layout, sum(ops), hermitian=True)
-        branches = _branches(spaces, ops, trace_target)
-    return marg, branches, achieved
 
 
 def _psd_clean(m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ layout use the same row-major flattening of ``(i_1, ..., i_L)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np

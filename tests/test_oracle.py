@@ -181,10 +181,11 @@ class TestOutputState:
         from util import random_member_of
 
         fc = product_comb(ad_phase_channel(0.4, np.pi / 2), 2)
-        spec = StrategySetSpec.qubits("par", 2)
-        lam = task_qfi(fc, spec).value
-        for _ in range(5):
-            m = random_member_of("par", 2, rng)
-            psi, full_lay = purify(m)
-            ver = verify_strategy(psi, full_lay, ("F",), fc, lam)
-            assert ver.j_oracle <= lam + 1e-6
+        for kind in ("par", "swi"):
+            spec = StrategySetSpec.qubits(kind, 2)
+            lam = task_qfi(fc, spec).value
+            for _ in range(5):
+                m = random_member_of(kind, 2, rng)
+                psi, full_lay = purify(m)
+                ver = verify_strategy(psi, full_lay, ("F",), fc, lam)
+                assert ver.j_oracle <= lam + 1e-6

@@ -93,10 +93,10 @@ class TestOptimalStrategy:
         )
         assert ver.relative_gap < 1e-4
 
-    @pytest.mark.parametrize("kind", ["par", "swi"])
-    def test_factorized_sets_solve_no_synthesis_sdp(self, kind, damping_task, monkeypatch):
-        # par and swi strategies are read off the task solve's block duals
-        import combqfi.strategy_synthesis as ss
+    @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
+    def test_strategy_read_solves_no_sdp(self, kind, damping_task, monkeypatch):
+        # every set's strategy is read off the task solve's block duals
+        import combqfi.sdp_engine as se
 
         fc = damping_task
         spec = StrategySetSpec.qubits(kind, 2)
@@ -105,7 +105,7 @@ class TestOptimalStrategy:
         def no_solve(*args, **kwargs):
             raise AssertionError("optimal_strategy solved an SDP")
 
-        monkeypatch.setattr(ss.se, "solve", no_solve)
+        monkeypatch.setattr(se, "solve", no_solve)
         s = purify_strategy(optimal_strategy(fc, spec, res))
         assert abs(s.achieved_objective - res.value) / res.value < 1e-5
         ver = verify_strategy(
@@ -113,11 +113,31 @@ class TestOptimalStrategy:
         )
         assert ver.relative_gap < 1e-4
 
+    @pytest.mark.parametrize("kind", ["seq", "sup", "ico"])
+    def test_mix_to_psd_stays_in_the_hull(self, kind, rng):
+        # a hull member with a negative eigenvalue w, mixed toward the
+        # canonical point at eps = -w / (c_min - w), is PSD and still a member
+        from combqfi.strategy_synthesis import _mix_to_psd
+
+        sp = primal_space(StrategySetSpec.qubits(kind, 2))[0]
+        m = sp.random_member(rng, scale=3.0)
+        w = np.linalg.eigvalsh(m.entries)[0]
+        assert w < -1e-3
+        c_min = np.linalg.eigvalsh(sp.canonical.entries)[0]
+        eps = -w / (c_min - w)
+        p = _mix_to_psd(m, sp.canonical)
+        expect = (1.0 - eps) * m.entries + eps * sp.canonical.entries
+        assert np.linalg.norm(p.entries - expect) < 1e-12
+        assert np.linalg.eigvalsh(p.entries)[0] > -1e-12
+        assert sp.residual(p) < 1e-10
+        # a PSD member passes through unchanged
+        assert _mix_to_psd(sp.canonical, sp.canonical) is sp.canonical
+
     @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
     def test_closure_on_the_dead_comb(self, kind):
         # full damping leaves Omega(h) ~ 0 at the optimal gauge, so every
-        # stationarity row is rounding noise; imposing it (sup kept rows
-        # that clashed with the trace row) must not fail the synthesis
+        # strategy is optimal and the block duals carry no preferred one;
+        # the strategy read there must still be feasible and score ~ 0
         fc = product_comb(ad_phase_channel(1.0, np.pi / 2), 2)
         spec = StrategySetSpec.qubits(kind, 2)
         res = task_qfi(fc, spec)

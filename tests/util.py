@@ -94,14 +94,12 @@ def random_member_of(kind, n, rng, d=2):
             acc = part if acc is None else acc + part
         return LabeledMatrix(spec.process_layout(), acc, hermitian=True)
     if kind == "swi":
-        from combqfi.strategy_synthesis import _lift_factorized
-
         spaces = primal_space(spec)
         w = rng.random(len(spaces))
         w = w / w.sum()
         acc = None
         for q, sp in zip(w, spaces):
-            part = q * _lift_factorized(sp, random_state(d, rng))
+            part = q * sp.lift(random_state(d, rng))
             acc = part if acc is None else acc + part
         return LabeledMatrix(spec.process_layout(), acc, hermitian=True)
     raise ValueError(kind)
