@@ -38,11 +38,6 @@ def double_ket(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=complex).T).reshape(-1)
 
 
-def unket(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Inverse of :func:`double_ket`."""
-    return np.asarray(v, dtype=complex).reshape(d_in, d_out).T
-
-
 def max_ent_ket(d: int) -> np.ndarray:
     """Unnormalized |I>> on a (d, d) pair."""
     return double_ket(np.eye(d))

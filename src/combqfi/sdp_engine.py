@@ -209,6 +209,9 @@ class SdpSolution:
     compl_residual: float
     history: list[tuple[float, float, float, float, float]]  # (pobj, dobj, mu, p_res, d_res)
     block_duals: list[np.ndarray]
+    # the exit the iteration took: converged, merit-degraded, singular-newton,
+    # step-stall, backtrack-rejected, max-iter or diverged
+    stop_reason: str
 
     @property
     def optimal(self) -> bool:
@@ -764,6 +767,7 @@ def solve(
     A reduced Newton system that is singular to working precision (an exact
     zero pivot of its LU) ends the solve at the best iterate instead, with
     status ``numerical-limit`` unless that iterate meets the tolerances.
+    ``stop_reason`` names the exit the iteration took.
     """
     comp = _Compiled(problem)
     try:
@@ -795,6 +799,7 @@ def _interior_point(
 
     history: list[tuple[float, float, float]] = []
     status = "numerical-limit"
+    stop_reason = "max-iter"
     it = 0
     stall = 0
     degraded = 0
@@ -866,24 +871,26 @@ def _interior_point(
                 [m_.copy() for m_ in x_blocks],
             )
         if relgap <= gap_tol and p_res <= feas_tol and d_res <= feas_tol:
-            status = "optimal"
+            status, stop_reason = "optimal", "converged"
             break
         # stop once numerical precision is exhausted and keep the best iterate
         if it > 4 and merit > 20.0 * best_merit:
             degraded += 1
             if degraded >= 2:
+                stop_reason = "merit-degraded"
                 break
         else:
             degraded = 0
         if float(np.linalg.norm(z)) > 1e10:
-            status = "infeasible"
+            status, stop_reason = "infeasible", "diverged"
             break
 
         winvs = [_nt_scaling_inv(s_blocks[j], x_blocks[j]) for j in range(nblk)]
         try:
             kkt = _KktFactors(comp, winvs)
         except _SingularNewton:
-            break  # no Newton direction to take: keep the best iterate
+            stop_reason = "singular-newton"  # no Newton direction: keep the best iterate
+            break
 
         nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
         rc_aff = [-x_blocks[j] for j in range(nblk)]
@@ -938,6 +945,7 @@ def _interior_point(
         if min(ap, ad) < 1e-10:
             stall += 1
             if stall >= 3:
+                stop_reason = "step-stall"
                 break
         else:
             stall = 0
@@ -968,7 +976,8 @@ def _interior_point(
             ap *= 0.3
             ad *= 0.3
         if not accepted:
-            break  # keep the best iterate
+            stop_reason = "backtrack-rejected"  # keep the best iterate
+            break
         z, s_blocks, x_blocks, nu, nu_loc = z_t, s_t, x_t, nu_t, nl_t
 
     restored = status != "optimal" and best is not None
@@ -1002,4 +1011,5 @@ def _interior_point(
         compl_residual=compl,
         history=history,
         block_duals=[x.copy() for x in x_blocks],
+        stop_reason=stop_reason,
     )

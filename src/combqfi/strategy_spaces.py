@@ -417,30 +417,7 @@ def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
                 )
             )
         elif spec.kind == "ico":
-            if n == 1:
-                cons = list(_comb_constraints(_strategy_teeth(spec, perm))) + [
-                    TraceEquals(tr)
-                ]
-                canon = _scaled_identity(layout, tr)
-                spaces.append(AffineSpace(layout, tuple(cons), canon, name=name))
-            elif n == 2:
-                cons = [
-                    NeutralizeCombo(
-                        (
-                            (1.0, ()),
-                            (-1.0, ("4",)),
-                            (-1.0, ("2",)),
-                            (1.0, ("2", "4")),
-                        )
-                    ),
-                    NeutralizeCombo(((1.0, ("1", "2")), (-1.0, ("1", "2", "4")))),
-                    NeutralizeCombo(((1.0, ("3", "4")), (-1.0, ("2", "3", "4")))),
-                    TraceEquals(tr),
-                ]
-                canon = _scaled_identity(layout, tr)
-                spaces.append(AffineSpace(layout, tuple(cons), canon, name=name))
-            else:
-                spaces.append(_ico_primal_double_dual(spec, name))
+            spaces.append(_ico_primal_double_dual(spec, name))
         elif spec.kind == "swi":
             d = spec.slot_dims[0][0]
             first = str(2 * perm[0] - 1)

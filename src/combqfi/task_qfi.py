@@ -16,10 +16,20 @@ min over (lambda, h) of lambda subject to lambda I >= E_i(h), with E_i(h)
 the contraction of Omega(h) with L_i onto the probe factor.  Its only
 variables are lambda and h, where the Q form carries a dual Q with
 D^2 coordinates per branch.
+
+The causal branches of sup and swi are the query orders pi in S_N.  When
+permuting the slots of the comb permutes its columns C and Cdot by one
+unitary U_pi, each branch's constraint is the identity branch's relabelled,
+and the program is invariant under h -> U_pi h U_pi^dag.  Being convex, it
+then has an optimum with h fixed by every U_pi (Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 95 (2004)): both forms solve the identity
+branch alone with h held to that subspace, and relabel its solution onto
+the other branches.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +39,7 @@ from ._basis import product_basis
 from .comb_algebra import FactorizedComb, KrausChannel, kraus_product_comb
 from .errors import ConfigError, DimensionMismatchError, SolverFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, dual_space, primal_space
-from .tensor_algebra import LabeledMatrix, hermitize
+from .tensor_algebra import LabeledMatrix, hermitize, permute_vector
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,8 @@ class QfiResult:
     ``spaces`` are the dual spaces of the Q form, or the factorized primal
     spaces of the factorized program; ``candidates`` are the per-branch
     (unnormalized) strategy marginals read off the solver's block duals.
+    A slot-symmetric solve has one block dual, and its ``solver`` objective
+    is ``value`` divided by the number of branches.
     """
 
     value: float
@@ -233,7 +245,79 @@ def build_factorized_problem(
     )
 
 
-def _accepted(sol: se.SdpSolution) -> tuple[float, HermitianGauge]:
+def _slot_symmetry(
+    fc: FactorizedComb, spaces: list[AffineSpace]
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per space, the slot permutation S_pi (as an index map, S v = v[idx])
+    and the column unitary U_pi with S_pi C = C U_pi and S_pi Cdot = Cdot U_pi.
+
+    S_pi moves slot k onto slot pi_k, which maps the identity branch's space
+    onto the space tagged pi.  None unless the tags are all of S_N with the
+    identity first, every slot has the same dims, and every U_pi = C^+ S_pi C
+    is unitary and carries C and Cdot alike.
+    """
+    tags = [sp.branch_tag for sp in spaces]
+    if None in tags:
+        return None
+    n = len(tags[0])
+    group = list(itertools.permutations(range(1, n + 1)))  # identity first
+    if tags[0] != group[0] or sorted(tags) != group:
+        return None
+    lay = fc.layout
+    slots = [(str(2 * k - 1), str(2 * k)) for k in range(1, n + 1)]
+    if len({(lay.dim(a), lay.dim(b)) for a, b in slots}) != 1:
+        return None
+    v, dv = fc.vectors, fc.dvectors
+    vinv = np.linalg.pinv(v)
+    tol = 1e-10 * (np.linalg.norm(v) + np.linalg.norm(dv))
+    out = []
+    for perm in tags:
+        # the factor at slot pi_k's labels comes from slot k's
+        src = {}
+        for k, pk in enumerate(perm):
+            src[slots[pk - 1][0]], src[slots[pk - 1][1]] = slots[k]
+        idx = permute_vector(lay, np.arange(lay.total_dim), [src[l] for l in lay.labels])
+        u = vinv @ v[idx]
+        if (
+            np.linalg.norm(u.conj().T @ u - np.eye(fc.rank)) > 1e-10 * np.sqrt(fc.rank)
+            or np.linalg.norm(v[idx] - v @ u) > tol
+            or np.linalg.norm(dv[idx] - dv @ u) > tol
+        ):
+            return None
+        out.append((idx, u))
+    return out
+
+
+def _restrict_to_identity_branch(
+    problem: se.SdpProblem, sym: list[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """Keep the first block, hold h to the gauges fixed by every Ad(U_pi)
+    and weigh lambda by 1/N!.
+
+    The rows are an orthonormal basis, in h's product-basis coordinates, of
+    the row space of the orthogonal projector I - (1/N!) sum_pi Ad(U_pi).
+    The weight makes the program the full one restricted to symmetric
+    points with its Lagrangian divided by N!: the block dual is one
+    branch's share, so the solver starts and steers as over all branches.
+    """
+    units = [u for _, u in sym]
+    hb = product_basis((units[0].shape[0],))
+    el = hb.elements(np.arange(hb.n))
+    avg = sum(hb.coords_many(u @ el @ u.conj().T) for u in units) / len(units)
+    w, vecs = np.linalg.eigh(np.eye(hb.n) - 0.5 * (avg + avg.T))
+    problem.blocks = problem.blocks[:1]
+    problem.equalities += [se.EqualityRow({"h": row}, 0.0) for row in vecs[:, w > 0.5].T]
+    problem.objective = {"lam": np.array([1.0 / len(units)])}
+
+
+def _relabel(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """S m S^dag for the index map S v = v[idx]."""
+    return m[np.ix_(idx, idx)]
+
+
+def _accepted(sol: se.SdpSolution, n_branches: int = 1) -> tuple[float, HermitianGauge]:
+    """Task value and gauge of an acceptable solve whose objective weighs
+    lambda by 1/n_branches."""
     if sol.status == "infeasible":
         raise SolverFailureError("task SDP flagged infeasible")
     if not sol.optimal and sol.gap > 2e-5:
@@ -241,7 +325,7 @@ def _accepted(sol: se.SdpSolution) -> tuple[float, HermitianGauge]:
             f"solver stopped at status {sol.status!r} with duality gap "
             f"{sol.gap:.2e} (iterations {sol.iterations})"
         )
-    lam = float(sol.objective)
+    lam = float(sol.objective) * n_branches
     if lam < -1e-7:
         raise SolverFailureError(f"negative task QFI {lam:.3e}")
     return lam, HermitianGauge(sol.variables["h"])
@@ -265,16 +349,26 @@ def solve_task(
     feas_tol: float = 1e-8,
     max_iter: int = 200,
 ) -> QfiResult:
-    """Solve the task-QFI program over explicit dual spaces."""
-    problem = build_problem(fc, spaces)
+    """Solve the task-QFI program over explicit dual spaces.
+
+    When the comb is symmetric under slot permutations (``_slot_symmetry``),
+    only the identity branch is solved, with h held to the gauges that every
+    permutation fixes, and the other branches are its relabellings.
+    """
+    sym = _slot_symmetry(fc, spaces)
+    problem = build_problem(fc, spaces[:1] if sym else spaces)
+    if sym:
+        _restrict_to_identity_branch(problem, sym)
     sol = se.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
-    lam, h_opt = _accepted(sol)
-    q_opt = [
-        LabeledMatrix(sp.layout, sol.variables[f"q{i}"], hermitian=True)
-        for i, sp in enumerate(spaces)
-    ]
-    _check_certificate(lam, performance_operator(fc, h_opt).entries, q_opt)
+    lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     r = fc.rank
+    qs = [sol.variables[f"q{i}"] for i in range(len(sol.block_duals))]
+    cands = [hermitize(x[r:, r:]) for x in sol.block_duals]
+    if sym:
+        qs = [_relabel(qs[0], idx) for idx, _ in sym]
+        cands = [_relabel(cands[0], idx) for idx, _ in sym]
+    q_opt = [LabeledMatrix(sp.layout, q, hermitian=True) for sp, q in zip(spaces, qs)]
+    _check_certificate(lam, performance_operator(fc, h_opt).entries, q_opt)
     return QfiResult(
         value=lam,
         h_opt=h_opt,
@@ -282,7 +376,7 @@ def solve_task(
         spec=spec,
         spaces=list(spaces),
         solver=sol,
-        candidates=[hermitize(x[r:, r:]) for x in sol.block_duals],
+        candidates=cands,
     )
 
 
@@ -300,12 +394,19 @@ def solve_factorized(
     Q_i = Omega/lambda + (I - E_i/lambda) (x) L_i / ||L_i||^2 pairs to 1 with
     every rho (x) L_i and leaves lambda Q_i - Omega = (lambda I - E_i) (x)
     L_i / ||L_i||^2, which is PSD exactly when lambda bounds E_i.
+
+    The slot-symmetric case is solved on the identity branch alone, as in
+    ``solve_task``; the pins of the gauges no branch sees still come from
+    all branches.
     """
+    sym = _slot_symmetry(fc, spaces)
     problem = build_factorized_problem(fc, spaces)
+    if sym:
+        _restrict_to_identity_branch(problem, sym)
     sol = se.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
-    lam, h_opt = _accepted(sol)
+    lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     omega = performance_operator(fc, h_opt)
-    q_opt, candidates = [], []
+    qs, candidates = [], []
     for sp, x in zip(spaces, sol.block_duals):
         f = sp.fixed_factor.entries
         nrm = float(np.vdot(f, f).real)
@@ -315,9 +416,13 @@ def solve_factorized(
             q = omega.entries / lam + sp.lift(np.eye(dv) - e / lam) / nrm
         else:
             q = sp.lift(np.eye(dv)) / nrm
-        q_opt.append(LabeledMatrix(sp.layout, hermitize(q), hermitian=True))
+        qs.append(hermitize(q))
         # the probe block of the block dual is the branch's optimal probe
         candidates.append(sp.lift(hermitize(x[:dv, :dv])))
+    if sym:
+        qs = [_relabel(qs[0], idx) for idx, _ in sym]
+        candidates = [_relabel(candidates[0], idx) for idx, _ in sym]
+    q_opt = [LabeledMatrix(sp.layout, q, hermitian=True) for sp, q in zip(spaces, qs)]
     _check_certificate(lam, omega.entries, q_opt)
     return QfiResult(
         value=lam,

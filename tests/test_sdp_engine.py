@@ -207,6 +207,7 @@ class TestSolverContracts:
             return
         sol = solve(prob)
         assert sol.status == "numerical-limit"
+        assert sol.stop_reason == "singular-newton"
         assert sol.iterations == 3
         assert sol.objective in [h[0] for h in sol.history]
 
@@ -225,6 +226,7 @@ class TestSolverContracts:
             warnings.simplefilter("error")
             sol = solve(prob)
         assert sol.status == "numerical-limit"
+        assert sol.stop_reason == "singular-newton"
         assert sol.iterations == 1
         assert sol.objective == sol.history[0][0]
 
@@ -243,6 +245,14 @@ class TestSolverContracts:
         assert np.linalg.norm(gm @ x - b) < 1e-6 * np.linalg.norm(b)
         pd = (v * np.arange(1.0, 7.0)) @ v.T
         assert np.allclose(_psd_solver(pd)(b), np.linalg.solve(pd, b))
+
+    def test_stop_reason_names_the_exit(self, rng):
+        prob = lambda_min_problem(rand_herm(rng, 4))
+        sol = solve(prob)
+        assert (sol.status, sol.stop_reason) == ("optimal", "converged")
+        sol = solve(prob, max_iter=2)
+        assert (sol.status, sol.stop_reason) == ("numerical-limit", "max-iter")
+        assert sol.iterations == 2
 
     def test_status_optimal_implies_gap(self, rng):
         a = rand_herm(rng, 6)

@@ -163,13 +163,31 @@ class TestPrimalSpaces:
         assert np.allclose(expect, m.entries, atol=1e-9)
 
     def test_ico_explicit_vs_double_dual(self):
-        from combqfi.strategy_spaces import _ico_primal_double_dual
+        # the ico primal space is the double dual at every N; at N = 1 it is
+        # the one-slot comb, and at N = 2 the explicit no-signaling list
+        from combqfi.strategy_spaces import (
+            AffineSpace,
+            NeutralizeCombo,
+            TraceEquals,
+            _scaled_identity,
+        )
 
-        spec = StrategySetSpec.qubits("ico", 2)
-        explicit = primal_space(spec)[0]
-        dd = _ico_primal_double_dual(spec, "check")
-        assert np.array_equal(explicit.compiled.kill_mask, dd.compiled.kill_mask)
-        assert np.allclose(explicit.compiled.pin_values, dd.compiled.pin_values)
+        layout = StrategySetSpec.qubits("ico", 2).process_layout()
+        explicit = AffineSpace(
+            layout,
+            (
+                NeutralizeCombo(((1.0, ()), (-1.0, ("4",)), (-1.0, ("2",)), (1.0, ("2", "4")))),
+                NeutralizeCombo(((1.0, ("1", "2")), (-1.0, ("1", "2", "4")))),
+                NeutralizeCombo(((1.0, ("3", "4")), (-1.0, ("2", "3", "4")))),
+                TraceEquals(4.0),
+            ),
+            _scaled_identity(layout, 4.0),
+        )
+        one_slot = primal_space(StrategySetSpec.qubits("seq", 1))[0]
+        for n, ref in ((1, one_slot), (2, explicit)):
+            dd = primal_space(StrategySetSpec.qubits("ico", n))[0]
+            assert np.array_equal(ref.compiled.kill_mask, dd.compiled.kill_mask)
+            assert np.allclose(ref.compiled.pin_values, dd.compiled.pin_values)
 
     def test_ico_contains_causal_mixtures(self, rng):
         spec = StrategySetSpec.qubits("ico", 2)

@@ -136,11 +136,16 @@ class TestTaskQfi:
             assert abs(res.value) < 1e-8, kind
 
     def test_dual_certificate_invariant(self):
+        # sup takes the slot-symmetric path: its relabelled Q of each branch
+        # must still lie in that branch's dual space
         fc = product_comb(ad_phase_channel(0.4, np.pi / 2), 2)
-        res = task_qfi(fc, StrategySetSpec.qubits("seq", 2))
-        om = performance_operator(fc, res.h_opt).entries
-        for q in res.q_opt:
-            assert np.linalg.eigvalsh(res.value * q.entries - om)[0] > -1e-7
+        for kind in ("seq", "sup"):
+            res = task_qfi(fc, StrategySetSpec.qubits(kind, 2))
+            om = performance_operator(fc, res.h_opt).entries
+            assert len(res.q_opt) == len(res.spaces)
+            for sp, q in zip(res.spaces, res.q_opt):
+                assert sp.residual(q) <= 1e-9 * max(1.0, np.linalg.norm(q.entries)), kind
+                assert np.linalg.eigvalsh(res.value * q.entries - om)[0] > -1e-7, kind
 
     @pytest.mark.parametrize("p", [0.4, 0.9])
     def test_factorized_matches_dual_form(self, p):
@@ -178,14 +183,18 @@ class TestTaskQfi:
         assert vals["sup"] <= vals["ico"] + tol
 
     def test_gauge_invariance(self, rng):
+        # for sup the plain comb takes the slot-symmetric path, and the
+        # shifted one, whose v_dot does not commute with the slot
+        # permutation, the full two-branch form
         fc = product_comb(ad_phase_channel(0.3, 0.9), 2)
-        spec = StrategySetSpec.qubits("seq", 2)
-        lam = task_qfi(fc, spec).value
         v = random_unitary(fc.rank, rng)
         k = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         fc2 = fc.gauge_shift(v, v @ (1j * k))
-        lam2 = task_qfi(fc2, spec).value
-        assert abs(lam - lam2) / lam < 1e-6
+        for kind, blocks in (("seq", (1, 1)), ("sup", (1, 2))):
+            spec = StrategySetSpec.qubits(kind, 2)
+            res, res2 = task_qfi(fc, spec), task_qfi(fc2, spec)
+            assert (len(res.solver.block_duals), len(res2.solver.block_duals)) == blocks
+            assert abs(res.value - res2.value) / res.value < 1e-6, kind
 
     def test_dims_must_match(self):
         fc = product_comb(ad_phase_channel(0.3, 0.9), 2)
@@ -284,3 +293,62 @@ def test_split_gauge_next_to_an_eliminated_variable():
     b = se.solve(replace(prob, blocks=blocks), verify_newton=True)
     assert a.optimal and b.optimal
     assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(a.objective))
+
+
+def _full_value(fc, kind):
+    """The task value from the program over all N! branches."""
+    from combqfi import sdp_engine as se
+    from combqfi.strategy_spaces import primal_space
+    from combqfi.task_qfi import build_factorized_problem, build_problem
+
+    spec = StrategySetSpec.qubits(kind, len(fc.layout) // 2)
+    if kind == "swi":
+        problem = build_factorized_problem(fc, primal_space(spec))
+    else:
+        problem = build_problem(fc, dual_space(spec))
+    return se.solve(problem).objective
+
+
+@pytest.mark.parametrize("kind", ["sup", "swi"])
+def test_slot_symmetric_combs_solve_one_branch(kind):
+    from combqfi.metrology_zoo import nonidentical_pair
+
+    spec = StrategySetSpec.qubits(kind, 2)
+    fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 2)
+    res = task_qfi(fc, spec)
+    assert len(res.solver.block_duals) == 1
+    assert len(res.spaces) == len(res.q_opt) == len(res.candidates) == 2
+    ref = _full_value(fc, kind)
+    assert abs(res.value - ref) <= 1e-7 * ref
+    other = task_qfi(nonidentical_pair(0.4, 0.2, np.pi / 2), spec)
+    assert len(other.solver.block_duals) == 2
+
+
+def test_slot_symmetry_detection(rng):
+    from combqfi.metrology_zoo import nonidentical_pair, nonmarkovian_swap_comb
+    from combqfi.strategy_spaces import primal_space
+    from combqfi.task_qfi import _slot_symmetry
+
+    spaces = {n: dual_space(StrategySetSpec.qubits("sup", n)) for n in (2, 3)}
+    fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 2)
+    assert _slot_symmetry(fc, spaces[2]) is not None
+    assert _slot_symmetry(fc, dual_space(StrategySetSpec.qubits("seq", 2))) is None
+    assert _slot_symmetry(fc, spaces[2][::-1]) is None
+    assert _slot_symmetry(nonidentical_pair(0.4, 0.2, 0.9), spaces[2]) is None
+    assert _slot_symmetry(nonmarkovian_swap_comb(0.3, 1.0, 1.0), spaces[2]) is None
+    v = random_unitary(fc.rank, rng)
+    k = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert _slot_symmetry(fc.gauge_shift(v, v @ (1j * k)), spaces[2]) is None
+    # a gauge shift that commutes with every U_pi keeps the symmetry
+    assert _slot_symmetry(fc.gauge_shift(v, 0.3j * v), spaces[2]) is not None
+    # S_pi carries a member of the identity branch into the branch tagged pi
+    fc3 = product_comb(ad_phase_channel(0.3, np.pi / 2), 3)
+    for kind in ("sup", "swi"):
+        spec = StrategySetSpec.qubits(kind, 3)
+        for sps in (primal_space(spec), dual_space(spec)):
+            sym = _slot_symmetry(fc3, sps)
+            assert sym is not None and len(sym) == 6
+            m = sps[0].random_member(rng).entries
+            for sp, (idx, _) in zip(sps, sym):
+                moved = LabeledMatrix(sp.layout, m[np.ix_(idx, idx)], hermitian=True)
+                assert sp.residual(moved) <= 1e-9 * np.linalg.norm(m), sp.name
