@@ -185,6 +185,7 @@ def _score_one(args):
                 "status": stats.status,
                 "gap": stats.gap,
                 "iterations": stats.iterations,
+                "stop_reason": stats.stop_reason,
                 "oracle_gap": oracle_gap,
             }
         return {"ok": True, "sets": out}
@@ -211,6 +212,7 @@ def run_task(config: ExperimentConfig, out_path: str | None) -> int:
                 "status": r["status"],
                 "gap": r["gap"],
                 "iterations": r["iterations"],
+                "stop_reason": r["stop_reason"],
                 "oracle_gap": r["oracle_gap"],
             }
             for name, r in result["sets"].items()

@@ -23,7 +23,7 @@ from .tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
     hermitize,
-    neutralize,
+    permute_entries,
     permute_factors,
     permute_vector,
 )
@@ -251,7 +251,12 @@ def link_product(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:
 
 @dataclass(frozen=True)
 class CombReport:
-    """Outcome of the multi-step process check."""
+    """Outcome of the multi-step process check.
+
+    ``min_eigenvalue`` is the exact least eigenvalue when ``validate_comb``
+    made the report, and a certified lower bound on it when
+    ``comb_to_isometries`` did.
+    """
 
     min_eigenvalue: float
     residuals: tuple[float, ...]
@@ -293,31 +298,66 @@ def comb_tower_sets(
     return levels
 
 
-def validate_comb(
+def pair_ordered(
     c: LabeledMatrix, io_pairs: Sequence[tuple[str | None, str | None]]
-) -> CombReport:
-    """Check positivity, normalization and the recursive trace tower."""
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Entries of ``c`` with its factors in io-pair order, and the (input,
+    output) dims of every pair, 1 for an absent wire."""
     labels = [l for p in io_pairs for l in p if l is not None]
-    if set(labels) != set(c.layout.labels):
+    if sorted(labels) != sorted(c.layout.labels):
         raise CombValidationError(
             f"io pairs {labels} do not cover layout {c.layout.labels}"
         )
-    w = np.linalg.eigvalsh(hermitize(c.entries))
+    dims = [
+        tuple(c.layout.dim(l) if l is not None else 1 for l in p) for p in io_pairs
+    ]
+    return permute_entries(c.layout, c.entries, labels), dims
+
+
+def comb_report(
+    cm: np.ndarray,
+    io_pairs: Sequence[tuple[str | None, str | None]],
+    dims: Sequence[tuple[int, int]],
+    min_eigenvalue: float,
+) -> CombReport:
+    """Trace-tower residuals and trace of a pair-ordered process.
+
+    C_k, the process reduced to pairs 0..k, is C for the last pair and
+    C_{k-1} = Tr_{pair k} C_k / d_{i_k}.  Level k, for a pair with an input,
+    reports ||Tr_{o_k} C_k - C_{k-1} (x) I_{i_k}|| * prod_{j>k} d_{i_j} /
+    sqrt(d_S), where S holds o_k and every later pair: the same number as
+    ||neutralize(C, S + {i_k}) - neutralize(C, S)|| for the sets of
+    ``comb_tower_sets``, up to rounding.
+    """
     residuals = []
-    for in_label, s in comb_tower_sets(io_pairs):
-        lhs = neutralize(c, s + [in_label])
-        rhs = neutralize(c, s)
-        residuals.append(float(np.linalg.norm(lhs.entries - rhs.entries)))
-    d_in = 1
-    for in_label, _ in io_pairs:
+    cur = cm
+    in_later = out_later = 1  # prod_{j>k} d_{i_j} and prod_{j>k} d_{i_j} d_{o_j}
+    for (in_label, _), (di, do) in zip(reversed(io_pairs), reversed(dims)):
+        dp = cur.shape[0] // (di * do)
+        traced = np.trace(cur.reshape(dp * di, do, dp * di, do), axis1=1, axis2=3)
+        prev = np.trace(traced.reshape(dp, di, dp, di), axis1=1, axis2=3) / di
         if in_label is not None:
-            d_in *= c.layout.dim(in_label)
+            r = np.linalg.norm(traced - np.kron(prev, np.eye(di)))
+            residuals.append(float(r * in_later / np.sqrt(do * out_later)))
+        in_later *= di
+        out_later *= di * do
+        cur = prev
     return CombReport(
-        min_eigenvalue=float(w[0]),
-        residuals=tuple(residuals),
-        trace=float(np.real(c.trace())),
-        trace_expected=float(d_in),
+        min_eigenvalue=min_eigenvalue,
+        residuals=tuple(reversed(residuals)),
+        trace=float(np.real(np.trace(cm))),
+        trace_expected=float(in_later),
     )
+
+
+def validate_comb(
+    c: LabeledMatrix, io_pairs: Sequence[tuple[str | None, str | None]]
+) -> CombReport:
+    """Check positivity (the exact least eigenvalue), normalization and the
+    recursive trace tower (``comb_report``)."""
+    cm, dims = pair_ordered(c, io_pairs)
+    w = np.linalg.eigvalsh(hermitize(cm))
+    return comb_report(cm, io_pairs, dims, float(w[0]))
 
 
 def factorize(

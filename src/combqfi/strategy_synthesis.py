@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb_algebra import FactorizedComb, purify, validate_comb
+from .comb_algebra import CombReport, FactorizedComb, comb_report, pair_ordered, purify
 from .errors import CombValidationError, SynthesisFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, primal_space
 from .task_qfi import QfiResult, performance_operator
@@ -223,11 +223,13 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
 
     Definite-order strategies get a plain purification.  Branch-structured
     strategies purify each branch on a private future factor and entangle
-    the branches with an orthonormal control register.
+    the branches with an orthonormal control register.  A marginal or branch
+    operator that is not PSD, or is numerically zero, raises
+    SynthesisFailureError.
     """
     layout = s.marginal.layout
     if s.branches is None:
-        psi, full_layout = purify(s.marginal, future_label="F", rank_rtol=rank_rtol)
+        psi, full_layout = _purify(s.marginal, "F", rank_rtol)
         s.purification = psi
         s.purification_layout = full_layout
         s.future_labels = ("F",)
@@ -236,7 +238,7 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
     d_priv = 1
     purs = {}
     for b in live:
-        psi, lay = purify(b.op, future_label="FB", rank_rtol=rank_rtol)
+        psi, lay = _purify(b.op, "FB", rank_rtol)
         purs[b.perm] = (psi, lay.dim("FB"))
         d_priv = max(d_priv, lay.dim("FB"))
     n_ctrl = len(s.branches)
@@ -254,6 +256,15 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
     s.purification_layout = full_layout
     s.future_labels = ("FB", "FC")
     return s
+
+
+def _purify(
+    rho: LabeledMatrix, future_label: str, rank_rtol: float
+) -> tuple[np.ndarray, SubsystemLayout]:
+    try:
+        return purify(rho, future_label=future_label, rank_rtol=rank_rtol)
+    except ValueError as exc:  # LinAlgError included
+        raise SynthesisFailureError(f"cannot purify the strategy: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +291,6 @@ class IsometrySequence:
         return tuple(st.r_next for st in self.steps)
 
 
-def _pair_dims(
-    layout: SubsystemLayout, io_pairs
-) -> list[tuple[int, int]]:
-    out = []
-    for i, o in io_pairs:
-        di = layout.dim(i) if i is not None else 1
-        do = layout.dim(o) if o is not None else 1
-        out.append((di, do))
-    return out
-
-
 def comb_to_isometries(
     c: LabeledMatrix,
     io_pairs,
@@ -299,65 +299,80 @@ def comb_to_isometries(
 ) -> IsometrySequence:
     """Decompose a multi-step process into isometries with minimal ancillas.
 
-    Step k is built from the square root of the conjugated reduced process
-    and the pseudo-inverse square root of the previous one; the ancilla
-    after step k is the support of that conjugate, so its dimension is the
-    reduced process's rank.
+    One pivoted Cholesky (LAPACK ?pstrf), stopped at pivots <= eig_tol / D,
+    factors the conjugate process as X X^dag.  A PSD input leaves a PSD
+    Schur complement of trace <= eig_tol, and lambda_min(C) >=
+    -||conj(C) - X X^dag||_F is the certified bound the report checks, with
+    the trace tower of ``comb_report``.  The process reduced to pairs 0..k
+    has the factor X reshaped to D_k rows over sqrt(prod of the traced input
+    dims); its thin SVD U s V^dag gives the support U (s^2 > rank_rtol *
+    max s^2), the square root U s U^dag and its pseudo-inverse.  Step k joins
+    the square root at k with the pseudo-inverse at k - 1; the ancilla after
+    it is the support at k, of the reduced process's rank.  No D x D matrix
+    is eigendecomposed; every failure raises CombValidationError.
     """
     io_pairs = tuple((i, o) for i, o in io_pairs)
-    if validate:
-        rep = validate_comb(c, io_pairs)
-        if not rep.passed:
-            raise CombValidationError(
-                f"operator fails the process constraints: min eig "
-                f"{rep.min_eigenvalue:.2e}, residuals {rep.residuals}"
-            )
-    order = [l for p in io_pairs for l in p if l is not None]
-    cm = permute_factors(c, order)
-    dims = _pair_dims(c.layout, io_pairs)
-    k_steps = len(io_pairs)
-    # reduced processes: trace the last pair, divide by its input dim
-    reduced = [cm.entries]
-    sizes = [int(np.prod([di * do for di, do in dims[: k + 1]])) for k in range(k_steps)]
-    cur = cm.entries
-    for k in range(k_steps - 1, 0, -1):
-        di, do = dims[k]
-        size_prev = sizes[k - 1]
-        t = cur.reshape(size_prev, di * do, size_prev, di * do)
-        cur = np.trace(t, axis1=1, axis2=3) / di
-        reduced.append(cur)
-    reduced.reverse()  # reduced[k] lives on pairs 0..k
-    # supports and square roots of the conjugates
-    supports: list[np.ndarray] = []
-    sqrts: list[np.ndarray] = []
-    pinv_sqrts: list[np.ndarray] = []
-    for k in range(k_steps):
-        conj_c = reduced[k].conj()
-        w, u = np.linalg.eigh(hermitize(conj_c))
-        keep = w > rank_rtol * max(float(w[-1]), 1e-300)
-        r = u[:, keep]
-        lam = w[keep]
-        supports.append(r)
-        sqrts.append((r * np.sqrt(lam)) @ r.conj().T)
-        pinv_sqrts.append((r / np.sqrt(lam)) @ r.conj().T)
+    cm, dims = pair_ordered(c, io_pairs)
+    try:
+        cbar = cm.conj()  # conj(hermitize(cm)), bit for bit, with one copy
+        cbar += cm.T
+        cbar *= 0.5
+        x = _pivoted_cholesky(cbar, CombReport.eig_tol / cbar.shape[0])
+        if validate:
+            cbar -= x @ x.conj().T
+            defect = float(np.sqrt(np.vdot(cbar, cbar).real))  # ||conj(C) - X X^dag||_F
+            rep = comb_report(cm, io_pairs, dims, -defect)
+            if not rep.passed:
+                raise CombValidationError(
+                    f"operator fails the process constraints: min eig bound "
+                    f"{rep.min_eigenvalue:.2e}, residuals {rep.residuals}"
+                )
+        # supports and singular values of the reduced processes' factors
+        supports: list[np.ndarray] = []
+        svals: list[np.ndarray] = []
+        rows, in_later = x.shape[0], 1
+        for di, do in reversed(dims):
+            y = x.reshape(rows, -1) / np.sqrt(in_later)
+            u, sv, _ = np.linalg.svd(y, full_matrices=False)
+            keep = sv**2 > rank_rtol * max(float(sv[0]) ** 2, 1e-300)
+            supports.insert(0, u[:, keep])
+            svals.insert(0, sv[keep])
+            rows //= di * do
+            in_later *= di
+    except np.linalg.LinAlgError as exc:
+        raise CombValidationError(f"comb decomposition failed: {exc}") from exc
     steps = []
-    for k in range(k_steps):
-        di, do = dims[k]
+    for k, (di, do) in enumerate(dims):
         r_prev = 1 if k == 0 else supports[k - 1].shape[1]
         r_next = supports[k].shape[1]
-        w_mat = supports[k].conj().T @ sqrts[k]  # (r_next, D_k)
-        d_prev = 1 if k == 0 else sizes[k - 1]
+        # U^dag sqrt(conj C_k) = s U^dag, (r_next, D_k)
+        w_mat = svals[k][:, None] * supports[k].conj().T
+        d_prev = 1 if k == 0 else supports[k - 1].shape[0]
         wr = w_mat.reshape(r_next, d_prev, di, do)
         if k == 0:
             m1 = np.ones((1, 1), dtype=complex)
         else:
-            m1 = pinv_sqrts[k - 1] @ supports[k - 1]  # (D_{k-1}, r_prev)
+            # pinv sqrt(conj C_{k-1}) U = U / s, (D_{k-1}, r_prev)
+            m1 = supports[k - 1] / svals[k - 1]
         v = np.einsum("ayio,yb->oaib", wr, m1, optimize=True).reshape(
             do * r_next, di * r_prev
         )
         steps.append(IsometryStep(v, di, do, r_prev, r_next))
-    seq = IsometrySequence(tuple(steps), io_pairs, c.layout)
-    return seq
+    return IsometrySequence(tuple(steps), io_pairs, c.layout)
+
+
+def _pivoted_cholesky(a: np.ndarray, tol: float) -> np.ndarray:
+    """X with a = X X^dag up to the Schur complement left once no pivot
+    exceeds tol (LAPACK ?pstrf); X has one column per pivot taken."""
+    # imported on first use: it would slow the package import
+    from scipy.linalg.lapack import zpstrf
+
+    fac, piv, rank, info = zpstrf(a, tol=tol, lower=1)
+    if info < 0 or rank == 0:
+        raise CombValidationError(f"pivoted Cholesky failed (info {info}, rank {rank})")
+    x = np.empty((a.shape[0], rank), dtype=complex)
+    x[piv - 1] = np.tril(fac[:, :rank])
+    return x
 
 
 def isometries_to_comb(seq: IsometrySequence) -> LabeledMatrix:

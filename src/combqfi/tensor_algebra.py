@@ -184,12 +184,20 @@ def partial_trace(m: LabeledMatrix, labels: Iterable[str]) -> LabeledMatrix:
 def permute_factors(m: LabeledMatrix, new_order: Sequence[str]) -> LabeledMatrix:
     """Reorder tensor factors; entries are permuted accordingly."""
     new_layout = m.layout.reorder(new_order)
-    perm = m.layout.positions(new_order)
+    return LabeledMatrix(
+        new_layout, permute_entries(m.layout, m.entries, new_order), m.hermitian
+    )
+
+
+def permute_entries(
+    layout: SubsystemLayout, entries: np.ndarray, new_order: Sequence[str]
+) -> np.ndarray:
+    """Reorder the factors of a matrix on the layout, as a plain array."""
+    perm = layout.positions(new_order)
     L = len(perm)
-    t = _as_tensor(m.entries, m.layout.dims)
-    t = t.transpose(perm + [L + k for k in perm])
-    D = m.layout.total_dim
-    return LabeledMatrix(new_layout, np.ascontiguousarray(t.reshape(D, D)), m.hermitian)
+    t = _as_tensor(entries, layout.dims).transpose(perm + [L + k for k in perm])
+    D = layout.total_dim
+    return np.ascontiguousarray(t.reshape(D, D))
 
 
 def permute_vector(

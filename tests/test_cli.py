@@ -8,6 +8,16 @@ import pytest
 from combqfi.cli import main
 
 PHI = float(np.pi / 2)
+# the exits SdpSolution.stop_reason documents
+STOP_REASONS = {
+    "converged",
+    "merit-degraded",
+    "singular-newton",
+    "step-stall",
+    "backtrack-rejected",
+    "max-iter",
+    "diverged",
+}
 
 
 def write(tmp_path, name, doc):
@@ -40,6 +50,8 @@ class TestRun:
         doc = json.loads(out.read_text())
         assert abs(doc["results"]["par"]["value"] - 2.25) < 1e-6
         assert doc["results"]["seq"]["value"] > doc["results"]["par"]["value"]
+        for r in doc["results"].values():
+            assert r["stop_reason"] in STOP_REASONS
 
     def test_benchmark_values_with_oracle(self, tmp_path):
         cfg = write(
@@ -60,6 +72,28 @@ class TestRun:
         assert abs(doc["results"]["seq"]["value"] - 4.0) < 1e-3
         assert abs(doc["results"]["swi"]["value"] - 1.5) < 1e-3
         assert doc["results"]["seq"]["oracle_gap"] < 1e-4
+
+    def test_unpurifiable_strategy_keeps_the_row(self, tmp_path, monkeypatch):
+        # a strategy that cannot be purified leaves the value standing and
+        # only the oracle check empty
+        import combqfi.cli as cli
+        from combqfi.strategy_synthesis import StrategyChoi
+        from combqfi.tensor_algebra import LabeledMatrix
+
+        def not_psd(fc, spec, res):
+            m = np.diag(np.linspace(-0.01, 1.0, spec.process_layout().total_dim))
+            lay = spec.process_layout()
+            return StrategyChoi(LabeledMatrix(lay, m, hermitian=True), spec)
+
+        monkeypatch.setattr(cli, "optimal_strategy", not_psd)
+        doc = base_config(strategies=["seq"], validate_oracle=True)
+        cfg = write(tmp_path, "c.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        r = json.loads(out.read_text())["results"]["seq"]
+        assert r["oracle_gap"] is None
+        assert r["value"] > 2.25
+        assert r["stop_reason"] in STOP_REASONS
 
     def test_keys_without_effect_are_accepted(self, tmp_path):
         doc = base_config(strategies=["par"], synthesize=True, seed=7, signal_after_noise=False)

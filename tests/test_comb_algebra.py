@@ -9,12 +9,15 @@ from combqfi.comb_algebra import (
     FactorizedComb,
     KrausChannel,
     choi_from_kraus,
+    comb_report,
+    comb_tower_sets,
     compose_kraus,
     double_ket,
     factorize,
     kraus_product_comb,
     link_product,
     max_ent_ket,
+    pair_ordered,
     purify,
     validate_comb,
 )
@@ -23,6 +26,7 @@ from combqfi.metrology_zoo import amplitude_damping, bit_flip, rz
 from combqfi.tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
+    neutralize,
     partial_trace,
     permute_factors,
     tensor,
@@ -133,16 +137,57 @@ class TestValidateComb:
     def test_reversed_role_wire_fails(self, rng):
         # a strategy-side wire |I>><<I| placed as a process tooth violates
         # the trace tower: the declared output signals backwards
-        k = max_ent_ket(2)
-        wire = LabeledMatrix(
-            SubsystemLayout.of(("2", 2), ("3", 2)), np.outer(k, k.conj()), hermitian=True
-        )
-        rho = LabeledMatrix(SubsystemLayout.of(("1", 2)), random_state(2, rng), hermitian=True)
-        ident4 = LabeledMatrix(SubsystemLayout.of(("4", 2)), np.eye(2), hermitian=True)
-        c = tensor(tensor(rho, wire), ident4)
+        c = _reversed_wire_comb(rng)
         rep = validate_comb(c, [("1", "2"), ("3", "4")])
         assert not rep.passed
         assert max(rep.residuals) > 1e-2
+
+    @pytest.mark.parametrize(
+        "case",
+        ["product", "random_psd", "reversed_wire", "three_pairs", "three_pairs_permuted"],
+    )
+    def test_tower_residuals_match_neutralize_form(self, case, rng):
+        two = (("1", "2"), ("3", "4"))
+        if case == "product":
+            chans = [random_channel(2, 3, 2, rng), random_channel(3, 2, 3, rng)]
+            c, pairs = kraus_product_comb(chans).choi(), two
+        elif case == "random_psd":
+            lay = SubsystemLayout.of(("1", 2), ("2", 3), ("3", 3), ("4", 2))
+            c, pairs = LabeledMatrix(lay, 6 * random_state(36, rng), hermitian=True), two
+        elif case == "reversed_wire":
+            c, pairs = _reversed_wire_comb(rng), two
+        elif case == "three_pairs":
+            chans = [random_channel(2, 2, 2, rng) for _ in range(3)]
+            c = kraus_product_comb(chans).choi()
+            pairs = (("1", "2"), ("3", "4"), ("5", "6"))
+        else:
+            # a random PSD operator with a trivial first input, laid out
+            # in an order other than the pair order
+            lay = SubsystemLayout.of(("F", 3), ("2", 2), ("1", 2), ("4", 2), ("3", 2))
+            c = LabeledMatrix(lay, 4 * random_state(48, rng), hermitian=True)
+            pairs = ((None, "1"), ("2", "3"), ("4", "F"))
+        # the reference: the neutralize form of every tower level
+        want = [
+            np.linalg.norm(neutralize(c, s + [i]).entries - neutralize(c, s).entries)
+            for i, s in comb_tower_sets(pairs)
+        ]
+        cm, dims = pair_ordered(c, pairs)
+        got = comb_report(cm, pairs, dims, 0.0).residuals
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+        assert validate_comb(c, pairs).residuals == got
+        if case in ("random_psd", "reversed_wire", "three_pairs_permuted"):
+            assert max(want) > 1e-2  # the comparison is not between zeros
+
+
+def _reversed_wire_comb(rng) -> LabeledMatrix:
+    k = max_ent_ket(2)
+    wire = LabeledMatrix(
+        SubsystemLayout.of(("2", 2), ("3", 2)), np.outer(k, k.conj()), hermitian=True
+    )
+    rho = LabeledMatrix(SubsystemLayout.of(("1", 2)), random_state(2, rng), hermitian=True)
+    ident4 = LabeledMatrix(SubsystemLayout.of(("4", 2)), np.eye(2), hermitian=True)
+    return tensor(tensor(rho, wire), ident4)
 
 
 class TestFactorize:

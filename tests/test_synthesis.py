@@ -3,14 +3,22 @@ import sys
 import numpy as np
 import pytest
 
-from combqfi.comb_algebra import choi_from_kraus, kraus_product_comb, validate_comb
-from combqfi.errors import CombValidationError
+from combqfi.comb_algebra import (
+    KrausChannel,
+    choi_from_kraus,
+    kraus_product_comb,
+    max_ent_ket,
+    validate_comb,
+)
+from combqfi.errors import CombValidationError, SynthesisFailureError
 from combqfi.metrology_zoo import ad_phase_channel, bf_phase_channel, pf_rx_channel, rz
 from combqfi.qfi_oracle import verify_strategy
 from combqfi.strategy_spaces import StrategySetSpec, primal_space
 from combqfi.strategy_synthesis import (
+    Branch,
     IsometrySequence,
     IsometryStep,
+    StrategyChoi,
     comb_to_isometries,
     isometries_to_comb,
     optimal_strategy,
@@ -21,7 +29,12 @@ from combqfi.task_qfi import product_comb, task_qfi
 from combqfi.tensor_algebra import LabeledMatrix, SubsystemLayout, partial_trace
 
 sys.path.insert(0, "tests")
-from util import random_channel, random_isometry, random_member_of  # noqa: E402
+from util import (  # noqa: E402
+    random_channel,
+    random_isometry,
+    random_member_of,
+    random_unitary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +197,20 @@ class TestPurification:
         if s.purification_layout.dim("F") == 1:
             assert s.validate()["purification_residual"] < 1e-8
 
+    @pytest.mark.parametrize("case", ["negative", "zero", "negative_branch"])
+    def test_unpurifiable_operator_is_a_synthesis_failure(self, case):
+        lay = SubsystemLayout.of(("1", 2), ("2", 2))
+        bad = LabeledMatrix(lay, np.diag([1.0, 1.0, 1.01, -0.01]), hermitian=True)
+        if case == "negative":
+            s = StrategyChoi(marginal=bad, spec=None)
+        elif case == "zero":
+            zero = LabeledMatrix(lay, np.zeros((4, 4)), hermitian=True)
+            s = StrategyChoi(marginal=zero, spec=None)
+        else:
+            s = StrategyChoi(marginal=bad, spec=None, branches=[Branch((0,), 1.0, bad, 4)])
+        with pytest.raises(SynthesisFailureError):
+            purify_strategy(s)
+
     def test_branch_purification_structure(self, damping_task):
         fc = damping_task
         spec = StrategySetSpec.qubits("sup", 2)
@@ -242,6 +269,75 @@ class TestIsometries:
         bad = LabeledMatrix(lay, np.diag([1.0, 0.5, 0.25, 0.25]), hermitian=True)
         with pytest.raises(CombValidationError):
             comb_to_isometries(bad, [("1", "2")])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.diag([1.0, 1.0, 1.01, -0.01]),
+            # trace-preserving, so only the positivity bound refuses these
+            np.diag([1.01, -0.01, 0.5, 0.5]),
+            np.outer(max_ent_ket(2), max_ent_ket(2))
+            + 1e-3 * np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        ],
+    )
+    def test_indefinite_operator_refused(self, entries):
+        c = LabeledMatrix(SubsystemLayout.of(("1", 2), ("2", 2)), entries, hermitian=True)
+        assert validate_comb(c, [("1", "2")]).min_eigenvalue < -1e-3 + 1e-12
+        with pytest.raises(CombValidationError):
+            comb_to_isometries(c, [("1", "2")])
+
+    def test_accepts_every_comb_validate_comb_passes(self, rng):
+        two = (("1", "2"), ("3", "4"))
+        ch = random_channel(2, 2, 2, rng)
+        ident = KrausChannel((np.eye(2),), (np.zeros((2, 2)),))
+        combs = [
+            (choi_from_kraus(ch).choi(), (("1", "2"),)),
+            (kraus_product_comb([ch, ch]).choi(), two),
+            (kraus_product_comb([ident, ident]).choi(), two),
+        ]
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            steps = (
+                IsometryStep(random_isometry(4, 2, r), 2, 2, 1, 2),
+                IsometryStep(random_isometry(8, 4, r), 2, 2, 2, 4),
+            )
+            lay = SubsystemLayout.of(("1", 2), ("2", 2), ("3", 2), ("4", 2))
+            combs.append((isometries_to_comb(IsometrySequence(steps, two, lay)), two))
+        steps = (
+            IsometryStep(random_isometry(4, 1, rng), 1, 2, 1, 2),
+            IsometryStep(random_isometry(8, 4, rng), 2, 2, 2, 4),
+        )
+        lay = SubsystemLayout.of(("1", 2), ("2", 2), ("3", 2))
+        pairs = ((None, "1"), ("2", "3"))
+        combs.append((isometries_to_comb(IsometrySequence(steps, pairs, lay)), pairs))
+        # a channel within 1e-12 of a unitary one, and two uses of it: the
+        # least nonzero eigenvalues lie below rank_rtol of the largest
+        u = random_unitary(2, rng)
+        near = choi_from_kraus(KrausChannel((u,), (np.zeros((2, 2)),))).choi().entries
+        near = (1 - 1e-12) * near + 1e-12 * choi_from_kraus(ch).choi().entries
+        near = LabeledMatrix(SubsystemLayout.of(("1", 2), ("2", 2)), near, hermitian=True)
+        w = np.linalg.eigvalsh(near.entries)
+        assert 0 < w[-2] < 1e-10 * w[-1]
+        combs.append((near, (("1", "2"),)))
+        near2 = LabeledMatrix(
+            SubsystemLayout.of(("1", 2), ("2", 2), ("3", 2), ("4", 2)),
+            np.kron(near.entries, near.entries),
+            hermitian=True,
+        )
+        combs.append((near2, two))
+        # within 1e-13 of a channel that is not PSD: validate_comb passes it
+        k = max_ent_ket(2)
+        zx = np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        tilt = np.outer(k, k) + 1e-13 * zx
+        tilt = LabeledMatrix(SubsystemLayout.of(("1", 2), ("2", 2)), tilt, hermitian=True)
+        combs.append((tilt, (("1", "2"),)))
+        for c, pairs in combs:
+            assert validate_comb(c, pairs).passed
+            seq = comb_to_isometries(c, pairs)
+            rec = isometries_to_comb(seq)
+            assert np.linalg.norm(rec.entries - c.entries) < 1e-8
+        assert comb_to_isometries(near, (("1", "2"),)).ancilla_dims == (1,)
+        assert comb_to_isometries(near2, two).ancilla_dims == (1, 1)
 
     def test_optimal_seq_strategy_ancilla_bound(self, damping_task):
         # the control memory of an optimal two-step strategy fits in
