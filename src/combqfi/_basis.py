@@ -196,21 +196,20 @@ class ProductBasis:
 
     # -- solver helpers ----------------------------------------------------
 
-    def sandwich_coords(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Coordinates of Z @ matrix(c) @ Z for Hermitian Z."""
-        return self.coords(z @ self.matrix(c) @ z)
-
     def sandwich_coords_many(self, z: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        """Coordinates of Z @ matrix(c) @ Z for each row c of cs."""
         return self.coords_many(congruence_many(z, self.matrices(cs)))
 
     def sandwich_gram(
-        self, z: np.ndarray, idx: np.ndarray, chunk: int = 512
+        self, f: np.ndarray, idx: np.ndarray, chunk: int = 512
     ) -> np.ndarray:
-        """Gram matrix G[a,b] = <Z B_a Z, Z B_b Z> over the index subset.
+        """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the index subset.
 
-        With Z = M^{1/2} this is the matrix of X -> M X M restricted to the
+        For any factor F with F F^dag = M (a Cholesky factor or M^{1/2}),
+        G[a,b] = Tr(B_a M B_b M): the matrix of X -> M X M restricted to the
         span of the selected elements.
         """
+        fh = f.conj().T
         k = len(idx)
         D = self.side
         yr = np.empty((k, D * D))
@@ -218,9 +217,9 @@ class ProductBasis:
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
             sel = idx[lo:hi]
-            # S_a = B_a @ Z: row r of S_a is vals[a, r] * Z[cols[a, r], :]
-            s = self.vals[sel][:, :, None] * z[self.cols[sel], :]
-            y = np.matmul(z[None, :, :], s)
+            # S_a = B_a @ F: row r of S_a is vals[a, r] * F[cols[a, r], :]
+            s = self.vals[sel][:, :, None] * f[self.cols[sel], :]
+            y = np.matmul(fh[None, :, :], s)
             yf = y.reshape(hi - lo, D * D)
             yr[lo:hi] = yf.real
             yi[lo:hi] = yf.imag

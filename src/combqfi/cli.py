@@ -248,7 +248,7 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
     names = list(config.strategies)
     header = ["grid_value"] + [f"J_{n}" for n in names] + [
         f"oracle_gap_{n}" for n in names
-    ] + ["status"]
+    ] + [f"stop_{n}" for n in names] + ["status"]
     lines = [",".join(header)]
     any_solver_failure = False
     for val, row in zip(grid, rows):
@@ -261,10 +261,11 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
                 else ""
                 for n in names
             ]
+            cells += [row["sets"][n]["stop_reason"] for n in names]
             cells.append("ok")
         else:
             any_solver_failure = any_solver_failure or row["error"].startswith("solver")
-            cells = [_fmt(float(val))] + [""] * (2 * len(names)) + [
+            cells = [_fmt(float(val))] + [""] * (3 * len(names)) + [
                 "failed:" + row["error"].replace(",", ";")
             ]
         lines.append(",".join(cells))

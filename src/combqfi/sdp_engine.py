@@ -5,12 +5,15 @@ Problem form after compilation: a real coordinate vector z (orthonormal
 Hermitian-basis coordinates of every matrix variable), PSD constraints
 ``S_j = G_j + A_j(z) >= 0``, coordinate pins and dense equality rows on z,
 and a linear objective.  The algorithm is primal-dual path following with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector; the Newton normal
-equations are solved by eliminating, per block, the coordinates of a
-variable embedded as a diagonal sub-block, whose scaled Gram operator is a
-congruence map with an exact inverse and is never materialized.  The rest
-of the Newton matrix is assembled from congruences W F W of the images F,
-each computed only over the band of block rows that the adjoints read.
+Nesterov-Todd scaling and a Mehrotra predictor-corrector.  Each PSD block is
+factored once per iteration (one Cholesky factor of S and one eigh), and
+the scaling, step lengths and corrector all read off that factor.  The
+Newton normal equations are solved by eliminating, per block, the
+coordinates of a variable embedded as a diagonal sub-block, whose scaled
+Gram operator is a congruence map with an exact inverse and is never
+materialized.  The rest of the Newton matrix is assembled from congruences
+W F W of the images F, each computed only over the band of block rows that
+the adjoints read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -371,45 +374,63 @@ class _Compiled:
 # numerical helpers
 
 
-def _nt_scaling_inv(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W^{-1} of the NT scaling point (W X W = S)."""
+def _cholesky_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^{-1}) with L L^dag = m: a Cholesky factor and its triangular
+    inverse, else an eigenvalue floor, since rounding can push an iterate
+    microscopically across the boundary."""
+    from scipy.linalg.lapack import ztrtri  # on first use, as in _psd_solver
+
     try:
-        ls = np.linalg.cholesky(s)
-        lsi = np.linalg.inv(ls)
+        l = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(hermitize(s))
+        w, v = np.linalg.eigh(hermitize(m))
         w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
-        ls = v * np.sqrt(w)
-        lsi = (v / np.sqrt(w)).conj().T
-    t = hermitize(ls.conj().T @ x @ ls)
-    lam, q = np.linalg.eigh(t)
-    lam = np.maximum(lam, 1e-300)
-    return hermitize(lsi.conj().T @ ((q * lam**0.5) @ q.conj().T) @ lsi)
+        return v * np.sqrt(w), (v / np.sqrt(w)).conj().T
+    return l, ztrtri(l, lower=1)[0]  # info is 0: the diagonal of l is positive
 
 
-def _herm_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(m))
-    w = np.maximum(w, 1e-300)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+class _NtScaling:
+    """Nesterov-Todd factor G of one block pair, S = G D G^dag and
+    X = G^{-dag} D G^{-1} with D diagonal, so W^{-1} = G^{-dag} G^{-1} has
+    W X W = S.  G = L Q D^{-1/2} from the Cholesky factor L of S and the
+    eigendecomposition Q D^2 Q^dag of L^dag X L (Todd, Toh & Tutuncu, SIAM
+    J. Optim. 8, 769 (1998)); step lengths and the corrector read off it.
+    """
 
+    def __init__(self, s: np.ndarray, x: np.ndarray):
+        ls, lsi = _cholesky_inv(s)
+        lam, q = np.linalg.eigh(hermitize(ls.conj().T @ x @ ls))
+        self.d = np.sqrt(np.maximum(lam, 1e-300))
+        r = np.sqrt(self.d)
+        self.g, self.gi = (ls @ q) / r, (q.conj().T @ lsi) * r[:, None]
+        self.winv = hermitize(self.gi.conj().T @ self.gi)
 
-def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """sup {a : S + a dS >= 0} via a whitened eigenvalue bound."""
-    try:
-        l = np.linalg.cholesky(s)
-        li = np.linalg.inv(l)
-    except np.linalg.LinAlgError:
-        # rounding can push an iterate microscopically across the boundary
-        w, v = np.linalg.eigh(hermitize(s))
-        w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
-        li = (v / np.sqrt(w)).conj().T
-    lam_min = float(np.linalg.eigvalsh(hermitize(li @ ds @ li.conj().T))[0])
-    return np.inf if lam_min >= 0 else -1.0 / lam_min
+    def frame(self, ds: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G^{-1} dS G^{-dag} and G^dag dX G: the frame where S and X are D."""
+        gi, g = self.gi, self.g
+        return hermitize(gi @ ds @ gi.conj().T), hermitize(g.conj().T @ dx @ g)
+
+    def max_steps(self, ds_g: np.ndarray, dx_g: np.ndarray) -> list[float]:
+        """sup {a : S + a dS >= 0} and sup {a : X + a dX >= 0}, from
+        lambda_min of D^{-1/2} dS_G D^{-1/2} and D^{-1/2} dX_G D^{-1/2}."""
+        r = 1.0 / np.sqrt(self.d)
+        lam = [float(np.linalg.eigvalsh(r[:, None] * m * r)[0]) for m in (ds_g, dx_g)]
+        return [np.inf if v >= 0 else -1.0 / v for v in lam]
+
+    def corrector(self, sigma_mu: float, ds_g=None, dx_g=None) -> np.ndarray:
+        """sigma mu S^{-1} - G^{-dag} Y G^{-1}, where the Mehrotra term Y
+        solves (D Y + Y D)/2 = (dS_G dX_G + dX_G dS_G)/2 (Y = 0 without
+        directions): a Lyapunov solve that is an entrywise division here."""
+        m = np.diag(sigma_mu / self.d).astype(complex)
+        if ds_g is not None:
+            d = np.maximum(self.d, max(1e-14 * float(self.d.max()), 1e-150))
+            m -= hermitize(0.5 * (ds_g @ dx_g + dx_g @ ds_g)) / (0.5 * (d[:, None] + d))
+        return self.gi.conj().T @ m @ self.gi
 
 
 def _psd_solver(gm: np.ndarray):
     """Solver for a PSD system matrix that rounding may have left slightly
-    indefinite: Cholesky, else the eigenvalue floor of ``_nt_scaling_inv``.
+    indefinite: Cholesky, else the eigenvalue floor of ``_cholesky_inv``.
 
     A Gram matrix squares the condition number of its factor, so near the
     optimum its smallest eigenvalues sit at rounding level and their sign
@@ -429,14 +450,6 @@ def _psd_solver(gm: np.ndarray):
 
         return solve_eig
     return lambda b: sla.cho_solve(fac, b, check_finite=False)
-
-
-def _lyapunov_solve(lam: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (V Y + Y V)/2 = rhs for V = q diag(lam) q^dag."""
-    floor = max(1e-14 * float(lam[-1]), 1e-150)
-    lam = np.maximum(lam, floor)
-    r = q.conj().T @ rhs @ q
-    return q @ (r / (0.5 * (lam[:, None] + lam[None, :]))) @ q.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +491,14 @@ class _KktFactors:
             if locvar is not None:
                 sub = locvar.map.offset
                 n = locvar.basis.side
-                what = hermitize(winv[sub : sub + n, sub : sub + n])
-                whinv = hermitize(np.linalg.inv(what))
+                # inv(W^{-1} sub-block) = F F^dag with F = L^{-dag}
+                _, li = _cholesky_inv(hermitize(winv[sub : sub + n, sub : sub + n]))
+                f = li.conj().T
+                whinv = hermitize(f @ li)
                 pins = comp.local_pins[locvar.name]
-                info = {"var": locvar, "block": j, "whinv": whinv, "pins": pins}
+                info = {"var": locvar, "whinv": whinv, "pins": pins}
                 if len(pins):
-                    z = _herm_sqrt(whinv)
-                    gm = locvar.basis.sandwich_gram(z, pins)
+                    gm = locvar.basis.sandwich_gram(f, pins)
                     gm = 0.5 * (gm + gm.T)
                     gm += (1e-14 * np.trace(gm) / max(len(pins), 1)) * np.eye(len(pins))
                     info["gsolve"] = _psd_solver(gm)
@@ -583,10 +597,8 @@ class _KktFactors:
     def _t_apply(self, name: str, cs: np.ndarray) -> np.ndarray:
         """K^{-1} (inverse scaled Gram of the local variable) on coords."""
         info = self.loc[name]
-        v: _Var = info["var"]
-        if cs.ndim == 1:
-            return v.basis.sandwich_coords(info["whinv"], cs)
-        return v.basis.sandwich_coords_many(info["whinv"], cs.T).T
+        out = info["var"].basis.sandwich_coords_many(info["whinv"], cs.T.reshape(-1, len(cs)))
+        return out.T.reshape(cs.shape)
 
     def _h_apply(self, dz: np.ndarray) -> np.ndarray:
         """Exact operator H dz via block congruences."""
@@ -885,20 +897,24 @@ def _interior_point(
             status, stop_reason = "infeasible", "diverged"
             break
 
-        winvs = [_nt_scaling_inv(s_blocks[j], x_blocks[j]) for j in range(nblk)]
+        scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
         try:
-            kkt = _KktFactors(comp, winvs)
+            kkt = _KktFactors(comp, [sc.winv for sc in scalings])
         except _SingularNewton:
             stop_reason = "singular-newton"  # no Newton direction: keep the best iterate
             break
+
+        def step_lengths(frames, tau):  # (primal, dual), the least over blocks
+            steps = np.min([sc.max_steps(*fr) for sc, fr in zip(scalings, frames)], axis=0)
+            return np.minimum(1.0, tau * steps)
 
         nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
         rc_aff = [-x_blocks[j] for j in range(nblk)]
         dz_a, dnu_a, dnuloc_a, ds_a, dx_a = kkt.solve(
             r_stat, r_blocks, r_e, r_pin, rc_aff, verify=verify_newton, refine=nref
         )
-        ap = min(1.0, 0.99 * min((_max_step(s_blocks[j], ds_a[j]) for j in range(nblk)), default=np.inf))
-        ad = min(1.0, 0.99 * min((_max_step(x_blocks[j], dx_a[j]) for j in range(nblk)), default=np.inf))
+        frames_a = [sc.frame(ds_a[j], dx_a[j]) for j, sc in enumerate(scalings)]
+        ap, ad = step_lengths(frames_a, 0.99)
         mu_aff = sum(
             float(
                 np.real(
@@ -914,34 +930,16 @@ def _interior_point(
         if p_res > max(10.0 * feas_tol, mu / (1.0 + abs(pobj) + abs(dobj))):
             sigma = max(sigma, 0.5)
 
-        rc_cor = []
-        for j in range(nblk):
-            wih = _herm_sqrt(winvs[j])  # W^{-1/2}
-            w_h = np.linalg.inv(wih)
-            vmat = hermitize(wih @ s_blocks[j] @ wih)
-            lam, q = np.linalg.eigh(vmat)
-            lam = np.maximum(lam, 1e-300)
-            if mu > 1e-8:
-                dss = wih @ ds_a[j] @ wih
-                dxs = w_h @ dx_a[j] @ w_h
-                cross = hermitize(0.5 * (dss @ dxs + dxs @ dss))
-                corr = _lyapunov_solve(lam, q, cross)
-            else:
-                # the second-order term is pure noise at this scale
-                corr = np.zeros_like(s_blocks[j])
-            rc_cor.append(
-                hermitize(
-                    sigma * mu * np.linalg.inv(s_blocks[j])
-                    - x_blocks[j]
-                    - wih @ corr @ wih
-                )
-            )
+        # the second-order term is pure noise below mu = 1e-8
+        rc_cor = [
+            hermitize(sc.corrector(sigma * mu, *(frames_a[j] if mu > 1e-8 else ())) - x_blocks[j])
+            for j, sc in enumerate(scalings)
+        ]
         dz, dnu, dnuloc, ds, dx = kkt.solve(
             r_stat, r_blocks, r_e, r_pin, rc_cor, verify=verify_newton, refine=nref
         )
         tau = 0.995 if mu < 1e-5 else (0.99 if mu < 1e-3 else 0.98)
-        ap = min(1.0, tau * min((_max_step(s_blocks[j], ds[j]) for j in range(nblk)), default=np.inf))
-        ad = min(1.0, tau * min((_max_step(x_blocks[j], dx[j]) for j in range(nblk)), default=np.inf))
+        ap, ad = step_lengths([sc.frame(ds[j], dx[j]) for j, sc in enumerate(scalings)], tau)
         if min(ap, ad) < 1e-10:
             stall += 1
             if stall >= 3:

@@ -134,3 +134,20 @@ def test_congruence_over_a_row_band(band, with_support, rng):
     part = congruence_many(z, ms, support, band)
     assert part.shape == (k, band.stop - band.start, n)
     assert np.max(np.abs(part - full[:, band])) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 2), (9,), (2, 2, 2)], ids=str)
+def test_sandwich_gram_takes_any_factor(dims, rng):
+    """<F^dag B_a F, F^dag B_b F> = Tr(B_a M B_b M) for every F F^dag = M:
+    a Cholesky factor and the Hermitian square root give the same Gram."""
+    basis = product_basis(dims)
+    g = rand_c(rng, (basis.side, basis.side))
+    m = g @ g.conj().T + 0.1 * np.eye(basis.side)
+    w, v = np.linalg.eigh(m)
+    idx = np.sort(rng.choice(basis.n, size=min(basis.n, 40), replace=False))
+    by_chol = basis.sandwich_gram(np.linalg.cholesky(m), idx)
+    by_sqrt = basis.sandwich_gram((v * np.sqrt(w)) @ v.conj().T, idx)
+    els = basis.elements(idx)
+    ref = np.real(np.einsum("aij,jk,bkl,li->ab", els, m, els, m))
+    assert np.linalg.norm(by_chol - by_sqrt) <= 1e-13 * np.linalg.norm(by_sqrt)
+    assert np.linalg.norm(by_chol - ref) <= 1e-13 * np.linalg.norm(ref)

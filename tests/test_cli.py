@@ -154,11 +154,14 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
-        assert lines[0].split(",")[0] == "grid_value"
+        header = lines[0].split(",")
+        assert header[0] == "grid_value"
+        assert header[-3:] == ["stop_par", "stop_seq", "status"]
         for row in lines[1:]:
             cells = row.split(",")
             assert cells[-1] == "ok"
             assert float(cells[1]) <= float(cells[2]) + 1e-6  # par <= seq
+            assert set(cells[-3:-1]) <= STOP_REASONS
 
     def test_phi_sweep(self, tmp_path):
         doc = base_config(

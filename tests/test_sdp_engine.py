@@ -174,10 +174,10 @@ class TestSolverContracts:
     def test_linear_algebra_failure_is_typed(self, rng, monkeypatch):
         import combqfi.sdp_engine as se
 
-        def broken(s, ds):
+        def broken(self, ds_g, dx_g):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(se, "_max_step", broken)
+        monkeypatch.setattr(se._NtScaling, "max_steps", broken)
         with pytest.raises(SolverFailureError, match="not positive definite"):
             solve(lambda_min_problem(rand_herm(rng, 4)))
 
@@ -260,6 +260,100 @@ class TestSolverContracts:
         if sol.optimal:
             assert sol.gap <= 1e-7  # best-iterate restore allows 10x feas slack
             assert sol.compl_residual <= 1e-6
+
+
+def _herm_sqrt_reference(m):
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (v * np.sqrt(np.maximum(w, 1e-300))) @ v.conj().T
+
+
+def _winv_reference(s, x):
+    """W^{-1} of the NT point in the symmetric form L^{-dag} (L^dag X L)^{1/2} L^{-1}."""
+    ls = np.linalg.cholesky(s)
+    lsi = np.linalg.inv(ls)
+    return lsi.conj().T @ _herm_sqrt_reference(ls.conj().T @ x @ ls) @ lsi
+
+
+def _corrector_reference(s, winv, ds, dx, sigma_mu):
+    """sigma mu S^{-1} - W^{-1/2} Y W^{-1/2}, where Y solves the Lyapunov
+    equation (V Y + Y V)/2 = sym(dS_s dX_s) of the symmetric frame
+    V = W^{-1/2} S W^{-1/2}, dS_s = W^{-1/2} dS W^{-1/2}, dX_s = W^{1/2} dX W^{1/2}."""
+    wih = _herm_sqrt_reference(winv)
+    w_h = np.linalg.inv(wih)
+    lam, q = np.linalg.eigh(wih @ s @ wih)
+    lam = np.maximum(lam, max(1e-14 * float(lam[-1]), 1e-150))
+    dss, dxs = wih @ ds @ wih, w_h @ dx @ w_h
+    r = q.conj().T @ (0.5 * (dss @ dxs + dxs @ dss)) @ q
+    y = q @ (r / (0.5 * (lam[:, None] + lam[None, :]))) @ q.conj().T
+    return sigma_mu * np.linalg.inv(s) - wih @ y @ wih
+
+
+def _hpd(rng, n, cond):
+    u = random_unitary(n, rng)
+    return (u * np.logspace(0, -np.log10(cond), n)) @ u.conj().T
+
+
+class TestNtScaling:
+    """The per-block Nesterov-Todd factor against the formulas it replaces.
+
+    Pairs are drawn as the iteration meets them: XS near mu I, so that
+    L^dag X L (L the Cholesky factor of S) is well conditioned while S and
+    X have condition numbers up to ~1e12.  Quantities that invert S can
+    only be as accurate as eps * cond(S), and are checked to that scale.
+    """
+
+    @staticmethod
+    def rel(a, b):
+        return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+    @pytest.mark.parametrize("n", [4, 20, 72])
+    @pytest.mark.parametrize("cond", [1e2, 1e8, 1e12])
+    def test_factor_steps_and_corrector(self, n, cond, rng):
+        import scipy.linalg as sla
+
+        from combqfi.sdp_engine import _NtScaling
+
+        s = _hpd(rng, n, cond)
+        li = np.linalg.inv(np.linalg.cholesky(s))
+        x = 1e-3 * li.conj().T @ _hpd(rng, n, 1e2) @ li
+        x = 0.5 * (x + x.conj().T)
+        tol = 1e-13 + 10 * np.finfo(float).eps * cond
+        sc = _NtScaling(s, x)
+        g, gi, d = sc.g, sc.gi, sc.d
+        assert np.allclose(g @ gi, np.eye(n), atol=tol)
+        assert self.rel((g * d) @ g.conj().T, s) < 1e-13
+        assert self.rel((gi.conj().T * d) @ gi, x) < 1e-13
+        w = g @ g.conj().T
+        assert self.rel(w @ x @ w, s) < tol
+        assert self.rel(sc.winv, _winv_reference(s, x)) < 1e-13
+        assert self.rel(sc.corrector(1.0), np.linalg.inv(s)) < tol
+        # step lengths: -1/lambda_min of the pencils (dS, S) and (dX, X),
+        # whose eigenvalues rounding in S and X moves by eps * cond
+        ds = rand_herm(rng, n)
+        dx = rand_herm(rng, n) * np.linalg.norm(x)
+        ap, ad = sc.max_steps(*sc.frame(ds, dx))
+        assert abs(ap * sla.eigh(ds, s, eigvals_only=True)[0] + 1) < tol
+        assert abs(ad * sla.eigh(dx, x, eigvals_only=True)[0] + 1) < tol
+        assert sc.max_steps(*sc.frame(s, x)) == [np.inf, np.inf]
+        # the corrector, at a step the iteration could take
+        ds, dx = 0.5 * ap * ds, 0.5 * ad * dx
+        ref = _corrector_reference(s, sc.winv, ds, dx, 0.3)
+        assert self.rel(sc.corrector(0.3, *sc.frame(ds, dx)), ref) < tol
+
+    def test_rounding_indefinite_s_is_floored(self, rng):
+        from combqfi.sdp_engine import _NtScaling
+
+        u = random_unitary(6, rng)
+        s = (u * np.array([-1e-17, 1e-9, 1e-3, 1.0, 10.0, 100.0])) @ u.conj().T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(s)
+        x = _hpd(rng, 6, 1e4)
+        sc = _NtScaling(s, x)
+        for m in (sc.g, sc.gi, sc.d, sc.winv, sc.corrector(1.0)):
+            assert np.all(np.isfinite(m))
+        # the factor reproduces S up to its eigenvalue floor, 1e-14 * 100
+        assert np.linalg.norm((sc.g * sc.d) @ sc.g.conj().T - s) < 2e-12
+        assert np.all(np.linalg.eigvalsh(sc.winv) > 0)
 
 
 class TestStructuredMaps:
