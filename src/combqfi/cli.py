@@ -78,6 +78,8 @@ class ExperimentConfig:
                 raise ConfigError("sweep needs 'parameter' and 'grid'")
             if len(sweep["grid"]) == 0:
                 raise ConfigError("sweep grid is empty")
+            if sweep["parameter"] != "phi":
+                _set_param(process, sweep["parameter"], sweep["grid"][0])
         return ExperimentConfig(
             process=process,
             n_steps=n,
@@ -87,6 +89,22 @@ class ExperimentConfig:
             gap_tol=float(doc.get("tolerances", {}).get("gap", 1e-8)),
             validate_oracle=bool(doc.get("validate_oracle", True)),
         )
+
+
+def _set_param(process: dict, key: str, value) -> dict:
+    """A copy of the process doc with ``key`` set to ``value``: the top-level
+    key if there is one, else the key of the one part that holds it."""
+    if key in process:
+        return {**process, key: value}
+    parts = list(process.get("parts", []))
+    holders = [i for i, part in enumerate(parts) if key in part]
+    if len(holders) != 1:
+        raise ConfigError(
+            f"sweep parameter {key!r} is neither a process key nor held by exactly "
+            f"one part ({len(holders)} parts hold it)"
+        )
+    parts[holders[0]] = {**parts[holders[0]], key: value}
+    return {**process, "parts": parts}
 
 
 def _channel_spec_from_doc(doc: dict) -> ChannelSpec:
@@ -105,8 +123,8 @@ def build_process(config: ExperimentConfig, override: dict | None = None):
     alternate-order comb or None).
     """
     doc = dict(config.process)
-    if override:
-        doc.update(override)
+    for key, value in (override or {}).items():
+        doc = _set_param(doc, key, value)
     kind = doc.get("kind")
     if kind == "nonmarkovian_swap":
         g = float(doc.get("g", 1.0))
@@ -200,7 +218,7 @@ def run_task(config: ExperimentConfig, out_path: str | None) -> int:
     result = _score_one((config, None))
     if not result["ok"]:
         print(f"error: {result['error']}", file=sys.stderr)
-        return 2
+        return 3 if result["error"].startswith("config") else 2
     doc = {
         "schema_version": SCHEMA_VERSION,
         "phi": config.phi,
@@ -275,7 +293,7 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
             f.write(text)
     else:
         print(text, end="")
-    return 0
+    return 2 if any_solver_failure else 0
 
 
 def export_strategy(strategy: StrategyChoi, path: str) -> None:

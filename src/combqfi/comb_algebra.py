@@ -91,13 +91,6 @@ class KrausChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(k @ rho @ k.conj().T for k in self.kraus)
 
-    def apply_deriv(self, rho: np.ndarray) -> np.ndarray:
-        """d/dphi of the output state for a phi-independent input."""
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for k, dk in zip(self.kraus, self.dkraus):
-            out += dk @ rho @ k.conj().T + k @ rho @ dk.conj().T
-        return out
-
 
 def compose_kraus(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Kraus form of ``after o before`` with Leibniz derivatives."""

@@ -159,13 +159,6 @@ def pf_rx_channel(p: float, phi: float) -> KrausChannel:
     return compose(rx(phi), phase_flip(p), order="noise_after_signal")
 
 
-def nmr_frequency_channel(
-    omega: float, t: float, t1: float = 3.2, t2: float = 1.1, a0: float = 0.5
-) -> KrausChannel:
-    """Frequency signal after NMR relaxation at the benchmark operating point."""
-    return compose(uz(omega, t), nmr_relaxation(t, t1, t2, a0))
-
-
 def build_channel(spec: ChannelSpec, phi: float) -> KrausChannel:
     """Materialize a channel spec at the working point."""
     kind, p = spec.kind, spec.params

@@ -3,15 +3,20 @@ Hermitian blocks and linear equality constraints.
 
 Problem form after compilation: a real coordinate vector z (orthonormal
 Hermitian-basis coordinates of every matrix variable), PSD constraints
-``S_j = G_j + A_j(z) >= 0``, coordinate pins and dense equality rows on z,
-and a linear objective.  The algorithm is primal-dual path following with
+``S_j = G_j + A_j(z) >= 0``, equality constraints B z = b and a linear
+objective.  The algorithm is primal-dual path following with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector.  Each PSD block is
 factored once per iteration (one Cholesky factor of S and one eigh), and
-the scaling, step lengths and corrector all read off that factor.  The
-Newton normal equations are solved by eliminating, per block, the
-coordinates of a variable embedded as a diagonal sub-block, whose scaled
-Gram operator is a congruence map with an exact inverse and is never
-materialized.  The rest of the Newton matrix is assembled from congruences
+the scaling, step lengths and corrector all read off that factor.
+
+A variable embedded as a diagonal sub-block of exactly one PSD block and
+named by no equality row is *local*: the Newton system eliminates it through
+its scaled Gram operator, a congruence map with an exact inverse that is
+never materialized, and its only constraints are coordinate pins.  Every
+other variable is *imaged*; the equality rows and the pins of imaged
+variables form dense rows E on the imaged coordinates.  So B = [E; P], with
+P the pins of the local variables, and the multipliers of all rows live in
+one vector y.  The rest of the Newton matrix is assembled from congruences
 W F W of the images F, each computed only over the band of block rows that
 the adjoints read.
 
@@ -233,11 +238,17 @@ class _Var:
         self.m = self.basis.n
         self.local_block: int | None = None
         self.map: EmbedDiag | None = None
-        self.offset_in_u = -1
         self.sl: slice | None = None
+        mask = spec.pin_mask if spec.pin_mask is not None else np.zeros(0, dtype=bool)
+        self.pins = np.flatnonzero(mask)
+        self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
 
 
 class _Compiled:
+    """The constraints B z = b: dense rows E on the imaged coordinates, then
+    the coordinate pins of the local variables, whose multipliers are the
+    slices ``y_sl`` of one vector y."""
+
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         self.vars = {v.name: _Var(v) for v in problem.variables}
@@ -248,7 +259,9 @@ class _Compiled:
                     raise SolverFailureError(f"block references unknown variable {name!r}")
                 occurrences[name].append((j, mp))
         # a variable embedded as a diagonal sub-block of exactly one PSD block
-        # is eliminated through the congruence structure of its scaled Gram
+        # and named by no equality row is eliminated through the congruence
+        # structure of its scaled Gram
+        in_rows = {name for row in problem.equalities for name in row.coefs}
         self.local_of_block: dict[int, _Var] = {}
         for name, occ in occurrences.items():
             var = self.vars[name]
@@ -257,7 +270,7 @@ class _Compiled:
                     f"variable {name!r} appears in no PSD block; the normal "
                     "matrix would be singular"
                 )
-            if len(occ) == 1 and isinstance(occ[0][1], EmbedDiag):
+            if len(occ) == 1 and isinstance(occ[0][1], EmbedDiag) and name not in in_rows:
                 j, mp = occ[0]
                 if j not in self.local_of_block:
                     var.local_block = j
@@ -265,15 +278,12 @@ class _Compiled:
                     self.local_of_block[j] = var
         self.imaged = [v for v in self.vars.values() if v.local_block is None]
         self.locals = [v for v in self.vars.values() if v.local_block is not None]
+        # z lists the imaged coordinates first, then the local ones
         off = 0
-        for v in self.imaged:
-            v.offset_in_u = off
+        for v in self.imaged + self.locals:
             v.sl = slice(off, off + v.m)
             off += v.m
-        self.m_u = off
-        for v in self.locals:
-            v.sl = slice(off, off + v.m)
-            off += v.m
+        self.m_u = sum(v.m for v in self.imaged)
         self.m_total = off
         self.block_terms: list[list[tuple[_Var, LinearMap]]] = [
             [(self.vars[name], mp) for name, mp in b.terms] for b in problem.blocks
@@ -311,49 +321,64 @@ class _Compiled:
                     f"objective for {name!r} has shape {coef.shape}, expected ({v.m},)"
                 )
             self.c[v.sl] = sgn * coef
-        # dense equality rows: explicit rows plus pins of imaged variables
+        # dense rows on the imaged coordinates: explicit rows plus their pins
         rows: list[np.ndarray] = []
         rhs: list[float] = []
         for row in problem.equalities:
-            r = np.zeros(self.m_total)
+            r = np.zeros(self.m_u)
             for name, coef in row.coefs.items():
                 r[self.vars[name].sl] = np.asarray(coef, dtype=float)
             rows.append(r)
             rhs.append(float(row.rhs))
         for v in self.imaged:
-            if v.spec.pin_mask is not None:
-                for a in np.nonzero(v.spec.pin_mask)[0]:
-                    r = np.zeros(self.m_total)
-                    r[v.sl.start + a] = 1.0
-                    rows.append(r)
-                    rhs.append(float(v.spec.pin_values[a]))
-        self.e_rows = np.array(rows) if rows else np.zeros((0, self.m_total))
-        self.e_rhs = np.array(rhs) if rhs else np.zeros(0)
+            for a in v.pins:
+                r = np.zeros(self.m_u)
+                r[v.sl.start + a] = 1.0
+                rows.append(r)
+                rhs.append(float(v.spec.pin_values[a]))
+        self.e_rows = np.array(rows) if rows else np.zeros((0, self.m_u))
+        e_rhs = np.array(rhs) if rhs else np.zeros(0)
         if len(rows) > 1:
             # dependent rows make the reduced saddle matrix singular: keep a
             # basis of their row space when the right-hand sides agree
             u, sv, vt = np.linalg.svd(self.e_rows, full_matrices=False)
             keep = sv > 1e-12 * sv[0]
             if not keep.all():
-                clash = float(np.linalg.norm(u[:, ~keep].T @ self.e_rhs))
-                if clash > 1e-9 * (1.0 + float(np.linalg.norm(self.e_rhs))):
+                clash = float(np.linalg.norm(u[:, ~keep].T @ e_rhs))
+                if clash > 1e-9 * (1.0 + float(np.linalg.norm(e_rhs))):
                     raise SolverFailureError(
                         f"dependent equality rows with conflicting right-hand sides ({clash:.2e})"
                     )
-                self.e_rhs = (u.T @ self.e_rhs)[keep] / sv[keep]
+                e_rhs = (u.T @ e_rhs)[keep] / sv[keep]
                 self.e_rows = vt[keep]
-        self.local_pins: dict[str, np.ndarray] = {}
+        self.n_rows = len(e_rhs)
+        off = self.n_rows
         for v in self.locals:
-            if v.spec.pin_mask is not None and np.any(v.spec.pin_mask):
-                self.local_pins[v.name] = np.nonzero(v.spec.pin_mask)[0]
-            else:
-                self.local_pins[v.name] = np.zeros(0, dtype=int)
+            v.y_sl = slice(off, off + len(v.pins))
+            off += len(v.pins)
+        self.pin_idx = np.array([v.sl.start + a for v in self.locals for a in v.pins], dtype=int)
+        pin_val = [v.spec.pin_values[a] for v in self.locals for a in v.pins]
+        self.b = np.concatenate([e_rhs, np.array(pin_val, dtype=float)])
 
-    def block_matrix(self, j: int, z: np.ndarray) -> np.ndarray:
-        out = self.consts[j].copy()
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """B z."""
+        return np.concatenate([self.e_rows @ z[: self.m_u], z[self.pin_idx]])
+
+    def rows_t(self, y: np.ndarray) -> np.ndarray:
+        """B^T y."""
+        out = np.zeros(self.m_total)
+        out[: self.m_u] = self.e_rows.T @ y[: self.n_rows]
+        out[self.pin_idx] = y[self.n_rows :]
+        return out
+
+    def apply_into(self, j: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add A_j(z) to ``out`` and return it."""
         for v, mp in self.block_terms[j]:
             mp.add_apply(out, v.basis.matrix(z[v.sl]))
-        return hermitize(out)
+        return out
+
+    def block_matrix(self, j: int, z: np.ndarray) -> np.ndarray:
+        return hermitize(self.apply_into(j, z, self.consts[j].copy()))
 
     def adjoint_into(self, j: int, mat: np.ndarray, out: np.ndarray) -> None:
         for v, mp in self.block_terms[j]:
@@ -460,121 +485,90 @@ class _SingularNewton(np.linalg.LinAlgError):
     """The reduced Newton matrix has an exact zero LU pivot."""
 
 
+class _Local:
+    """The elimination of one local variable from the Newton system."""
+
+    def __init__(self, var: _Var, winv: np.ndarray, n_u: int):
+        self.var = var
+        sub, n = var.map.offset, var.basis.side
+        # inv(W^{-1} sub-block) = F F^dag with F = L^{-dag}
+        _, li = _cholesky_inv(hermitize(winv[sub : sub + n, sub : sub + n]))
+        f = li.conj().T
+        self.whinv = hermitize(f @ li)
+        if len(var.pins):
+            gm = var.basis.sandwich_gram(f, var.pins)
+            gm = 0.5 * (gm + gm.T)
+            gm += (1e-14 * np.trace(gm) / len(var.pins)) * np.eye(len(var.pins))
+            self.gsolve = _psd_solver(gm)
+        self.c_loc = np.zeros((var.m, n_u))  # C: the local rows of H on the imaged coordinates
+
+    def t_apply(self, cs: np.ndarray) -> np.ndarray:
+        """T = K^{-1}, the inverse scaled Gram of the local variable, on coords."""
+        out = self.var.basis.sandwich_coords_many(self.whinv, cs.T.reshape(-1, len(cs)))
+        return out.T.reshape(cs.shape)
+
+
 class _KktFactors:
-    """Per-iteration factorization of the Newton normal system.
+    """Per-iteration factorization of the Newton system
 
-    With H = sum_j A_j^T (Winv_j . Winv_j) A_j the system is
+        H dz - B^T dy = r_hat,   B dz = r_b,
 
-        H dz - P^T dnu_loc - E^T dnu_E = r_hat
-        P dz = r_pin,  E dz = r_e
-
-    Local (embedded) variables are eliminated through the exact congruence
-    inverse of their diagonal H sub-operator; their coordinate pins are
-    dualized with a small Cholesky; the remainder reduces to a dense saddle
-    system over (imaged coordinates, dense-row multipliers).  Solves apply
-    one step of iterative refinement against the exact operators.
+    with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: dense rows E
+    on the imaged coordinates and the coordinate pins P of the local
+    variables.  Each local variable is eliminated through the exact
+    congruence inverse T = K^{-1} of its diagonal H sub-operator K, and its
+    pins through a small Cholesky of P T P^T.  What remains is the saddle
+    system [[red_a, -E^T], [E, 0]] over (imaged coordinates, dense-row
+    multipliers).  Solves apply iterative refinement against the exact
+    operators.
     """
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
         self.comp = comp
         self.winvs = winvs
         m_u = comp.m_u
-        g = comp.e_rows.shape[0]
         self.h_uu = np.zeros((m_u, m_u))
-        self.loc: dict[str, dict] = {}
+        self.loc: list[_Local] = []
         for j, block in enumerate(comp.problem.blocks):
             winv = winvs[j]
             img = comp.img_terms[j]
             band = comp.bands[j]
             locvar = comp.local_of_block.get(j)
-            c_loc = None
             if locvar is not None:
-                sub = locvar.map.offset
-                n = locvar.basis.side
-                # inv(W^{-1} sub-block) = F F^dag with F = L^{-dag}
-                _, li = _cholesky_inv(hermitize(winv[sub : sub + n, sub : sub + n]))
-                f = li.conj().T
-                whinv = hermitize(f @ li)
-                pins = comp.local_pins[locvar.name]
-                info = {"var": locvar, "whinv": whinv, "pins": pins}
-                if len(pins):
-                    gm = locvar.basis.sandwich_gram(f, pins)
-                    gm = 0.5 * (gm + gm.T)
-                    gm += (1e-14 * np.trace(gm) / max(len(pins), 1)) * np.eye(len(pins))
-                    info["gsolve"] = _psd_solver(gm)
-                self.loc[locvar.name] = info
-                if img:
-                    c_loc = np.zeros((locvar.m, m_u))
+                lc = _Local(locvar, winv, m_u if img else 0)
+                self.loc.append(lc)
             for v, mp, support in img:
                 chunk = 256
                 for lo in range(0, v.m, chunk):
                     idx = np.arange(lo, min(v.m, lo + chunk))
                     f = mp.images_chunk(v.basis, idx, block.side)
                     y = congruence_many(winv, f, support, band)
+                    cols = slice(v.sl.start + lo, v.sl.start + lo + len(idx))
                     for v2, mp2, _ in img:
                         vals = mp2.adjoint_coords_many(y, v2.basis, band.start)  # (k, m_v2)
-                        self.h_uu[
-                            v2.offset_in_u : v2.offset_in_u + v2.m,
-                            v.offset_in_u + lo : v.offset_in_u + lo + len(idx),
-                        ] += vals.T
-                    if c_loc is not None:
+                        self.h_uu[v2.sl, cols] += vals.T
+                    if locvar is not None:
                         c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
-                        c_loc[:, v.offset_in_u + lo : v.offset_in_u + lo + len(idx)] += c_new.T
+                        lc.c_loc[:, cols] += c_new.T
             if locvar is not None:
                 # the coordinates of the imaged variables, each once however
                 # many terms of the block it enters through
-                u_idx = np.unique([i for v, _, _ in img for i in range(v.offset_in_u, v.sl.stop)])
-                u_idx = u_idx.astype(int)
-                self.loc[locvar.name]["u_idx"] = u_idx
-                self.loc[locvar.name]["c_loc"] = None if c_loc is None else c_loc[:, u_idx]
+                ranges = [np.arange(v.sl.start, v.sl.stop) for v, _, _ in img]
+                lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
+                lc.c_loc = lc.c_loc[:, lc.u_idx]
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
         # rhs-independent eliminations and the reduced saddle matrix
-        e_u = comp.e_rows[:, :m_u]
         red_a = self.h_uu.copy()
-        red_b = -e_u.T.copy()
-        red_d = np.zeros((g, g))
-        for v in comp.locals:
-            info = self.loc[v.name]
-            pins = info["pins"]
-            c_loc = info["c_loc"]
-            u_idx = info["u_idx"]
-            n_c = c_loc.shape[1] if c_loc is not None else 0
-            e_q = comp.e_rows[:, v.sl]
-            cols = []
-            if n_c:
-                cols.append(c_loc)
-            if g:
-                cols.append(e_q.T)
-            if cols:
-                tb = self._t_apply(v.name, np.concatenate(cols, axis=1))
-            else:
-                tb = np.zeros((v.m, 0))
-            t_c = tb[:, :n_c]
-            t_e = tb[:, n_c:]
-            info.update(t_c=t_c, t_e=t_e, n_c=n_c, e_q=e_q)
-            if n_c:
-                red_a[np.ix_(u_idx, u_idx)] -= c_loc.T @ t_c
-                if g:
-                    red_b[u_idx, :] += c_loc.T @ t_e
-            if g:
-                red_d += e_q @ t_e
-            if len(pins):
-                gsolve = info["gsolve"]
-                u_i = t_c[pins, :] if n_c else np.zeros((len(pins), 0))
-                z_i = t_e[pins, :] if g else np.zeros((len(pins), 0))
-                gi_u = gsolve(u_i) if n_c else u_i
-                gi_z = gsolve(z_i) if g else z_i
-                info.update(u_i=u_i, z_i=z_i, gi_u=gi_u, gi_z=gi_z)
-                if n_c:
-                    red_a[np.ix_(u_idx, u_idx)] += u_i.T @ gi_u
-                    if g:
-                        red_b[u_idx, :] -= u_i.T @ gi_z
-                if g:
-                    red_d -= z_i.T @ gi_z
-        if g:
-            self.full = np.block([[red_a, red_b], [-red_b.T, red_d]])
-        else:
-            self.full = red_a
+        for lc in self.loc:
+            uu = np.ix_(lc.u_idx, lc.u_idx)
+            lc.t_c = lc.t_apply(lc.c_loc) if len(lc.u_idx) else lc.c_loc
+            red_a[uu] -= lc.c_loc.T @ lc.t_c
+            if len(lc.var.pins):
+                lc.u_i = lc.t_c[lc.var.pins]  # P T C
+                lc.gi_u = lc.gsolve(lc.u_i) if len(lc.u_idx) else lc.u_i
+                red_a[uu] += lc.u_i.T @ lc.gi_u
+        e = comp.e_rows
+        self.full = np.block([[red_a, -e.T], [e, np.zeros((len(e), len(e)))]])
         if self.full.size:
             import scipy.linalg as sla
 
@@ -590,171 +584,93 @@ class _KktFactors:
                 self.full_lu = sla.lu_factor(scaled)
             if not np.all(np.diagonal(self.full_lu[0])):
                 raise _SingularNewton("Newton system is singular to working precision")
-        else:
-            self.full_scale = None
-            self.full_lu = None
-
-    def _t_apply(self, name: str, cs: np.ndarray) -> np.ndarray:
-        """K^{-1} (inverse scaled Gram of the local variable) on coords."""
-        info = self.loc[name]
-        out = info["var"].basis.sandwich_coords_many(info["whinv"], cs.T.reshape(-1, len(cs)))
-        return out.T.reshape(cs.shape)
 
     def _h_apply(self, dz: np.ndarray) -> np.ndarray:
         """Exact operator H dz via block congruences."""
         comp = self.comp
         out = np.zeros(comp.m_total)
         for j, block in enumerate(comp.problem.blocks):
-            mat = np.zeros((block.side, block.side), dtype=complex)
-            for v, mp in comp.block_terms[j]:
-                mp.add_apply(mat, v.basis.matrix(dz[v.sl]))
+            mat = comp.apply_into(j, dz, np.zeros((block.side, block.side), dtype=complex))
             y = self.winvs[j] @ mat @ self.winvs[j]
             comp.adjoint_into(j, hermitize(y), out)
         return out
 
-    def _solve_linear(self, r_hat, r_pin, r_e):
+    def _solve_linear(self, r_hat, r_b):
         """One backsolve of the factored Newton system."""
         comp = self.comp
-        m_u, g = comp.m_u, comp.e_rows.shape[0]
+        m_u, g = comp.m_u, comp.n_rows
         import scipy.linalg as sla
 
-        rhs_u = r_hat[:m_u].copy()
-        rhs_e = np.asarray(r_e, dtype=float).copy()
-        t_rqs, gi_rs = {}, {}
-        for v in comp.locals:
-            info = self.loc[v.name]
-            pins = info["pins"]
-            t_rq = self._t_apply(v.name, r_hat[v.sl])
-            t_rqs[v.name] = t_rq
-            if info["n_c"]:
-                rhs_u[info["u_idx"]] -= info["c_loc"].T @ t_rq
-            if g:
-                rhs_e -= info["e_q"] @ t_rq
-            if len(pins):
-                gi_r = info["gsolve"](np.asarray(r_pin[v.name], dtype=float) - t_rq[pins])
-                gi_rs[v.name] = gi_r
-                if info["n_c"]:
-                    rhs_u[info["u_idx"]] -= info["u_i"].T @ gi_r
-                if g:
-                    rhs_e -= info["z_i"].T @ gi_r
-        rhs = np.concatenate([rhs_u, rhs_e]) if g else rhs_u
-        if self.full_lu is not None and rhs.size:
+        rhs = np.concatenate([r_hat[:m_u], r_b[:g]])
+        parts = []
+        for lc in self.loc:
+            v = lc.var
+            t_rq = lc.t_apply(r_hat[v.sl])
+            rhs[lc.u_idx] -= lc.c_loc.T @ t_rq
+            gi_r = None
+            if len(v.pins):
+                gi_r = lc.gsolve(r_b[v.y_sl] - t_rq[v.pins])
+                rhs[lc.u_idx] -= lc.u_i.T @ gi_r
+            parts.append((t_rq, gi_r))
+        sol = np.zeros(0)
+        if rhs.size:
             sol = sla.lu_solve(self.full_lu, rhs / self.full_scale) / self.full_scale
-        else:
-            sol = np.zeros(0)
         du = sol[:m_u]
-        dnu = sol[m_u:]
         dz = np.zeros(comp.m_total)
+        dy = np.zeros(len(r_b))
         dz[:m_u] = du
-        dnuloc: dict[str, np.ndarray] = {}
-        for v in comp.locals:
-            info = self.loc[v.name]
-            pins = info["pins"]
-            step = t_rqs[v.name].copy()
-            if info["n_c"]:
-                step -= info["t_c"] @ du[info["u_idx"]]
-            if g:
-                step += info["t_e"] @ dnu
-            if len(pins):
-                dn = gi_rs[v.name].copy()
-                if info["n_c"]:
-                    dn += info["gi_u"] @ du[info["u_idx"]]
-                if g:
-                    dn -= info["gi_z"] @ dnu
-                dnuloc[v.name] = dn
+        dy[:g] = sol[m_u:]
+        for lc, (t_rq, gi_r) in zip(self.loc, parts):
+            v = lc.var
+            step = t_rq - lc.t_c @ du[lc.u_idx]
+            if gi_r is not None:
+                dp = gi_r + lc.gi_u @ du[lc.u_idx]
+                dy[v.y_sl] = dp
                 pv = np.zeros(v.m)
-                pv[pins] = dn
-                step += self._t_apply(v.name, pv)
-            else:
-                dnuloc[v.name] = np.zeros(0)
+                pv[v.pins] = dp
+                step += lc.t_apply(pv)
             dz[v.sl] = step
-        return dz, dnu, dnuloc
+        return dz, dy
 
-    def _linear_residual(self, r_hat, r_pin, r_e, dz, dnu, dnuloc):
-        comp = self.comp
-        g = comp.e_rows.shape[0]
-        res_hat = r_hat - self._h_apply(dz)
-        if g:
-            res_hat += comp.e_rows.T @ dnu
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            if len(pins):
-                add = np.zeros(v.m)
-                add[pins] = dnuloc[v.name]
-                res_hat[v.sl] += add
-        res_e = (r_e - comp.e_rows @ dz) if g else np.zeros(0)
-        res_pin = {}
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            res_pin[v.name] = (
-                np.asarray(r_pin[v.name], dtype=float) - dz[v.sl][pins]
-                if len(pins)
-                else np.zeros(0)
-            )
-        return res_hat, res_pin, res_e
-
-    def solve(self, r_stat, r_blocks, r_e, r_pin, rc, verify=False, refine=1):
+    def solve(self, r_stat, r_blocks, r_b, rc, verify=False, refine=1):
         comp = self.comp
         nblk = len(comp.problem.blocks)
         r_hat = -np.asarray(r_stat, dtype=float).copy()
         for j in range(nblk):
             m = hermitize(rc[j] - self.winvs[j] @ r_blocks[j] @ self.winvs[j])
             comp.adjoint_into(j, m, r_hat)
-        dz, dnu, dnuloc = self._solve_linear(r_hat, r_pin, r_e)
+        dz, dy = self._solve_linear(r_hat, r_b)
         for _ in range(refine):
-            res_hat, res_pin, res_e = self._linear_residual(
-                r_hat, r_pin, r_e, dz, dnu, dnuloc
-            )
-            cz, cnu, cnuloc = self._solve_linear(res_hat, res_pin, res_e)
-            dz = dz + cz
-            dnu = dnu + cnu
-            dnuloc = {k: dnuloc[k] + cnuloc[k] for k in dnuloc}
+            # the residual against the exact operators
+            res_hat = r_hat - self._h_apply(dz) + comp.rows_t(dy)
+            cz, cy = self._solve_linear(res_hat, r_b - comp.rows(dz))
+            dz, dy = dz + cz, dy + cy
         ds, dx = [], []
         for j in range(nblk):
-            a_dz = np.zeros((comp.problem.blocks[j].side,) * 2, dtype=complex)
-            for v, mp in comp.block_terms[j]:
-                mp.add_apply(a_dz, v.basis.matrix(dz[v.sl]))
-            dsj = hermitize(r_blocks[j] + a_dz)
-            dxj = hermitize(rc[j] - self.winvs[j] @ dsj @ self.winvs[j])
+            dsj = hermitize(r_blocks[j] + comp.apply_into(j, dz, np.zeros_like(r_blocks[j])))
             ds.append(dsj)
-            dx.append(dxj)
+            dx.append(hermitize(rc[j] - self.winvs[j] @ dsj @ self.winvs[j]))
         if verify:
-            self._verify(dz, dnu, dnuloc, dx, r_stat, r_e, r_pin)
-        return dz, dnu, dnuloc, ds, dx
+            self._verify(dz, dy, dx, r_stat, r_b)
+        return dz, dy, ds, dx
 
-    def _verify(self, dz, dnu, dnuloc, dx, r_stat, r_e, r_pin):
+    def _verify(self, dz, dy, dx, r_stat, r_b):
         comp = self.comp
-        lhs = np.zeros(comp.m_total)
+        lhs = comp.rows_t(dy)
         for j in range(len(comp.problem.blocks)):
             comp.adjoint_into(j, dx[j], lhs)
-        if comp.e_rows.shape[0]:
-            lhs += comp.e_rows.T @ dnu
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            if len(pins):
-                add = np.zeros(v.m)
-                add[pins] = dnuloc[v.name]
-                lhs[v.sl] += add
         # scale by the summand magnitudes: near convergence r_stat vanishes
         # while the cancelling terms do not
         scale = 1.0 + float(np.linalg.norm(r_stat)) + sum(
             float(np.linalg.norm(x)) for x in dx
         )
         err1 = float(np.linalg.norm(lhs - r_stat)) / scale
-        err2 = 0.0
-        if comp.e_rows.shape[0]:
-            err2 = float(np.linalg.norm(comp.e_rows @ dz - r_e)) / (
-                1.0 + float(np.linalg.norm(r_e)) + float(np.linalg.norm(dz))
-            )
-        err3 = 0.0
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            if len(pins):
-                err3 = max(
-                    err3,
-                    float(np.linalg.norm(dz[v.sl][pins] - r_pin[v.name]))
-                    / (1.0 + float(np.linalg.norm(r_pin[v.name])) + float(np.linalg.norm(dz))),
-                )
+        # dense rows, then pins
+        res, g, nz = comp.rows(dz) - r_b, comp.n_rows, float(np.linalg.norm(dz))
+        err2, err3 = (
+            float(np.linalg.norm(res[sl])) / (1.0 + float(np.linalg.norm(r_b[sl])) + nz)
+            for sl in (slice(0, g), slice(g, None))
+        )
         if max(err1, err2, err3) > 1e-5:
             raise SolverFailureError(
                 f"Newton direction residuals {err1:.2e} / {err2:.2e} / {err3:.2e}"
@@ -798,8 +714,7 @@ def _interior_point(
     c = comp.c
     # deterministic start
     z = comp.initial_z()
-    nu = np.zeros(comp.e_rows.shape[0])
-    nu_loc = {v.name: np.zeros(len(comp.local_pins[v.name])) for v in comp.locals}
+    y = np.zeros(len(comp.b))
     s_blocks, x_blocks = [], []
     for j, b in enumerate(problem.blocks):
         m = comp.block_matrix(j, z)
@@ -818,19 +733,11 @@ def _interior_point(
     best = None
     best_merit = np.inf
 
-    def stationarity(x_bl, nu_e, nu_l):
+    def stationarity(x_bl, y_):
         r_stat = c.copy()
         for j in range(nblk):
             comp.adjoint_into(j, -x_bl[j], r_stat)
-        if comp.e_rows.shape[0]:
-            r_stat -= comp.e_rows.T @ nu_e
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            if len(pins):
-                sub = np.zeros(v.m)
-                sub[pins] = nu_l[v.name]
-                r_stat[v.sl] -= sub
-        return r_stat
+        return r_stat - comp.rows_t(y_)
 
     def dual_res(r_stat):
         # the stationarity residual is scaled by the terms entering the sum
@@ -839,49 +746,30 @@ def _interior_point(
             1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
         )
 
-    def dual_objective():
-        out = float(comp.e_rhs @ nu) if comp.e_rows.shape[0] else 0.0
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            if len(pins):
-                out += float(v.spec.pin_values[pins] @ nu_loc[v.name])
-        out -= sum(float(np.real(np.trace(comp.consts[j] @ x_blocks[j]))) for j in range(nblk))
-        return out
-
     def measures():
         """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
-        r_stat = stationarity(x_blocks, nu, nu_loc)
+        r_stat = stationarity(x_blocks, y)
         r_blocks = [comp.block_matrix(j, z) - s_blocks[j] for j in range(nblk)]
-        r_e = comp.e_rhs - comp.e_rows @ z if comp.e_rows.shape[0] else np.zeros(0)
-        r_pin = {}
-        for v in comp.locals:
-            pins = comp.local_pins[v.name]
-            vals = v.spec.pin_values[pins] if len(pins) else np.zeros(0)
-            r_pin[v.name] = vals - z[v.sl][pins]
+        r_b = comp.b - comp.rows(z)
         pobj = float(c @ z)
-        dobj = dual_objective()
+        dobj = float(comp.b @ y) - sum(
+            float(np.real(np.trace(comp.consts[j] @ x_blocks[j]))) for j in range(nblk)
+        )
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_res = max(
             max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
-            float(np.linalg.norm(r_e)) if len(r_e) else 0.0,
-            max((float(np.linalg.norm(r)) for r in r_pin.values()), default=0.0),
+            float(np.linalg.norm(r_b)),
         ) / (1.0 + float(np.linalg.norm(z)))
-        return (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, dual_res(r_stat)
+        return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, dual_res(r_stat)
 
     for it in range(1, max_iter + 1):
-        (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, d_res = measures()
+        (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
         mu = sum(float(np.real(np.trace(x_blocks[j] @ s_blocks[j]))) for j in range(nblk)) / ntot
         history.append((comp.obj_sign * pobj, comp.obj_sign * dobj, mu, p_res, d_res))
         merit = max(relgap, p_res, d_res)
         if merit < best_merit:
             best_merit = merit
-            best = (
-                z.copy(),
-                nu.copy(),
-                {k: w.copy() for k, w in nu_loc.items()},
-                [m_.copy() for m_ in s_blocks],
-                [m_.copy() for m_ in x_blocks],
-            )
+            best = (z.copy(), y.copy(), [m.copy() for m in s_blocks], [m.copy() for m in x_blocks])
         if relgap <= gap_tol and p_res <= feas_tol and d_res <= feas_tol:
             status, stop_reason = "optimal", "converged"
             break
@@ -910,9 +798,7 @@ def _interior_point(
 
         nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
         rc_aff = [-x_blocks[j] for j in range(nblk)]
-        dz_a, dnu_a, dnuloc_a, ds_a, dx_a = kkt.solve(
-            r_stat, r_blocks, r_e, r_pin, rc_aff, verify=verify_newton, refine=nref
-        )
+        _, _, ds_a, dx_a = kkt.solve(r_stat, r_blocks, r_b, rc_aff, verify_newton, nref)
         frames_a = [sc.frame(ds_a[j], dx_a[j]) for j, sc in enumerate(scalings)]
         ap, ad = step_lengths(frames_a, 0.99)
         mu_aff = sum(
@@ -935,9 +821,7 @@ def _interior_point(
             hermitize(sc.corrector(sigma * mu, *(frames_a[j] if mu > 1e-8 else ())) - x_blocks[j])
             for j, sc in enumerate(scalings)
         ]
-        dz, dnu, dnuloc, ds, dx = kkt.solve(
-            r_stat, r_blocks, r_e, r_pin, rc_cor, verify=verify_newton, refine=nref
-        )
+        dz, dy, ds, dx = kkt.solve(r_stat, r_blocks, r_b, rc_cor, verify_newton, nref)
         tau = 0.995 if mu < 1e-5 else (0.99 if mu < 1e-3 else 0.98)
         ap, ad = step_lengths([sc.frame(ds[j], dx[j]) for j, sc in enumerate(scalings)], tau)
         if min(ap, ad) < 1e-10:
@@ -952,22 +836,13 @@ def _interior_point(
             z_t = z + a_p * dz
             s_t = [hermitize(s_blocks[j] + a_p * ds[j]) for j in range(nblk)]
             x_t = [hermitize(x_blocks[j] + a_d * dx[j]) for j in range(nblk)]
-            nu_t = nu + a_d * dnu if comp.e_rows.shape[0] else nu
-            nl_t = {
-                v.name: (
-                    nu_loc[v.name] + a_d * dnuloc[v.name]
-                    if len(comp.local_pins[v.name])
-                    else nu_loc[v.name]
-                )
-                for v in comp.locals
-            }
-            return z_t, s_t, x_t, nu_t, nl_t
+            return z_t, s_t, x_t, y + a_d * dy
 
         # merit backtracking: reject directions that wreck the residuals
         accepted = False
         for _ in range(4):
-            z_t, s_t, x_t, nu_t, nl_t = try_step(ap, ad)
-            d_res_t = dual_res(stationarity(x_t, nu_t, nl_t))
+            z_t, s_t, x_t, y_t = try_step(ap, ad)
+            d_res_t = dual_res(stationarity(x_t, y_t))
             if d_res_t <= max(30.0 * d_res, 10.0 * feas_tol):
                 accepted = True
                 break
@@ -976,12 +851,12 @@ def _interior_point(
         if not accepted:
             stop_reason = "backtrack-rejected"  # keep the best iterate
             break
-        z, s_blocks, x_blocks, nu, nu_loc = z_t, s_t, x_t, nu_t, nl_t
+        z, s_blocks, x_blocks, y = z_t, s_t, x_t, y_t
 
     restored = status != "optimal" and best is not None
     if restored:
-        z, nu, nu_loc, s_blocks, x_blocks = best
-    (r_stat, r_blocks, r_e, r_pin), pobj, dobj, relgap, p_res, d_res = measures()
+        z, y, s_blocks, x_blocks = best
+    (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
     if restored and relgap <= gap_tol and p_res <= 10 * feas_tol and d_res <= 10 * feas_tol:
         status = "optimal"
     compl = max(
@@ -1003,7 +878,7 @@ def _interior_point(
         iterations=it,
         primal_residual=max(
             max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
-            float(np.linalg.norm(r_e)) if len(r_e) else 0.0,
+            float(np.linalg.norm(r_b)),
         ),
         dual_residual=float(np.linalg.norm(r_stat)),
         compl_residual=compl,

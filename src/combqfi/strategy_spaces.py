@@ -226,9 +226,6 @@ class AffineSpace:
         )
         return permute_factors(lm, self.layout.labels).entries
 
-    def contains(self, m: LabeledMatrix, tol: float = 1e-8) -> bool:
-        return self.residual(m) <= tol * max(1.0, float(np.linalg.norm(m.entries)))
-
     def random_member(self, rng: np.random.Generator, scale: float = 1.0) -> LabeledMatrix:
         """Random element of the affine hull (not necessarily PSD)."""
         d = self.layout.total_dim

@@ -74,10 +74,6 @@ class QfiResult:
     solver: se.SdpSolution
     candidates: list[np.ndarray]
 
-    @property
-    def branch_tags(self):
-        return [sp.branch_tag for sp in self.spaces]
-
 
 def performance_operator(fc: FactorizedComb, h: HermitianGauge | np.ndarray) -> LabeledMatrix:
     """Omega = 4 [(Cdot - i C h)(Cdot - i C h)^dag]^T, PSD by construction."""

@@ -128,10 +128,6 @@ class LabeledMatrix:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    def tensor_view(self) -> np.ndarray:
-        dims = self.layout.dims
-        return self.entries.reshape(dims + dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 

@@ -115,6 +115,13 @@ class TestRun:
         cfg = write(tmp_path, "c.json", base_config(schema_version=99))
         assert main(["run", cfg]) == 3
 
+    def test_bad_noise_strength_exit_3(self, tmp_path):
+        # a config error raised while the point is scored is still a config error
+        parts = [{"kind": "rz"}, {"kind": "amplitude_damping", "p": 1.5}]
+        process = {"kind": "composed", "parts": parts}
+        cfg = write(tmp_path, "c.json", base_config(process=process, strategies=["par"]))
+        assert main(["run", cfg]) == 3
+
     def test_n_guard_exit_3(self, tmp_path):
         cfg = write(tmp_path, "c.json", base_config(N=4, strategies=["sup"]))
         assert main(["run", cfg]) == 3
@@ -162,6 +169,51 @@ class TestSweep:
             assert cells[-1] == "ok"
             assert float(cells[1]) <= float(cells[2]) + 1e-6  # par <= seq
             assert set(cells[-3:-1]) <= STOP_REASONS
+
+    def test_sweep_over_a_part_of_a_composed_process(self, tmp_path):
+        # the README config: p belongs to the amplitude_damping part
+        doc = base_config(strategies=["par"], sweep={"parameter": "p", "grid": [0.0, 0.2]})
+        cfg = write(tmp_path, "c.json", doc)
+        out = tmp_path / "a.csv"
+        assert main(["sweep", cfg, "--out", str(out)]) == 0
+        values = [float(r.split(",")[1]) for r in out.read_text().strip().splitlines()[1:]]
+        assert abs(values[0] - 4.0) < 1e-6  # N^2 without noise
+        assert values[1] < values[0] - 0.1
+
+    @pytest.mark.parametrize(
+        "parts, param",
+        [
+            ([{"kind": "rz"}, {"kind": "amplitude_damping", "p": 0.4}], "q"),
+            ([{"kind": "bit_flip", "p": 0.1}, {"kind": "amplitude_damping", "p": 0.4}], "p"),
+        ],
+    )
+    def test_sweep_parameter_without_one_holder_exit_3(self, tmp_path, parts, param):
+        doc = base_config(
+            process={"kind": "composed", "parts": parts},
+            sweep={"parameter": param, "grid": [0.1]},
+        )
+        assert main(["sweep", write(tmp_path, "c.json", doc)]) == 3
+
+    def test_solver_failure_at_one_point_exit_2(self, tmp_path, monkeypatch):
+        import combqfi.cli as cli
+        from combqfi.errors import SolverFailureError
+
+        calls = []
+
+        def fail_second(fc, spec, **kw):
+            calls.append(spec.kind)
+            if len(calls) == 2:
+                raise SolverFailureError("injected")
+            return cli_task_qfi(fc, spec, **kw)
+
+        cli_task_qfi = cli.task_qfi
+        monkeypatch.setattr(cli, "task_qfi", fail_second)
+        doc = base_config(strategies=["par"], sweep={"parameter": "p", "grid": [0.1, 0.2, 0.3]})
+        out = tmp_path / "a.csv"
+        cfg = write(tmp_path, "c.json", doc)
+        assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
+        status = [r.split(",")[-1] for r in out.read_text().strip().splitlines()[1:]]
+        assert status == ["ok", "failed:solver: injected", "ok"]
 
     def test_phi_sweep(self, tmp_path):
         doc = base_config(

@@ -14,6 +14,7 @@ from combqfi.sdp_engine import (
     PsdBlockSpec,
     ScaledIdentity,
     SdpProblem,
+    _Compiled,
     solve,
 )
 
@@ -419,6 +420,8 @@ class TestStructuredMaps:
             objective={"x": basis.coords((3 * x + 4 * z) / 2.0)},
             sense="max",
         )
+        # x is named by a dense row, so it stays imaged and its pin is a row
+        assert _Compiled(prob).locals == []
         sol = solve(prob, verify_newton=True)
         assert sol.optimal
         assert abs(sol.objective - 5.0) < 1e-6  # sqrt(3^2 + 4^2)

@@ -295,6 +295,28 @@ def test_split_gauge_next_to_an_eliminated_variable():
     assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(a.objective))
 
 
+@pytest.mark.parametrize("p", [0.2, 0.6])
+def test_newton_directions_with_local_pins_and_dense_rows(p):
+    # the slot-symmetric N=2 sup Q form: each Q is eliminated with its pins
+    # while the symmetry rows act on h, all in one Newton system
+    from combqfi import sdp_engine as se
+    from combqfi.task_qfi import _restrict_to_identity_branch, _slot_symmetry, build_problem
+
+    fc = product_comb(ad_phase_channel(p, np.pi / 2), 2)
+    spec = StrategySetSpec.qubits("sup", 2)
+    spaces = dual_space(spec)
+    sym = _slot_symmetry(fc, spaces)
+    prob = build_problem(fc, spaces[:1])
+    _restrict_to_identity_branch(prob, sym)
+    comp = se._Compiled(prob)
+    assert comp.locals and comp.n_rows and len(comp.pin_idx)
+    assert comp.vars["h"].local_block is None
+    sol = se.solve(prob, verify_newton=True)
+    assert sol.optimal
+    value = len(sym) * sol.objective
+    assert abs(value - task_qfi(fc, spec).value) <= 10 * sol.gap * (1.0 + value)
+
+
 def _full_value(fc, kind):
     """The task value from the program over all N! branches."""
     from combqfi import sdp_engine as se
