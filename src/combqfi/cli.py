@@ -65,6 +65,8 @@ class ExperimentConfig:
             strategies = tuple(doc["strategies"])
         except KeyError as e:
             raise ConfigError(f"missing config key {e.args[0]!r}") from None
+        if not isinstance(process, dict):
+            raise ConfigError("process must be a JSON object")
         for s in strategies:
             if s not in SET_NAMES:
                 raise ConfigError(f"unknown strategy set {s!r}")
