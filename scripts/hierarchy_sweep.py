@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from combqfi.errors import SolverFailureError
 from combqfi.metrology_zoo import ad_phase_channel, bf_phase_channel
 from combqfi.strategy_spaces import StrategySetSpec
 from combqfi.task_qfi import product_comb, task_qfi
@@ -43,7 +44,7 @@ def main():
         for name in sets:
             try:
                 row.append(task_qfi(fc, StrategySetSpec.qubits(name, args.n)).value)
-            except Exception as e:  # keep the sweep going on hard points
+            except SolverFailureError as e:  # keep the sweep going on hard points
                 print(f"p={p:.3f} {name}: {e}", file=sys.stderr)
                 row.append(float("nan"))
         rows.append(row)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from combqfi.errors import SolverFailureError, SynthesisFailureError
 from combqfi.metrology_zoo import pf_rx_channel
 from combqfi.qfi_oracle import verify_strategy
 from combqfi.strategy_spaces import StrategySetSpec
@@ -39,7 +40,7 @@ def main():
                     s.purification, s.purification_layout, s.future_labels, fc, res.value
                 )
                 row.append(ver.relative_gap)
-            except Exception:
+            except (SynthesisFailureError, SolverFailureError):
                 row.append(float("nan"))
         rows.append(row)
         print(f"p={p:.2f}: J_seq={row[1]:.6f} (oracle gap {row[2]:.1e}) "

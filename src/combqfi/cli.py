@@ -25,7 +25,7 @@ from .metrology_zoo import (
 )
 from .qfi_oracle import verify_strategy
 from .strategy_spaces import StrategySetSpec, control_free_space, primal_space
-from .strategy_synthesis import StrategyChoi, optimal_strategy, purify_strategy
+from .strategy_synthesis import Branch, StrategyChoi, optimal_strategy, purify_strategy
 from .task_qfi import product_comb, solve_factorized, task_qfi
 from .tensor_algebra import LabeledMatrix, SubsystemLayout
 
@@ -354,6 +354,16 @@ def load_strategy(path: str) -> StrategyChoi:
             tuple((layout.dims[2 * k], layout.dims[2 * k + 1]) for k in range(n)),
         )
     s = StrategyChoi(marginal=marg, spec=spec)
+    if doc.get("branches") is not None:
+        s.branches = [
+            Branch(
+                tuple(b["perm"]),
+                b["weight"],
+                None if b["op"] is None else LabeledMatrix(layout, uncplx(b["op"]), hermitian=True),
+                b["rank"],
+            )
+            for b in doc["branches"]
+        ]
     if doc.get("purification"):
         p = doc["purification"]
         s.purification = np.array([complex(a, b) for a, b in p["amplitudes"]])
@@ -374,11 +384,24 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
         if s.spec.kind in ("par", "seq", "ico"):
             report["membership_residual"] = spaces[0].residual(s.marginal)
         else:
-            # a branch-structured marginal is a mixture; report the residual
-            # against the convex hull via the branch sum if available,
-            # otherwise the best single branch
-            report["membership_residual"] = min(
-                sp.residual(s.marginal) for sp in spaces
+            # a branch-structured marginal is a mixture: each branch must lie
+            # in the primal space of its order, and the branches must sum to
+            # the marginal
+            if s.branches is None:
+                raise ConfigError(f"a {s.spec.kind} strategy file must list its branches")
+            by_tag = {sp.branch_tag: sp for sp in spaces}
+            for b in s.branches:
+                if b.perm not in by_tag:
+                    raise ConfigError(f"branch {b.perm} is not an order of the set")
+            per_branch = {
+                "".join(map(str, b.perm)): by_tag[b.perm].residual(b.op)
+                for b in s.branches
+                if b.op is not None
+            }
+            report["branch_residuals"] = per_branch
+            report["branch_sum_residual"] = s.validate()["branch_sum_residual"]
+            report["membership_residual"] = max(
+                [report["branch_sum_residual"], *per_branch.values()]
             )
     if s.purification is not None:
         res = task_qfi(fc, s.spec) if s.spec else None

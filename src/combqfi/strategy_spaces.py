@@ -1,10 +1,14 @@
 """Primal and dual affine spaces of the five strategy families.
 
 Spaces are stored as symbolic constraint lists (neutralization identities,
-trace pinning, pairing with a factorized primal) and compiled, in the product
-Hermitian basis, into coordinate pinning plus a few dense rows.  Every
-neutralization-type constraint acts diagonally on product-basis coordinates,
-which is what makes the compilation exact.
+trace pinning) and compiled, in the product Hermitian basis, into coordinate
+pinning.  Every neutralization-type constraint acts diagonally on
+product-basis coordinates, which is what makes the compilation exact.
+
+Factor-carried spaces have no pin form.  The parallel and SWITCH strategy
+marginals are rho (x) L with L fixed, and the SWITCH dual branch is fixed by
+the one condition contract(Q) = I against that factor; both project in
+closed form.
 """
 
 from __future__ import annotations
@@ -105,14 +109,6 @@ class TraceEquals:
 
 
 @dataclass(frozen=True)
-class PairsWithFactorized:
-    """<Q, rho (x) L> = Tr rho for every probe rho of a factorized primal
-    space, so Q pairs to 1 with each of its strategy marginals."""
-
-    primal: AffineSpace
-
-
-@dataclass(frozen=True)
 class CoordinateMask:
     """Pin an explicit set of product-basis coordinates to zero.
 
@@ -128,15 +124,13 @@ class CoordinateMask:
     __hash__ = None  # type: ignore[assignment]
 
 
-Constraint = NeutralizeCombo | TraceEquals | PairsWithFactorized | CoordinateMask
+Constraint = NeutralizeCombo | TraceEquals | CoordinateMask
 
 
 @dataclass(frozen=True)
 class CompiledSpace:
     kill_mask: np.ndarray  # bool (n,) coordinates pinned ...
     pin_values: np.ndarray  # ... to these values
-    rows: np.ndarray | None  # (g, n) dense equality rows
-    rhs: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,9 @@ class AffineSpace:
     # factorized spaces: the affine hull is {rho (x) fixed_factor}
     fixed_factor: LabeledMatrix | None = None
     var_labels: tuple[str, ...] = ()
+    # duals of a factorized space: the affine hull is {Q : <Q, rho (x) L> =
+    # Tr rho for every rho}, i.e. dual_of.contract(Q) = I
+    dual_of: AffineSpace | None = None
 
     def __post_init__(self):
         res = self.residual(self.canonical)
@@ -167,7 +164,11 @@ class AffineSpace:
         return product_basis(self.layout.dims)
 
     @cached_property
-    def compiled(self) -> CompiledSpace:
+    def compiled(self) -> CompiledSpace | None:
+        """Pinned product-basis coordinates; None for a factor-carried space
+        (a factorized space or the dual of one), which has no pin form."""
+        if self.is_factorized or self.dual_of is not None:
+            return None
         return _compile(self)
 
     @property
@@ -185,14 +186,11 @@ class AffineSpace:
             m = permute_factors(m, self.layout.labels)
         if self.is_factorized:
             return self._project_factorized(m)
+        if self.dual_of is not None:
+            return self._project_dual(m)
         comp = self.compiled
         c = self.basis.coords(m.entries)
         c = np.where(comp.kill_mask, comp.pin_values, c)
-        if comp.rows is not None:
-            r = comp.rows
-            resid = r @ c - comp.rhs
-            gram = r @ r.T
-            c = c - r.T @ np.linalg.solve(gram, resid)
         return LabeledMatrix(self.layout, self.basis.matrix(c), hermitian=True)
 
     def _project_factorized(self, m: LabeledMatrix) -> LabeledMatrix:
@@ -202,6 +200,15 @@ class AffineSpace:
         dv = rho.shape[0]
         rho = rho + (1.0 - np.trace(rho).real) / dv * np.eye(dv)
         return LabeledMatrix(self.layout, self.lift(rho), hermitian=True)
+
+    def _project_dual(self, m: LabeledMatrix) -> LabeledMatrix:
+        # contract and lift are adjoint, and contract(lift(rho)) = ||L||^2 rho
+        p = self.dual_of
+        f = p.fixed_factor.entries
+        e = p.contract(m)
+        e = e - np.eye(e.shape[0])
+        q = m.entries - p.lift(e) / np.vdot(f, f).real
+        return LabeledMatrix(self.layout, q, hermitian=True)
 
     @property
     def factor_order(self) -> list[str]:
@@ -250,8 +257,6 @@ def _compile(space: AffineSpace) -> CompiledSpace:
     n = basis.n
     kill = np.zeros(n, dtype=bool)
     values = np.zeros(n)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
     sqrt_d = np.sqrt(layout.total_dim)
     for con in space.constraints:
         if isinstance(con, NeutralizeCombo):
@@ -263,28 +268,11 @@ def _compile(space: AffineSpace) -> CompiledSpace:
         elif isinstance(con, TraceEquals):
             kill[0] = True
             values[0] = con.value / sqrt_d
-        elif isinstance(con, PairsWithFactorized):
-            psp = con.primal
-            pb = product_basis(tuple(psp.layout.dim(l) for l in psp.var_labels))
-            probes = pb.elements(np.arange(pb.n))
-            rows.append(basis.coords_many(np.stack([psp.lift(e) for e in probes])))
-            rhs.append(np.real(np.trace(probes, axis1=1, axis2=2)))
         elif isinstance(con, CoordinateMask):
             kill |= con.kill
         else:
             raise TypeError(f"unknown constraint {con!r}")
-    if rows:
-        rmat = np.concatenate(rows, axis=0)
-        rvec = np.concatenate([np.atleast_1d(v) for v in rhs])
-        # orthonormalize the row block: removes dependencies and keeps the
-        # multiplier scales comparable inside the solver
-        u, s, vt = np.linalg.svd(rmat, full_matrices=False)
-        keep = s > 1e-12 * s[0]
-        rvec = (u.T @ rvec)[keep] / s[keep]
-        rmat = vt[keep]
-    else:
-        rmat, rvec = None, None
-    return CompiledSpace(kill, values, rmat, rvec)
+    return CompiledSpace(kill, values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +317,7 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
     n = spec.n_steps
     tr = float(spec.in_dims_product)
     spaces = []
-    # the SWITCH dual pairs to 1 with its factorized primal, branch by branch
+    # a SWITCH dual branch is carried by its factorized primal: contract(Q) = I
     primals = primal_space(spec) if spec.kind == "swi" else [None] * len(spec.branches)
     for perm, psp in zip(spec.branches, primals):
         if spec.kind == "par":
@@ -352,7 +340,7 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
             ] + [TraceEquals(tr)]
             canon = _scaled_identity(layout, tr)
         elif spec.kind == "swi":
-            cons = [PairsWithFactorized(psp)]
+            cons = []
             d = spec.slot_dims[0][0]
             canon = _scaled_identity(layout, layout.total_dim / d**n)
         else:  # pragma: no cover
@@ -364,6 +352,7 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
                 canon,
                 branch_tag=perm if spec.kind in ("swi", "sup") else None,
                 name=f"dual[{spec.kind}/{''.join(map(str, perm))}]",
+                dual_of=psp,
             )
         )
     return spaces
@@ -460,7 +449,6 @@ def _ico_primal_double_dual(spec: StrategySetSpec, name: str) -> AffineSpace:
     """
     layout = spec.process_layout()
     comp = dual_space(spec)[0].compiled
-    assert comp.rows is None, "no-signaling dual must be pinning-only"
     keep = comp.kill_mask.copy()
     keep[0] = True
     tr = float(spec.out_dims_product)

@@ -15,7 +15,8 @@ SWITCH) are solved from the primal side instead: the program is
 min over (lambda, h) of lambda subject to lambda I >= E_i(h), with E_i(h)
 the contraction of Omega(h) with L_i onto the probe factor.  Its only
 variables are lambda and h, where the Q form carries a dual Q with
-D^2 coordinates per branch.
+D^2 coordinates per branch.  The Q form takes dual spaces given by pinned
+coordinates only, and refuses the factor-carried ones.
 
 The causal branches of sup and swi are the query orders pi in S_N.  When
 permuting the slots of the comb permutes its columns C and Cdot by one
@@ -69,7 +70,6 @@ class QfiResult:
     value: float
     h_opt: HermitianGauge
     q_opt: list[LabeledMatrix]
-    spec: StrategySetSpec | None
     spaces: list[AffineSpace]
     solver: se.SdpSolution
     candidates: list[np.ndarray]
@@ -130,7 +130,12 @@ def _feasible_lambda0(fc: FactorizedComb, spaces: list[AffineSpace]) -> float:
 
 
 def build_problem(fc: FactorizedComb, spaces: list[AffineSpace]) -> se.SdpProblem:
-    """Engine form of the Theorem-style program for the given dual spaces."""
+    """Engine form of the Theorem-style program for the given dual spaces.
+
+    Each dual space enters as its pinned coordinates; a factor-carried space
+    has no pin form and raises ConfigError (its set is solved by
+    ``solve_factorized``).
+    """
     r, d = fc.rank, fc.layout.total_dim
     cbar = np.conj(fc.vectors)
     cdotbar = np.conj(fc.dvectors)
@@ -140,10 +145,11 @@ def build_problem(fc: FactorizedComb, spaces: list[AffineSpace]) -> se.SdpProble
         se.HermitianVariable("h", (r,)),
     ]
     blocks: list[se.PsdBlockSpec] = []
-    equalities: list[se.EqualityRow] = []
     for i, sp in enumerate(spaces):
         name = f"q{i}"
         comp = sp.compiled
+        if comp is None:
+            raise ConfigError(f"{sp.name} has no pin form; solve it with solve_factorized")
         qb = product_basis(sp.layout.dims)
         variables.append(
             se.HermitianVariable(
@@ -168,13 +174,9 @@ def build_problem(fc: FactorizedComb, spaces: list[AffineSpace]) -> se.SdpProble
                 ],
             )
         )
-        if comp.rows is not None:
-            for row, rhs in zip(comp.rows, comp.rhs):
-                equalities.append(se.EqualityRow({name: row}, float(rhs)))
     return se.SdpProblem(
         variables=variables,
         blocks=blocks,
-        equalities=equalities,
         objective={"lam": np.array([1.0])},
         sense="min",
     )
@@ -337,13 +339,35 @@ def _check_certificate(lam: float, omega: np.ndarray, q_opt: list[LabeledMatrix]
             )
 
 
-def solve_task(
-    fc: FactorizedComb,
+def _certified(
     spaces: list[AffineSpace],
-    spec: StrategySetSpec | None = None,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
+    sym: list[tuple[np.ndarray, np.ndarray]] | None,
+    sol: se.SdpSolution,
+    lam: float,
+    h_opt: HermitianGauge,
+    omega: np.ndarray,
+    qs: list[np.ndarray],
+    candidates: list[np.ndarray],
+) -> QfiResult:
+    """Relabel a slot-symmetric solve's Q and candidate onto every branch,
+    re-check the certificate of each branch and package the result."""
+    if sym:
+        qs = [_relabel(qs[0], idx) for idx, _ in sym]
+        candidates = [_relabel(candidates[0], idx) for idx, _ in sym]
+    q_opt = [LabeledMatrix(sp.layout, q, hermitian=True) for sp, q in zip(spaces, qs)]
+    _check_certificate(lam, omega, q_opt)
+    return QfiResult(
+        value=lam,
+        h_opt=h_opt,
+        q_opt=q_opt,
+        spaces=list(spaces),
+        solver=sol,
+        candidates=candidates,
+    )
+
+
+def solve_task(
+    fc: FactorizedComb, spaces: list[AffineSpace], gap_tol: float = 1e-8
 ) -> QfiResult:
     """Solve the task-QFI program over explicit dual spaces.
 
@@ -355,34 +379,17 @@ def solve_task(
     problem = build_problem(fc, spaces[:1] if sym else spaces)
     if sym:
         _restrict_to_identity_branch(problem, sym)
-    sol = se.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    sol = se.solve(problem, gap_tol=gap_tol)
     lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     r = fc.rank
     qs = [sol.variables[f"q{i}"] for i in range(len(sol.block_duals))]
     cands = [hermitize(x[r:, r:]) for x in sol.block_duals]
-    if sym:
-        qs = [_relabel(qs[0], idx) for idx, _ in sym]
-        cands = [_relabel(cands[0], idx) for idx, _ in sym]
-    q_opt = [LabeledMatrix(sp.layout, q, hermitian=True) for sp, q in zip(spaces, qs)]
-    _check_certificate(lam, performance_operator(fc, h_opt).entries, q_opt)
-    return QfiResult(
-        value=lam,
-        h_opt=h_opt,
-        q_opt=q_opt,
-        spec=spec,
-        spaces=list(spaces),
-        solver=sol,
-        candidates=cands,
-    )
+    omega = performance_operator(fc, h_opt).entries
+    return _certified(spaces, sym, sol, lam, h_opt, omega, qs, cands)
 
 
 def solve_factorized(
-    fc: FactorizedComb,
-    spaces: list[AffineSpace],
-    spec: StrategySetSpec | None = None,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
+    fc: FactorizedComb, spaces: list[AffineSpace], gap_tol: float = 1e-8
 ) -> QfiResult:
     """Solve the task-QFI program over factorized primal spaces.
 
@@ -399,7 +406,7 @@ def solve_factorized(
     problem = build_factorized_problem(fc, spaces)
     if sym:
         _restrict_to_identity_branch(problem, sym)
-    sol = se.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    sol = se.solve(problem, gap_tol=gap_tol)
     lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     omega = performance_operator(fc, h_opt)
     qs, candidates = [], []
@@ -415,29 +422,10 @@ def solve_factorized(
         qs.append(hermitize(q))
         # the probe block of the block dual is the branch's optimal probe
         candidates.append(sp.lift(hermitize(x[:dv, :dv])))
-    if sym:
-        qs = [_relabel(qs[0], idx) for idx, _ in sym]
-        candidates = [_relabel(candidates[0], idx) for idx, _ in sym]
-    q_opt = [LabeledMatrix(sp.layout, q, hermitian=True) for sp, q in zip(spaces, qs)]
-    _check_certificate(lam, omega.entries, q_opt)
-    return QfiResult(
-        value=lam,
-        h_opt=h_opt,
-        q_opt=q_opt,
-        spec=spec,
-        spaces=list(spaces),
-        solver=sol,
-        candidates=candidates,
-    )
+    return _certified(spaces, sym, sol, lam, h_opt, omega.entries, qs, candidates)
 
 
-def task_qfi(
-    fc: FactorizedComb,
-    spec: StrategySetSpec,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> QfiResult:
+def task_qfi(fc: FactorizedComb, spec: StrategySetSpec, gap_tol: float = 1e-8) -> QfiResult:
     """Maximal output-state QFI over the given strategy set."""
     if len(fc.layout) != 2 * spec.n_steps:
         raise DimensionMismatchError(
@@ -456,11 +444,4 @@ def task_qfi(
         solver, spaces = solve_factorized, primal_space(spec)
     else:
         solver, spaces = solve_task, dual_space(spec)
-    return solver(
-        fc,
-        spaces,
-        spec=spec,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-    )
+    return solver(fc, spaces, gap_tol=gap_tol)

@@ -247,3 +247,39 @@ class TestValidate:
         cfg = write(tmp_path, "c.json", base_config(strategies=["seq"]))
         rc = main(["validate", str(path), cfg])
         assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["sup", "swi"])
+    def test_validate_branch_structured_strategy(self, kind, tmp_path, capsys):
+        # a sup/swi strategy is a mixture of branches: each branch lies in
+        # the primal space of its order, and the branches sum to the marginal
+        from combqfi.cli import export_strategy, load_strategy
+        from combqfi.metrology_zoo import ad_phase_channel
+        from combqfi.strategy_spaces import StrategySetSpec
+        from combqfi.strategy_synthesis import optimal_strategy, purify_strategy
+        from combqfi.task_qfi import product_comb, task_qfi
+
+        fc = product_comb(ad_phase_channel(0.4, PHI), 2)
+        spec = StrategySetSpec.qubits(kind, 2)
+        s = purify_strategy(optimal_strategy(fc, spec, task_qfi(fc, spec)))
+        path = tmp_path / "strategy.json"
+        export_strategy(s, str(path))
+        loaded = load_strategy(str(path))
+        assert [b.perm for b in loaded.branches] == [(1, 2), (2, 1)]
+        for a, b in zip(loaded.branches, s.branches):
+            assert a.weight == b.weight and a.rank == b.rank
+            assert np.allclose(a.op.entries, b.op.entries, atol=1e-12)
+
+        cfg = write(tmp_path, "c.json", base_config(strategies=[kind]))
+        capsys.readouterr()
+        assert main(["validate", str(path), cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["branch_residuals"]) == {"12", "21"}
+        assert max(report["branch_residuals"].values()) < 1e-8
+        assert report["branch_sum_residual"] < 1e-10
+        assert report["membership_residual"] < 1e-8
+        assert report["relative_gap"] < 1e-4
+        # without its branches the mixture cannot be checked: exit 3
+        doc = json.loads(path.read_text())
+        doc["branches"] = None
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), cfg]) == 3

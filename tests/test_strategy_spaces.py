@@ -89,6 +89,42 @@ class TestDualSpaces:
         assert sp.residual(c) < 1e-10
 
 
+def _gram_projection(dsp, psp, m):
+    """Reference: project the product-basis coordinates of m onto the rows
+    <lift(B_a), Q> = Tr B_a over the probe basis B_a, by a Gram solve."""
+    from combqfi._basis import product_basis
+
+    pb = product_basis(tuple(psp.layout.dim(l) for l in psp.var_labels))
+    probes = pb.elements(np.arange(pb.n))
+    rows = dsp.basis.coords_many(np.stack([psp.lift(e) for e in probes]))
+    rhs = np.real(np.trace(probes, axis1=1, axis2=2))
+    c = dsp.basis.coords(m.entries)
+    c = c - rows.T @ np.linalg.solve(rows @ rows.T, rows @ c - rhs)
+    return dsp.basis.matrix(c)
+
+
+class TestSwitchDualProjection:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_projection(self, n, rng):
+        spec = StrategySetSpec.qubits("swi", n)
+        for dsp, psp in zip(dual_space(spec), primal_space(spec)):
+            assert dsp.compiled is None and dsp.dual_of.name == psp.name
+            d = dsp.layout.total_dim
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m = LabeledMatrix(dsp.layout, g + g.conj().T, hermitian=True)
+            pm = dsp.project(m)
+            scale = np.linalg.norm(m.entries)
+            ref = _gram_projection(dsp, psp, m)
+            assert np.linalg.norm(pm.entries - ref) <= 1e-12 * scale, dsp.name
+            # idempotent
+            ppm = dsp.project(pm).entries
+            assert np.linalg.norm(ppm - pm.entries) <= 1e-12 * scale, dsp.name
+            # orthogonal: m - P(m) is normal to every direction of the hull
+            a, b = dsp.random_member(rng), dsp.random_member(rng)
+            dot = np.vdot(m.entries - pm.entries, a.entries - b.entries)
+            assert abs(dot) <= 1e-10 * scale * np.linalg.norm(a.entries - b.entries)
+
+
 class TestDualityPairing:
     @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
     @pytest.mark.parametrize("n", [1, 2])

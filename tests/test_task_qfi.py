@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from combqfi.comb_algebra import choi_from_kraus, kraus_product_comb
-from combqfi.errors import DimensionMismatchError
+from combqfi.errors import ConfigError, DimensionMismatchError
 from combqfi.metrology_zoo import (
     ad_phase_channel,
     amplitude_damping,
@@ -12,7 +12,7 @@ from combqfi.metrology_zoo import (
     rz,
 )
 from combqfi.qfi_oracle import single_channel_qfi_scan
-from combqfi.strategy_spaces import StrategySetSpec, dual_space
+from combqfi.strategy_spaces import StrategySetSpec, dual_space, primal_space
 from combqfi.task_qfi import (
     HermitianGauge,
     performance_operator,
@@ -149,14 +149,24 @@ class TestTaskQfi:
 
     @pytest.mark.parametrize("p", [0.4, 0.9])
     def test_factorized_matches_dual_form(self, p):
-        # the pinned Q form of par is an accurate reference; the SWITCH Q
-        # form is not (its values are checked against the oracle instead)
+        # the pinned Q form of par is an accurate reference; the SWITCH dual
+        # has no pin form (its values are checked against the oracle instead)
         fc = product_comb(bf_phase_channel(p, np.pi / 2), 2)
         spec = StrategySetSpec.qubits("par", 2)
         res = task_qfi(fc, spec)
-        ref = solve_task(fc, dual_space(spec), spec)
+        ref = solve_task(fc, dual_space(spec))
         assert res.solver.optimal
         assert abs(res.value - ref.value) < 1e-6 * max(1.0, ref.value)
+
+    @pytest.mark.parametrize("spaces, kind", [(primal_space, "par"), (dual_space, "swi")])
+    def test_q_form_refuses_factor_carried_spaces(self, spaces, kind):
+        # the Q form takes pinned coordinates only: a factorized primal and
+        # the SWITCH dual (carried by its factorized primal) have no pin form
+        fc = product_comb(ad_phase_channel(0.4, np.pi / 2), 2)
+        sps = spaces(StrategySetSpec.qubits(kind, 2))
+        assert all(sp.compiled is None for sp in sps)
+        with pytest.raises(ConfigError):
+            solve_task(fc, sps)
 
     @pytest.mark.parametrize("kind", ["par", "swi"])
     def test_factorized_certificate(self, kind):
