@@ -119,50 +119,38 @@ def _channel_spec_from_doc(doc: dict) -> ChannelSpec:
 
 
 def build_process(config: ExperimentConfig, override: dict | None = None):
-    """Materialize the process family at the working point.
+    """Materialize the process at the working point.
 
-    Returns (factorized comb, family callable for oracle derivatives,
-    alternate-order comb or None).
+    Returns (factorized comb, alternate-order comb or None).
     """
     doc = dict(config.process)
     for key, value in (override or {}).items():
         doc = _set_param(doc, key, value)
     kind = doc.get("kind")
     if kind == "nonmarkovian_swap":
-        g = float(doc.get("g", 1.0))
-        t = float(doc.get("t", 1.0))
-        markovian = bool(doc.get("markovian", False))
         if config.n_steps != 2:
             raise ConfigError("the exchange-coupling process has two steps")
-
-        def family(phi):
-            return nonmarkovian_swap_comb(phi, g, t, markovian=markovian)
-
-        return family(config.phi), family, None
+        fc = nonmarkovian_swap_comb(
+            config.phi,
+            float(doc.get("g", 1.0)),
+            float(doc.get("t", 1.0)),
+            markovian=bool(doc.get("markovian", False)),
+        )
+        return fc, None
     if kind == "nonidentical_ad_pair":
-        p1 = float(doc["p1"])
-        p2 = float(doc["p2"])
         if config.n_steps != 2:
             raise ConfigError("the non-identical pair has two steps")
-
-        def family(phi):
-            return nonidentical_pair(p1, p2, phi)
-
-        fc = family(config.phi)
-        return fc, family, swap_slot_order(fc)
+        fc = nonidentical_pair(float(doc["p1"]), float(doc["p2"]), config.phi)
+        return fc, swap_slot_order(fc)
     spec = _channel_spec_from_doc(doc)
-
-    def family(phi):
-        return product_comb(build_channel(spec, phi), config.n_steps)
-
-    return family(config.phi), family, None
+    return product_comb(build_channel(spec, config.phi), config.n_steps), None
 
 
 def _score_one(args):
     """Worker: score every requested set at one parameter point."""
     config, override = args
     try:
-        fc, family, alt = build_process(config, override)
+        fc, alt = build_process(config, override)
         out = {}
         for name in config.strategies:
             if name == "control_free":
@@ -180,21 +168,22 @@ def _score_one(args):
                         for k in range(config.n_steps)
                     ),
                 )
-                res = task_qfi(fc, spec, gap_tol=config.gap_tol)
-                value, stats = res.value, res.solver
+                # seq reports the better slot order, and certifies that one
+                best, res = fc, task_qfi(fc, spec, gap_tol=config.gap_tol)
                 if alt is not None and name == "seq":
                     res2 = task_qfi(alt, spec, gap_tol=config.gap_tol)
-                    if res2.value > value:
-                        value, stats = res2.value, res2.solver
+                    if res2.value > res.value:
+                        best, res = alt, res2
+                value, stats = res.value, res.solver
                 oracle_gap = None
                 if config.validate_oracle:
                     try:
-                        strat = purify_strategy(optimal_strategy(fc, spec, res))
+                        strat = purify_strategy(optimal_strategy(best, spec, res))
                         ver = verify_strategy(
                             strat.purification,
                             strat.purification_layout,
                             strat.future_labels,
-                            fc,
+                            best,
                             res.value,
                         )
                         oracle_gap = ver.relative_gap
@@ -377,7 +366,7 @@ def load_strategy(path: str) -> StrategyChoi:
 def validate_strategy_file(strategy_path: str, config_path: str) -> int:
     config = _load_config(config_path)
     s = load_strategy(strategy_path)
-    fc, family, _ = build_process(config, None)
+    fc, _ = build_process(config, None)
     report = {"schema_version": SCHEMA_VERSION}
     if s.spec is not None:
         spaces = primal_space(s.spec)

@@ -8,7 +8,7 @@ can certify its results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class OracleReport:
     j_sld: float
     sld: np.ndarray
     measurement_cfi: float
-    derivative_method: str
     residuals: dict = field(default_factory=dict)
 
 
@@ -98,7 +97,6 @@ def state_qfi_sld(rho: np.ndarray, rho_dot: np.ndarray) -> OracleReport:
         j_sld=j,
         sld=sld,
         measurement_cfi=meas,
-        derivative_method="analytic",
         residuals={"lyapunov": lyap_resid},
     )
 
@@ -206,7 +204,6 @@ class StrategyVerification:
     j_oracle: float
     lambda_claimed: float
     relative_gap: float
-    derivative_method: str
     trace_residual: float
 
 
@@ -214,35 +211,13 @@ def verify_strategy(
     purification: np.ndarray,
     layout: SubsystemLayout,
     future_labels: Sequence[str],
-    family: Callable[[float], FactorizedComb] | FactorizedComb,
+    fc: FactorizedComb,
     lambda_claimed: float,
-    phi: float = 0.0,
-    delta: float = 1e-5,
 ) -> StrategyVerification:
-    """Close the loop: score a synthesized strategy with the SLD oracle.
-
-    If ``family`` is callable the derivative is a Richardson-refined central
-    difference of output states at phi +/- delta; otherwise the comb's
-    analytic derivative vectors are used.
-    """
-    if callable(family):
-        fc = family(phi)
-        rho = output_state(purification, layout, fc, future_labels)
-
-        def diff(d):
-            rp = output_state(purification, layout, family(phi + d), future_labels)
-            rm = output_state(purification, layout, family(phi - d), future_labels)
-            return (rp - rm) / (2 * d)
-
-        d1 = diff(delta)
-        d2 = diff(delta / 2)
-        rho_dot = (4.0 * d2 - d1) / 3.0
-        method = "finite-difference"
-    else:
-        fc = family
-        rho = output_state(purification, layout, fc, future_labels)
-        rho_dot = output_state_deriv(purification, layout, fc, future_labels)
-        method = "analytic"
+    """Close the loop: score a synthesized strategy with the SLD oracle,
+    using the comb's analytic derivative vectors."""
+    rho = output_state(purification, layout, fc, future_labels)
+    rho_dot = output_state_deriv(purification, layout, fc, future_labels)
     tr = float(np.real(np.trace(rho)))
     rho = rho / tr
     rho_dot = rho_dot / tr
@@ -252,6 +227,5 @@ def verify_strategy(
         j_oracle=rep.j_sld,
         lambda_claimed=float(lambda_claimed),
         relative_gap=float(gap),
-        derivative_method=method,
         trace_residual=abs(tr - 1.0),
     )

@@ -34,6 +34,8 @@ from ._basis import ProductBasis, congruence_many, product_basis
 from .errors import SolverFailureError
 from .tensor_algebra import hermitize
 
+FEAS_TOL = 1e-8  # primal and dual residual target of an optimal solve
+
 # ---------------------------------------------------------------------------
 # linear maps from Hermitian variables into PSD blocks
 
@@ -684,7 +686,6 @@ class _KktFactors:
 def solve(
     problem: SdpProblem,
     gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
     max_iter: int = 200,
     verify_newton: bool = False,
 ) -> SdpSolution:
@@ -699,13 +700,13 @@ def solve(
     """
     comp = _Compiled(problem)
     try:
-        return _interior_point(comp, gap_tol, feas_tol, max_iter, verify_newton)
+        return _interior_point(comp, gap_tol, max_iter, verify_newton)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverFailureError(f"linear algebra failed in the solver: {exc}") from exc
 
 
 def _interior_point(
-    comp: _Compiled, gap_tol: float, feas_tol: float, max_iter: int, verify_newton: bool
+    comp: _Compiled, gap_tol: float, max_iter: int, verify_newton: bool
 ) -> SdpSolution:
     problem = comp.problem
     nblk = len(problem.blocks)
@@ -770,7 +771,7 @@ def _interior_point(
         if merit < best_merit:
             best_merit = merit
             best = (z.copy(), y.copy(), [m.copy() for m in s_blocks], [m.copy() for m in x_blocks])
-        if relgap <= gap_tol and p_res <= feas_tol and d_res <= feas_tol:
+        if relgap <= gap_tol and p_res <= FEAS_TOL and d_res <= FEAS_TOL:
             status, stop_reason = "optimal", "converged"
             break
         # stop once numerical precision is exhausted and keep the best iterate
@@ -813,7 +814,7 @@ def _interior_point(
         # keep centering while infeasibility dominates complementarity, so
         # the barrier never runs ahead of feasibility; once residuals are at
         # tolerance the guard must release or the barrier would stall
-        if p_res > max(10.0 * feas_tol, mu / (1.0 + abs(pobj) + abs(dobj))):
+        if p_res > max(10.0 * FEAS_TOL, mu / (1.0 + abs(pobj) + abs(dobj))):
             sigma = max(sigma, 0.5)
 
         # the second-order term is pure noise below mu = 1e-8
@@ -843,7 +844,7 @@ def _interior_point(
         for _ in range(4):
             z_t, s_t, x_t, y_t = try_step(ap, ad)
             d_res_t = dual_res(stationarity(x_t, y_t))
-            if d_res_t <= max(30.0 * d_res, 10.0 * feas_tol):
+            if d_res_t <= max(30.0 * d_res, 10.0 * FEAS_TOL):
                 accepted = True
                 break
             ap *= 0.3
@@ -857,7 +858,7 @@ def _interior_point(
     if restored:
         z, y, s_blocks, x_blocks = best
     (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
-    if restored and relgap <= gap_tol and p_res <= 10 * feas_tol and d_res <= 10 * feas_tol:
+    if restored and relgap <= gap_tol and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL:
         status = "optimal"
     compl = max(
         (

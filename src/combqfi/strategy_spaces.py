@@ -1,9 +1,11 @@
 """Primal and dual affine spaces of the five strategy families.
 
-Spaces are stored as symbolic constraint lists (neutralization identities,
-trace pinning) and compiled, in the product Hermitian basis, into coordinate
-pinning.  Every neutralization-type constraint acts diagonally on
-product-basis coordinates, which is what makes the compilation exact.
+A pinned space is stored as its pin mask in the product Hermitian basis:
+the coordinates it fixes (all to zero but the trace) and their values.
+Neutralization acts diagonally on product-basis coordinates, so each
+neutralization identity of a comb pins a set of coordinates exactly.  Each
+set writes down one side: the other is its complement, the free
+coordinates pinned to zero and the trace fixed by Tr Q * Tr P = D.
 
 Factor-carried spaces have no pin form.  The parallel and SWITCH strategy
 marginals are rho (x) L with L fixed, and the SWITCH dual branch is fixed by
@@ -93,38 +95,7 @@ class StrategySetSpec:
 
 
 # ---------------------------------------------------------------------------
-# constraint records
-
-
-@dataclass(frozen=True)
-class NeutralizeCombo:
-    """sum_k coef_k * neutralize(Q, labels_k) = 0 (labels_k may be empty)."""
-
-    terms: tuple[tuple[float, tuple[str, ...]], ...]
-
-
-@dataclass(frozen=True)
-class TraceEquals:
-    value: float
-
-
-@dataclass(frozen=True)
-class CoordinateMask:
-    """Pin an explicit set of product-basis coordinates to zero.
-
-    Used for spaces derived by dualization, where the allowed coordinate
-    support is computed rather than written as neutralization identities.
-    """
-
-    kill: np.ndarray  # bool over coordinates
-
-    def __eq__(self, other):  # ndarray fields break the generated __eq__
-        return self is other
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-Constraint = NeutralizeCombo | TraceEquals | CoordinateMask
+# spaces
 
 
 @dataclass(frozen=True)
@@ -135,14 +106,16 @@ class CompiledSpace:
 
 @dataclass(frozen=True)
 class AffineSpace:
-    """Affine space of Hermitian operators given by linear constraints.
+    """Affine space of Hermitian operators.
 
+    A pinned space is its product-basis pin mask (``compiled``); a
+    factor-carried space (a factorized space or the dual of one) has none.
     A canonical feasible point is constructed and verified at build time.
     """
 
     layout: SubsystemLayout
-    constraints: tuple[Constraint, ...]
     canonical: LabeledMatrix
+    compiled: CompiledSpace | None = None
     branch_tag: tuple[int, ...] | None = None
     name: str = ""
     # factorized spaces: the affine hull is {rho (x) fixed_factor}
@@ -162,14 +135,6 @@ class AffineSpace:
     @cached_property
     def basis(self) -> ProductBasis:
         return product_basis(self.layout.dims)
-
-    @cached_property
-    def compiled(self) -> CompiledSpace | None:
-        """Pinned product-basis coordinates; None for a factor-carried space
-        (a factorized space or the dual of one), which has no pin form."""
-        if self.is_factorized or self.dual_of is not None:
-            return None
-        return _compile(self)
 
     @property
     def is_factorized(self) -> bool:
@@ -241,42 +206,41 @@ class AffineSpace:
         return self.project(LabeledMatrix(self.layout, h, hermitian=True))
 
 
-def _identity_mask_for_labels(
-    basis: ProductBasis, layout: SubsystemLayout, labels: Sequence[str]
-) -> np.ndarray:
-    """Coordinate-wise indicator of 'identity on all the given factors'."""
-    if not labels:
-        return np.ones(basis.n, dtype=bool)
-    pos = layout.positions(labels)
-    return np.all(basis.is_identity[:, pos], axis=1)
+def _pins(
+    layout: SubsystemLayout,
+    levels: Sequence[tuple[Sequence[str], Sequence[str]]],
+    trace: float,
+) -> CompiledSpace:
+    """Pin to zero, for every level (A, S), each coordinate that is the
+    identity on S but not on all of A; then pin the trace to ``trace``.
+
+    These are the coordinates on which neutralize(., S + A) and
+    neutralize(., S) differ, since neutralization acts diagonally on
+    product-basis coordinates.
+    """
+    ident = product_basis(layout.dims).is_identity
+    kill = np.zeros(len(ident), dtype=bool)
+    for added, s in levels:
+        on_s = np.all(ident[:, layout.positions(s)], axis=1)
+        kill |= on_s & ~np.all(ident[:, layout.positions(added)], axis=1)
+    return _trace_pinned(kill, layout, trace)
 
 
-def _compile(space: AffineSpace) -> CompiledSpace:
-    basis = space.basis
-    layout = space.layout
-    n = basis.n
-    kill = np.zeros(n, dtype=bool)
-    values = np.zeros(n)
-    sqrt_d = np.sqrt(layout.total_dim)
-    for con in space.constraints:
-        if isinstance(con, NeutralizeCombo):
-            coef = np.zeros(n)
-            for c, labels in con.terms:
-                coef = coef + c * _identity_mask_for_labels(basis, layout, labels)
-            hit = np.abs(coef) > 1e-12
-            kill |= hit  # homogeneous: pinned to zero
-        elif isinstance(con, TraceEquals):
-            kill[0] = True
-            values[0] = con.value / sqrt_d
-        elif isinstance(con, CoordinateMask):
-            kill |= con.kill
-        else:
-            raise TypeError(f"unknown constraint {con!r}")
+def _complement(comp: CompiledSpace, layout: SubsystemLayout, trace: float) -> CompiledSpace:
+    """The other side {Q : Tr[Q P] = 1 for every P} of a pinned space.
+
+    Every pin but the trace is zero, so Tr[Q P] is q_0 p_0 plus the sum of
+    q_i p_i over the free coordinates.  It is 1 for every P iff Q vanishes
+    on the coordinates P leaves free and Tr Q * Tr P = D.
+    """
+    return _trace_pinned(~comp.kill_mask, layout, trace)
+
+
+def _trace_pinned(kill: np.ndarray, layout: SubsystemLayout, trace: float) -> CompiledSpace:
+    kill[0] = True
+    values = np.zeros(len(kill))
+    values[0] = trace / np.sqrt(layout.total_dim)
     return CompiledSpace(kill, values)
-
-
-# ---------------------------------------------------------------------------
-# builders
 
 
 def _strategy_teeth(
@@ -294,13 +258,19 @@ def _strategy_teeth(
     return teeth
 
 
-def _comb_constraints(
-    pairs: Sequence[tuple[str | None, str | None]],
-) -> list[NeutralizeCombo]:
-    return [
-        NeutralizeCombo(((1.0, tuple(s + [in_l])), (-1.0, tuple(s))))
-        for in_l, s in comb_tower_sets(pairs)
-    ]
+def _tower_pins(
+    spec: StrategySetSpec, layout: SubsystemLayout, perm: tuple[int, ...]
+) -> CompiledSpace:
+    """Primal pins of a sequential strategy: its comb trace tower."""
+    levels = [((in_l,), s) for in_l, s in comb_tower_sets(_strategy_teeth(spec, perm))]
+    return _pins(layout, levels, float(spec.out_dims_product))
+
+
+def _no_signalling_pins(spec: StrategySetSpec, layout: SubsystemLayout) -> CompiledSpace:
+    """Dual pins of the no-signalling set: each slot's output neutralized
+    neutralizes its input."""
+    levels = [((str(2 * i - 1),), (str(2 * i),)) for i in range(1, spec.n_steps + 1)]
+    return _pins(layout, levels, float(spec.in_dims_product))
 
 
 def _scaled_identity(layout: SubsystemLayout, trace_value: float) -> LabeledMatrix:
@@ -316,43 +286,36 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
     layout = spec.process_layout()
     n = spec.n_steps
     tr = float(spec.in_dims_product)
+    if spec.kind == "swi":
+        # a SWITCH dual branch is carried by its factorized primal: contract(Q) = I
+        canon = _scaled_identity(layout, layout.total_dim / spec.slot_dims[0][0] ** n)
+        return [
+            AffineSpace(
+                layout,
+                canon,
+                branch_tag=psp.branch_tag,
+                name=f"dual[swi/{''.join(map(str, psp.branch_tag))}]",
+                dual_of=psp,
+            )
+            for psp in primal_space(spec)
+        ]
     spaces = []
-    # a SWITCH dual branch is carried by its factorized primal: contract(Q) = I
-    primals = primal_space(spec) if spec.kind == "swi" else [None] * len(spec.branches)
-    for perm, psp in zip(spec.branches, primals):
+    for perm in spec.branches:
         if spec.kind == "par":
-            evens = tuple(str(2 * i) for i in range(1, n + 1))
-            cons: list[Constraint] = [
-                NeutralizeCombo(((1.0, evens), (-1.0, tuple(layout.labels)))),
-                TraceEquals(tr),
-            ]
-            canon = _scaled_identity(layout, tr)
+            odds = [str(2 * i - 1) for i in range(1, n + 1)]
+            evens = [str(2 * i) for i in range(1, n + 1)]
+            comp = _pins(layout, [(odds, evens)], tr)
         elif spec.kind in ("seq", "sup"):
-            pairs = [(str(2 * k - 1), str(2 * k)) for k in perm]
-            cons = list(_comb_constraints(pairs)) + [TraceEquals(tr)]
-            canon = _scaled_identity(layout, tr)
-        elif spec.kind == "ico":
-            cons = [
-                NeutralizeCombo(
-                    ((1.0, (str(2 * i - 1), str(2 * i))), (-1.0, (str(2 * i),)))
-                )
-                for i in range(1, n + 1)
-            ] + [TraceEquals(tr)]
-            canon = _scaled_identity(layout, tr)
-        elif spec.kind == "swi":
-            cons = []
-            d = spec.slot_dims[0][0]
-            canon = _scaled_identity(layout, layout.total_dim / d**n)
-        else:  # pragma: no cover
-            raise ConfigError(spec.kind)
+            comp = _complement(_tower_pins(spec, layout, perm), layout, tr)
+        else:
+            comp = _no_signalling_pins(spec, layout)
         spaces.append(
             AffineSpace(
                 layout,
-                tuple(cons),
-                canon,
-                branch_tag=perm if spec.kind in ("swi", "sup") else None,
+                _scaled_identity(layout, tr),
+                comp,
+                branch_tag=perm if spec.kind == "sup" else None,
                 name=f"dual[{spec.kind}/{''.join(map(str, perm))}]",
-                dual_of=psp,
             )
         )
     return spaces
@@ -381,29 +344,26 @@ def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
             spaces.append(
                 AffineSpace(
                     layout,
-                    (),
                     canon,
                     name=name,
                     fixed_factor=fixed,
                     var_labels=tuple(odds),
                 )
             )
-        elif spec.kind in ("seq", "sup"):
-            cons = list(_comb_constraints(_strategy_teeth(spec, perm))) + [
-                TraceEquals(tr)
-            ]
-            canon = _scaled_identity(layout, tr)
+        elif spec.kind in ("seq", "sup", "ico"):
+            if spec.kind == "ico":  # the complement of the no-signalling dual
+                comp = _complement(_no_signalling_pins(spec, layout), layout, tr)
+            else:
+                comp = _tower_pins(spec, layout, perm)
             spaces.append(
                 AffineSpace(
                     layout,
-                    tuple(cons),
-                    canon,
+                    _scaled_identity(layout, tr),
+                    comp,
                     branch_tag=perm if spec.kind == "sup" else None,
                     name=name,
                 )
             )
-        elif spec.kind == "ico":
-            spaces.append(_ico_primal_double_dual(spec, name))
         elif spec.kind == "swi":
             d = spec.slot_dims[0][0]
             first = str(2 * perm[0] - 1)
@@ -427,7 +387,6 @@ def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
             spaces.append(
                 AffineSpace(
                     layout,
-                    (),
                     canon,
                     branch_tag=perm,
                     name=name,
@@ -438,26 +397,6 @@ def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
         else:  # pragma: no cover
             raise ConfigError(spec.kind)
     return spaces
-
-
-def _ico_primal_double_dual(spec: StrategySetSpec, name: str) -> AffineSpace:
-    """Primal space as the double dual of the no-signaling dual space.
-
-    For a pinning-only dual, a coordinate direction pairs to zero with every
-    dual direction iff the dual pins it, so the primal affine hull keeps
-    exactly the dual's pinned coordinates plus the normalization.
-    """
-    layout = spec.process_layout()
-    comp = dual_space(spec)[0].compiled
-    keep = comp.kill_mask.copy()
-    keep[0] = True
-    tr = float(spec.out_dims_product)
-    return AffineSpace(
-        layout,
-        (CoordinateMask(~keep), TraceEquals(tr)),
-        _scaled_identity(layout, tr),
-        name=name + "/double-dual",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class StrategyChoi:
     achieved_objective: float | None = None
     gauge: np.ndarray | None = None  # Hermitian gauge certifying the saddle
 
-    def validate(self, tol: float = 1e-8) -> dict:
+    def validate(self) -> dict:
         out = {}
         w = np.linalg.eigvalsh(hermitize(self.marginal.entries))
         out["min_eigenvalue"] = float(w[0])
@@ -106,7 +106,6 @@ def optimal_strategy(
     fc: FactorizedComb,
     spec: StrategySetSpec,
     result: QfiResult,
-    objective_rtol: float = 1e-5,
 ) -> StrategyChoi:
     """Recover a strategy attaining the solved task QFI.
 
@@ -130,7 +129,7 @@ def optimal_strategy(
     omega = performance_operator(fc, h2).entries
     achieved = float(np.real(np.vdot(omega, marg.entries)))
     # relative agreement, with an absolute floor for the zero-information case
-    tol = max(objective_rtol * abs(lam), 2e-8 * (1.0 + abs(lam)))
+    tol = max(1e-5 * abs(lam), 2e-8 * (1.0 + abs(lam)))
     if abs(achieved - lam) > tol:
         raise SynthesisFailureError(
             f"saddle mismatch: synthesis objective {achieved:.8f} vs task QFI "
@@ -295,7 +294,6 @@ def comb_to_isometries(
     c: LabeledMatrix,
     io_pairs,
     rank_rtol: float = 1e-10,
-    validate: bool = True,
 ) -> IsometrySequence:
     """Decompose a multi-step process into isometries with minimal ancillas.
 
@@ -318,15 +316,14 @@ def comb_to_isometries(
         cbar += cm.T
         cbar *= 0.5
         x = _pivoted_cholesky(cbar, CombReport.eig_tol / cbar.shape[0])
-        if validate:
-            cbar -= x @ x.conj().T
-            defect = float(np.sqrt(np.vdot(cbar, cbar).real))  # ||conj(C) - X X^dag||_F
-            rep = comb_report(cm, io_pairs, dims, -defect)
-            if not rep.passed:
-                raise CombValidationError(
-                    f"operator fails the process constraints: min eig bound "
-                    f"{rep.min_eigenvalue:.2e}, residuals {rep.residuals}"
-                )
+        cbar -= x @ x.conj().T
+        defect = float(np.sqrt(np.vdot(cbar, cbar).real))  # ||conj(C) - X X^dag||_F
+        rep = comb_report(cm, io_pairs, dims, -defect)
+        if not rep.passed:
+            raise CombValidationError(
+                f"operator fails the process constraints: min eig bound "
+                f"{rep.min_eigenvalue:.2e}, residuals {rep.residuals}"
+            )
         # supports and singular values of the reduced processes' factors
         supports: list[np.ndarray] = []
         svals: list[np.ndarray] = []

@@ -95,6 +95,32 @@ class TestRun:
         assert r["value"] > 2.25
         assert r["stop_reason"] in STOP_REASONS
 
+    def test_seq_certifies_the_reported_slot_order(self, tmp_path, monkeypatch):
+        # a non-identical pair reports the better of its two slot orders;
+        # the oracle must score that order's strategy against that value
+        import combqfi.cli as cli
+
+        claimed = []
+        verify = cli.verify_strategy
+
+        def recording_verify(*args):
+            claimed.append(args[4])
+            return verify(*args)
+
+        monkeypatch.setattr(cli, "verify_strategy", recording_verify)
+        doc = base_config(
+            process={"kind": "nonidentical_ad_pair", "p1": 0.1, "p2": 0.8},
+            strategies=["seq"],
+            validate_oracle=True,
+        )
+        cfg = write(tmp_path, "c.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        r = json.loads(out.read_text())["results"]["seq"]
+        assert len(claimed) == 1
+        assert abs(claimed[0] - r["value"]) <= 1e-10 * r["value"]
+        assert r["oracle_gap"] < 1e-4
+
     def test_keys_without_effect_are_accepted(self, tmp_path):
         doc = base_config(strategies=["par"], synthesize=True, seed=7, signal_after_noise=False)
         cfg = write(tmp_path, "c.json", doc)

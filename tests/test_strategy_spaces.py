@@ -129,16 +129,13 @@ class TestDualityPairing:
     @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_pairing_equals_one(self, kind, n, rng):
-        spec = StrategySetSpec.qubits(kind, n)
-        duals = dual_space(spec)
-        primals = primal_space(spec)
-        worst = 0.0
-        for dsp, psp in zip(duals, primals):
-            for _ in range(20):
-                q = dsp.random_member(rng)
-                s = psp.random_member(rng)
-                worst = max(worst, abs(np.trace(q.entries @ s.entries).real - 1.0))
-        assert worst < 1e-9
+        assert _worst_pairing(StrategySetSpec.qubits(kind, n), rng) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["par", "seq", "sup", "ico"])
+    @pytest.mark.parametrize("dims", [((2, 3), (3, 2)), ((3, 2), (2, 2))], ids=str)
+    def test_pairing_equals_one_on_unequal_ports(self, kind, dims, rng):
+        # in != out: the dual trace is D / Tr P, not the primal's
+        assert _worst_pairing(StrategySetSpec(kind, 2, dims), rng) < 1e-9
 
     @pytest.mark.parametrize("kind", ["par", "seq", "swi", "sup", "ico"])
     def test_pairing_with_physical_strategies(self, kind, rng):
@@ -158,6 +155,17 @@ class TestDualityPairing:
                 q = dsp.random_member(rng)
                 worst = max(worst, abs(np.trace(q.entries @ s).real - 1.0))
         assert worst < 1e-9
+
+
+def _worst_pairing(spec, rng):
+    """Largest |Tr[Q P] - 1| over random members of each branch's pair."""
+    worst = 0.0
+    for dsp, psp in zip(dual_space(spec), primal_space(spec)):
+        for _ in range(20):
+            q = dsp.random_member(rng)
+            s = psp.random_member(rng)
+            worst = max(worst, abs(np.trace(q.entries @ s.entries).real - 1.0))
+    return worst
 
 
 def _par_member(rng):
@@ -200,30 +208,26 @@ class TestPrimalSpaces:
 
     def test_ico_explicit_vs_double_dual(self):
         # the ico primal space is the double dual at every N; at N = 1 it is
-        # the one-slot comb, and at N = 2 the explicit no-signaling list
-        from combqfi.strategy_spaces import (
-            AffineSpace,
-            NeutralizeCombo,
-            TraceEquals,
-            _scaled_identity,
-        )
+        # the one-slot comb, and at N = 2 the explicit no-signaling list,
+        # written here as masks straight off the product basis
+        from combqfi._basis import product_basis
 
         layout = StrategySetSpec.qubits("ico", 2).process_layout()
-        explicit = AffineSpace(
-            layout,
-            (
-                NeutralizeCombo(((1.0, ()), (-1.0, ("4",)), (-1.0, ("2",)), (1.0, ("2", "4")))),
-                NeutralizeCombo(((1.0, ("1", "2")), (-1.0, ("1", "2", "4")))),
-                NeutralizeCombo(((1.0, ("3", "4")), (-1.0, ("2", "3", "4")))),
-                TraceEquals(4.0),
-            ),
-            _scaled_identity(layout, 4.0),
-        )
-        one_slot = primal_space(StrategySetSpec.qubits("seq", 1))[0]
-        for n, ref in ((1, one_slot), (2, explicit)):
+        ident = product_basis(layout.dims).is_identity
+        i1, i2, i3, i4 = (ident[:, layout.position(l)] for l in ("1", "2", "3", "4"))
+        # Q - N_4 Q - N_2 Q + N_24 Q = 0, N_12 Q = N_124 Q, N_34 Q = N_234 Q
+        kill = (~i2 & ~i4) | (i1 & i2 & ~i4) | (i3 & i4 & ~i2)
+        kill[0] = True  # Tr = 4, a coordinate of 4 / sqrt(16)
+        pins = np.zeros(len(kill))
+        pins[0] = 1.0
+        one_slot = primal_space(StrategySetSpec.qubits("seq", 1))[0].compiled
+        for n, (ref_kill, ref_pins) in (
+            (1, (one_slot.kill_mask, one_slot.pin_values)),
+            (2, (kill, pins)),
+        ):
             dd = primal_space(StrategySetSpec.qubits("ico", n))[0]
-            assert np.array_equal(ref.compiled.kill_mask, dd.compiled.kill_mask)
-            assert np.allclose(ref.compiled.pin_values, dd.compiled.pin_values)
+            assert np.array_equal(ref_kill, dd.compiled.kill_mask)
+            assert np.allclose(ref_pins, dd.compiled.pin_values)
 
     def test_ico_contains_causal_mixtures(self, rng):
         spec = StrategySetSpec.qubits("ico", 2)
