@@ -63,22 +63,15 @@ def _split(dims: tuple[int, ...]) -> int:
     )
 
 
-def congruence_many(
-    z: np.ndarray, ms: np.ndarray, support: np.ndarray | None = None, rows: slice = slice(None)
-) -> np.ndarray:
+def congruence_many(z: np.ndarray, ms: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """Rows ``rows`` of Z @ M_a @ Z for a stack (k, n, n) of matrices, as two
     flat GEMMs with ``len(rows)`` output rows per matrix: Z[rows] M_a first.
-
-    ``support`` lists the rows/columns outside which every M_a vanishes.
     """
     k, n, _ = ms.shape
-    zl, zr = z[rows], z
-    if support is not None:
-        ms = ms[:, support][:, :, support]
-        zl, zr = zl[:, support], z[support, :]
-    b, s = zl.shape
-    y = (zl @ ms.transpose(1, 0, 2).reshape(s, k * s)).reshape(b, k, s)
-    y = y.transpose(1, 0, 2).reshape(k * b, s) @ zr
+    zl = z[rows]
+    b = zl.shape[0]
+    y = (zl @ ms.transpose(1, 0, 2).reshape(n, k * n)).reshape(b, k, n)
+    y = y.transpose(1, 0, 2).reshape(k * b, n) @ z
     return y.reshape(k, b, n)
 
 

@@ -366,7 +366,7 @@ def load_strategy(path: str) -> StrategyChoi:
 def validate_strategy_file(strategy_path: str, config_path: str) -> int:
     config = _load_config(config_path)
     s = load_strategy(strategy_path)
-    fc, _ = build_process(config, None)
+    fc, alt = build_process(config, None)
     report = {"schema_version": SCHEMA_VERSION}
     if s.spec is not None:
         spaces = primal_space(s.spec)
@@ -393,14 +393,23 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
                 [report["branch_sum_residual"], *per_branch.values()]
             )
     if s.purification is not None:
-        res = task_qfi(fc, s.spec) if s.spec else None
-        lam = res.value if res else 0.0
-        ver = verify_strategy(
-            s.purification, s.purification_layout, s.future_labels, fc, lam
-        )
+        # the file records no slot order: a two-order process scores the
+        # strategy against each order and reports the one whose value it closes
+        scored = []
+        for order, comb in (("12", fc), ("21", alt)):
+            if comb is None:
+                continue
+            lam = task_qfi(comb, s.spec).value if s.spec else 0.0
+            ver = verify_strategy(
+                s.purification, s.purification_layout, s.future_labels, comb, lam
+            )
+            scored.append((ver.relative_gap, order, lam, ver))
+        _, order, lam, ver = min(scored, key=lambda t: t[0])
         report["oracle_qfi"] = ver.j_oracle
         report["task_qfi"] = lam
         report["relative_gap"] = ver.relative_gap
+        if alt is not None:
+            report["slot_order"] = order
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -16,9 +16,12 @@ never materialized, and its only constraints are coordinate pins.  Every
 other variable is *imaged*; the equality rows and the pins of imaged
 variables form dense rows E on the imaged coordinates.  So B = [E; P], with
 P the pins of the local variables, and the multipliers of all rows live in
-one vector y.  The rest of the Newton matrix is assembled from congruences
-W F W of the images F, each computed only over the band of block rows that
-the adjoints read.
+one vector y.  A gauge term L(h) = i [Cbar_k conj(h)]_k enters the rest of
+the Newton matrix through closed forms in r x r blocks of W (its entries
+against every gauge term of the block, and its rows on the eliminated
+variable); the other imaged terms through the congruences W F W of their
+images F, each computed only over the band of block rows that the adjoints
+read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -50,8 +53,6 @@ class EmbedDiag:
         """Block rows the adjoint reads; the image also vanishes outside them."""
         return range(self.offset, self.offset + basis.side)
 
-    support = rows
-
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         o, n = self.offset, m.shape[0]
         out[o : o + n, o : o + n] += m
@@ -81,8 +82,6 @@ class ScaledIdentity:
     def rows(self, basis: ProductBasis, side: int) -> range:
         return range(self.offset, self.offset + self.size)
 
-    support = rows
-
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         idx = np.arange(self.offset, self.offset + self.size)
         out[idx, idx] += self.scale * m.reshape(-1)[0]
@@ -102,9 +101,13 @@ class ScaledIdentity:
 
 class GaugeOffdiag:
     """Hermitian r x r variable h entering as the block row
-    ``[i Cbar_0 conj(h), ..., i Cbar_{k-1} conj(h)]`` at (rows, cols) plus
-    its Hermitian transpose; ``cbar`` is a (k, D, r) stack, and a (D, r)
-    matrix is the k = 1 case."""
+    ``L(h) = [i Cbar_0 conj(h), ..., i Cbar_{k-1} conj(h)]`` at (rows, cols)
+    plus its Hermitian transpose; ``cbar`` is a (k, D, r) stack, and a (D, r)
+    matrix is the k = 1 case.
+
+    Its Newton rows are closed forms in blocks of W (``gram_block``,
+    ``local_rows``) rather than congruences of images.
+    """
 
     def __init__(self, cbar: np.ndarray, row_offset: int, col_offset: int):
         cbar = np.asarray(cbar, dtype=complex)
@@ -113,26 +116,20 @@ class GaugeOffdiag:
         self.col_offset = int(col_offset)
         self.k, self.d, self.r = self.cbar.shape
         self._flat = self.cbar.reshape(self.k * self.d, self.r)
+        self._hcat = self.cbar.transpose(1, 0, 2).reshape(self.d, self.k * self.r)
 
     def rows(self, basis: ProductBasis, side: int) -> range:
         return range(self.row_offset, self.row_offset + self.d)
 
-    def support(self, basis: ProductBasis, side: int) -> np.ndarray:
-        co = self.col_offset
-        return np.union1d(self.rows(basis, side), np.arange(co, co + self.k * self.r))
-
-    def _row_block(self, ms: np.ndarray) -> np.ndarray:
-        """(n, D, k r) block rows of the images of a stack of r x r matrices."""
-        l = 1j * np.matmul(self._flat, ms.conj())
-        return l.reshape(-1, self.k, self.d, self.r).transpose(0, 2, 1, 3).reshape(
-            -1, self.d, self.k * self.r
-        )
+    def _bands(self) -> tuple[slice, slice]:
+        ro, co = self.row_offset, self.col_offset
+        return slice(ro, ro + self.d), slice(co, co + self.k * self.r)
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
-        l = self._row_block(m[None])[0]
-        ro, co, w = self.row_offset, self.col_offset, self.k * self.r
-        out[ro : ro + self.d, co : co + w] += l
-        out[co : co + w, ro : ro + self.d] += l.conj().T
+        l = 1j * (self._hcat.reshape(self.d * self.k, self.r) @ m.conj())
+        rs, cs = self._bands()
+        out[rs, cs] += l.reshape(self.d, self.k * self.r)
+        out[cs, rs] += l.reshape(self.d, self.k * self.r).conj().T
 
     def adjoint_coords_many(
         self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
@@ -145,13 +142,49 @@ class GaugeOffdiag:
         k = (b.reshape(-1, self.k * self.d) @ self._flat).reshape(-1, self.r, self.r)
         return basis.coords_many(1j * (np.transpose(k, (0, 2, 1)) - k.conj()))
 
-    def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
-        l = self._row_block(basis.elements(idx))
-        out = np.zeros((len(idx), side, side), dtype=complex)
-        ro, co, w = self.row_offset, self.col_offset, self.k * self.r
-        out[:, ro : ro + self.d, co : co + w] = l
-        out[:, co : co + w, ro : ro + self.d] = np.transpose(l, (0, 2, 1)).conj()
-        return out
+    def gram_block(
+        self, other: "GaugeOffdiag", w: np.ndarray, els: np.ndarray, els2: np.ndarray
+    ) -> np.ndarray:
+        """(m, m') block <A(E_a), W A'(E'_b) W> for two gauge terms of one
+        PSD block; ``els``/``els2`` are the flattened basis elements (m, r^2).
+
+        With R, C the row and column bands of a term,
+        H[a,b] = 2 Re[Tr(L_a^dag W_RR' L'_b W_C'C) + Tr(L_a^dag W_RC' L'_b^dag W_R'C)]
+        = 2 Re sum_s Tr(conj(E_a) X_s conj(E'_b) Y_s) over the (k, l) column
+        blocks of both traces, one (r r' x 2kk') @ (2kk' x r' r) product.
+        """
+        r, r2, k, k2 = self.r, other.r, self.k, other.k
+        rs, cs = self._bands()
+        rs2, cs2 = other._bands()
+        ch = self._hcat.conj().T
+        x1 = ch @ w[rs, rs2] @ other._hcat  # Cbar_k^dag W_RR' Cbar'_l
+        x2 = ch @ w[rs, cs2]  # Cbar_k^dag W_RC'_l
+        y1 = w[cs2, cs]  # W_C'_l C_k
+        y2 = other._hcat.conj().T @ w[rs2, cs]  # Cbar'_l^dag W_R'C_k
+        # X_s[j, p] as rows (j, p), Y_s[q, i] as columns (q, i), s = (+-, k, l);
+        # assigning each into place is one strided copy
+        xs = np.empty((r, r2, 2, k, k2), dtype=complex)
+        xs[:, :, 0] = x1.reshape(k, r, k2, r2).transpose(1, 3, 0, 2)
+        np.negative(x2.reshape(k, r, k2, r2).transpose(1, 3, 0, 2), out=xs[:, :, 1])
+        ys = np.empty((2, k, k2, r2, r), dtype=complex)
+        ys[0] = y1.reshape(k2, r2, k, r).transpose(2, 0, 1, 3)
+        ys[1] = y2.reshape(k2, r2, k, r).transpose(2, 0, 1, 3)
+        kt = xs.reshape(r * r2, 2 * k * k2) @ ys.reshape(2 * k * k2, r2 * r)
+        # kt[(j, p), (q, i)] -> K[(j, i), (p, q)], then H = 2 Re(E K E'^dag)
+        kk = kt.reshape(r, r2, r2, r).transpose(0, 3, 1, 2).reshape(r * r, r2 * r2)
+        return 2.0 * np.real((els @ kk) @ els2.conj().T)
+
+    def local_rows(self, w: np.ndarray, els: np.ndarray, loc: slice) -> np.ndarray:
+        """(W A(E_a) W)[loc, loc] = X_a + X_a^dag for every basis element,
+        X_a = i sum_k (W[loc, R] Cbar_k) conj(E_a) W[C_k, loc]."""
+        r, k = self.r, self.k
+        rs, cs = self._bands()
+        n = loc.stop - loc.start
+        f = 1j * (w[loc, rs] @ self._hcat)  # (n, k r)
+        g = w[cs, loc].reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
+        eg = els.conj().reshape(-1, r, r) @ g  # (m, r, k n)
+        x = f @ eg.reshape(-1, r, k, n).transpose(0, 2, 1, 3).reshape(-1, k * r, n)
+        return x + np.transpose(x, (0, 2, 1)).conj()
 
 
 LinearMap = EmbedDiag | ScaledIdentity | GaugeOffdiag
@@ -244,6 +277,7 @@ class _Var:
         mask = spec.pin_mask if spec.pin_mask is not None else np.zeros(0, dtype=bool)
         self.pins = np.flatnonzero(mask)
         self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
+        self.els: np.ndarray | None = None  # (m, side^2) basis elements of a gauge
 
 
 class _Compiled:
@@ -290,16 +324,15 @@ class _Compiled:
         self.block_terms: list[list[tuple[_Var, LinearMap]]] = [
             [(self.vars[name], mp) for name, mp in b.terms] for b in problem.blocks
         ]
-        # per block: the imaged terms with the support of their images, and
-        # the smallest row band of W F W that their adjoints and the local
-        # sub-block read
-        self.img_terms: list[list[tuple[_Var, LinearMap, np.ndarray]]] = []
+        # per block: the imaged terms, and the smallest row band of W F W that
+        # their adjoints and the local sub-block read
+        self.img_terms: list[list[tuple[_Var, LinearMap]]] = []
         self.bands: list[slice] = []
         for j, b in enumerate(problem.blocks):
-            img = [(v, mp) for v, mp in self.block_terms[j] if v.local_block != j]
-            self.img_terms.append(
-                [(v, mp, np.asarray(mp.support(v.basis, b.side))) for v, mp in img]
-            )
+            self.img_terms.append([(v, mp) for v, mp in self.block_terms[j] if v.local_block != j])
+            for v, mp in self.img_terms[-1]:
+                if isinstance(mp, GaugeOffdiag) and v.els is None:
+                    v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
             spans = [mp.rows(v.basis, b.side) for v, mp in self.block_terms[j]]
             lo = min((r.start for r in spans), default=0)
             self.bands.append(slice(lo, max((r.stop for r in spans), default=b.side)))
@@ -528,36 +561,7 @@ class _KktFactors:
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
         self.comp = comp
         self.winvs = winvs
-        m_u = comp.m_u
-        self.h_uu = np.zeros((m_u, m_u))
-        self.loc: list[_Local] = []
-        for j, block in enumerate(comp.problem.blocks):
-            winv = winvs[j]
-            img = comp.img_terms[j]
-            band = comp.bands[j]
-            locvar = comp.local_of_block.get(j)
-            if locvar is not None:
-                lc = _Local(locvar, winv, m_u if img else 0)
-                self.loc.append(lc)
-            for v, mp, support in img:
-                chunk = 256
-                for lo in range(0, v.m, chunk):
-                    idx = np.arange(lo, min(v.m, lo + chunk))
-                    f = mp.images_chunk(v.basis, idx, block.side)
-                    y = congruence_many(winv, f, support, band)
-                    cols = slice(v.sl.start + lo, v.sl.start + lo + len(idx))
-                    for v2, mp2, _ in img:
-                        vals = mp2.adjoint_coords_many(y, v2.basis, band.start)  # (k, m_v2)
-                        self.h_uu[v2.sl, cols] += vals.T
-                    if locvar is not None:
-                        c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
-                        lc.c_loc[:, cols] += c_new.T
-            if locvar is not None:
-                # the coordinates of the imaged variables, each once however
-                # many terms of the block it enters through
-                ranges = [np.arange(v.sl.start, v.sl.stop) for v, _, _ in img]
-                lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
-                lc.c_loc = lc.c_loc[:, lc.u_idx]
+        self._assemble()
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
         # rhs-independent eliminations and the reduced saddle matrix
         red_a = self.h_uu.copy()
@@ -586,6 +590,55 @@ class _KktFactors:
                 self.full_lu = sla.lu_factor(scaled)
             if not np.all(np.diagonal(self.full_lu[0])):
                 raise _SingularNewton("Newton system is singular to working precision")
+
+    def _assemble(self) -> None:
+        """H on the imaged coordinates (``h_uu``) and, per local variable,
+        its rows ``c_loc`` on them.  Gauge terms enter through the closed
+        forms of ``GaugeOffdiag``; the other imaged terms through the
+        congruences W F W of their images, whose adjoints also give the
+        gauge-vs-other entries, set in both triangles."""
+        comp = self.comp
+        m_u = comp.m_u
+        self.h_uu = np.zeros((m_u, m_u))
+        self.loc: list[_Local] = []
+        for j, block in enumerate(comp.problem.blocks):
+            winv = self.winvs[j]
+            img = comp.img_terms[j]
+            band = comp.bands[j]
+            locvar = comp.local_of_block.get(j)
+            if locvar is not None:
+                lc = _Local(locvar, winv, m_u if img else 0)
+                self.loc.append(lc)
+                o = locvar.map.offset
+                loc = slice(o, o + locvar.basis.side)
+            gauges = [(v, mp) for v, mp in img if isinstance(mp, GaugeOffdiag)]
+            others = [(v, mp) for v, mp in img if not isinstance(mp, GaugeOffdiag)]
+            for v, mp in gauges:
+                for v2, mp2 in gauges:
+                    self.h_uu[v.sl, v2.sl] += mp.gram_block(mp2, winv, v.els, v2.els)
+                if locvar is not None:
+                    rows = locvar.basis.coords_many(mp.local_rows(winv, v.els, loc))
+                    lc.c_loc[:, v.sl] += rows.T
+            for v, mp in others:
+                chunk = 256
+                for lo in range(0, v.m, chunk):
+                    idx = np.arange(lo, min(v.m, lo + chunk))
+                    y = congruence_many(winv, mp.images_chunk(v.basis, idx, block.side), band)
+                    cols = slice(v.sl.start + lo, v.sl.start + lo + len(idx))
+                    for v2, mp2 in img:
+                        vals = mp2.adjoint_coords_many(y, v2.basis, band.start)  # (k, m_v2)
+                        self.h_uu[v2.sl, cols] += vals.T
+                        if isinstance(mp2, GaugeOffdiag):
+                            self.h_uu[cols, v2.sl] += vals
+                    if locvar is not None:
+                        c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
+                        lc.c_loc[:, cols] += c_new.T
+            if locvar is not None:
+                # the coordinates of the imaged variables, each once however
+                # many terms of the block it enters through
+                ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
+                lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
+                lc.c_loc = lc.c_loc[:, lc.u_idx]
 
     def _h_apply(self, dz: np.ndarray) -> np.ndarray:
         """Exact operator H dz via block congruences."""

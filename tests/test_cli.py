@@ -274,6 +274,36 @@ class TestValidate:
         rc = main(["validate", str(path), cfg])
         assert rc == 0
 
+    @pytest.mark.parametrize("order", ["12", "21"])
+    def test_validate_scores_each_slot_order(self, order, tmp_path, capsys):
+        # a non-identical pair has two slot orders and the strategy file
+        # records neither: validate reports the order whose value the
+        # strategy closes
+        from combqfi.cli import export_strategy
+        from combqfi.metrology_zoo import nonidentical_pair, swap_slot_order
+        from combqfi.strategy_spaces import StrategySetSpec
+        from combqfi.strategy_synthesis import optimal_strategy, purify_strategy
+        from combqfi.task_qfi import task_qfi
+
+        fc = nonidentical_pair(0.1, 0.8, PHI)
+        if order == "21":
+            fc = swap_slot_order(fc)
+        spec = StrategySetSpec.qubits("seq", 2)
+        res = task_qfi(fc, spec)
+        path = tmp_path / "strategy.json"
+        export_strategy(purify_strategy(optimal_strategy(fc, spec, res)), str(path))
+        doc = base_config(
+            process={"kind": "nonidentical_ad_pair", "p1": 0.1, "p2": 0.8},
+            strategies=["seq"],
+        )
+        cfg = write(tmp_path, "c.json", doc)
+        capsys.readouterr()
+        assert main(["validate", str(path), cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["slot_order"] == order
+        assert abs(report["task_qfi"] - res.value) <= 1e-10 * res.value
+        assert report["relative_gap"] <= 1e-4
+
     @pytest.mark.parametrize("kind", ["sup", "swi"])
     def test_validate_branch_structured_strategy(self, kind, tmp_path, capsys):
         # a sup/swi strategy is a mixture of branches: each branch lies in

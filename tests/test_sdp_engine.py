@@ -454,12 +454,22 @@ class TestStackedGauge:
             lhs = np.real(np.vdot(img, m))
             rhs = float(c @ stacked.adjoint_coords_many(m[None], basis)[0])
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
-        # the image stack holds the images of the basis elements
-        imgs = stacked.images_chunk(basis, np.arange(basis.n), self.side)
-        for a, el in enumerate(basis.elements(np.arange(basis.n))):
-            img = np.zeros((self.side, self.side), dtype=complex)
-            stacked.add_apply(img, el)
-            assert np.allclose(imgs[a], img, atol=1e-14)
+        # the closed-form Newton rows are the congruences of the images that
+        # add_apply builds from the basis elements
+        els = basis.elements(np.arange(basis.n))
+        imgs = np.zeros((basis.n, self.side, self.side), dtype=complex)
+        for a, el in enumerate(els):
+            stacked.add_apply(imgs[a], el)
+        g = rng.standard_normal((self.side, self.side)) + 1j * rng.standard_normal(
+            (self.side, self.side)
+        )
+        w = g @ g.conj().T
+        wiw = w @ imgs @ w
+        flat = els.reshape(basis.n, -1)
+        gram = np.real(np.einsum("aij,bji->ab", imgs, wiw))
+        assert np.allclose(stacked.gram_block(stacked, w, flat, flat), gram, atol=1e-11)
+        loc = slice(self.ro, self.ro + self.d)
+        assert np.allclose(stacked.local_rows(w, flat, loc), wiw[:, loc, loc], atol=1e-11)
 
     def test_apply_is_the_sum_of_single_maps(self, rng):
         stacked, single = self.maps(rng)

@@ -24,7 +24,12 @@ from combqfi.task_qfi import (
 from combqfi.tensor_algebra import LabeledMatrix, hermitize
 
 sys.path.insert(0, "tests")
-from util import random_channel, random_unitary  # noqa: E402
+from util import (  # noqa: E402
+    random_channel,
+    random_unitary,
+    split_gauge_columns,
+    split_gauge_rows,
+)
 
 
 class TestPerformanceOperator:
@@ -229,27 +234,6 @@ class TestTaskQfi:
         assert all(vals[i] >= vals[i + 1] - 1e-6 for i in range(len(vals) - 1))
 
 
-def _split_gauge(problem):
-    """The same factorized problem with the gauge as one term per column of G."""
-    from dataclasses import replace
-
-    from combqfi import sdp_engine as se
-
-    blocks = []
-    for b in problem.blocks:
-        terms = []
-        for name, mp in b.terms:
-            if isinstance(mp, se.GaugeOffdiag):
-                terms += [
-                    (name, se.GaugeOffdiag(c, mp.row_offset, mp.col_offset + j * mp.r))
-                    for j, c in enumerate(mp.cbar)
-                ]
-            else:
-                terms.append((name, mp))
-        blocks.append(replace(b, terms=terms))
-    return replace(problem, blocks=blocks)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_stacked_gauge_matches_per_column_terms(n, rng):
     from combqfi import sdp_engine as se
@@ -258,7 +242,7 @@ def test_stacked_gauge_matches_per_column_terms(n, rng):
 
     fc = product_comb(ad_phase_channel(0.2, np.pi / 2), n)
     stacked = build_factorized_problem(fc, primal_space(StrategySetSpec.qubits("par", n)))
-    split = _split_gauge(stacked)
+    split = split_gauge_columns(stacked)
     assert [len(b.terms) for b in stacked.blocks] == [2]
     assert len(split.blocks[0].terms) == 2 ** n + 1
     winvs = []
@@ -279,28 +263,13 @@ def test_split_gauge_next_to_an_eliminated_variable():
     # the Q form eliminates Q inside the block that h also enters; with h
     # given as two row-halves of the gauge term, both terms must reach the
     # reduced Newton matrix
-    from dataclasses import replace
-
     from combqfi import sdp_engine as se
     from combqfi.task_qfi import build_problem
 
     fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 1)
     prob = build_problem(fc, dual_space(StrategySetSpec.qubits("par", 1)))
-    blocks = []
-    for b in prob.blocks:
-        terms = []
-        for name, mp in b.terms:
-            if isinstance(mp, se.GaugeOffdiag):
-                d = mp.d // 2
-                terms += [
-                    (name, se.GaugeOffdiag(mp.cbar[:, :d], mp.row_offset, mp.col_offset)),
-                    (name, se.GaugeOffdiag(mp.cbar[:, d:], mp.row_offset + d, mp.col_offset)),
-                ]
-            else:
-                terms.append((name, mp))
-        blocks.append(replace(b, terms=terms))
     a = se.solve(prob, verify_newton=True)
-    b = se.solve(replace(prob, blocks=blocks), verify_newton=True)
+    b = se.solve(split_gauge_rows(prob), verify_newton=True)
     assert a.optimal and b.optimal
     assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(a.objective))
 
@@ -384,3 +353,57 @@ def test_slot_symmetry_detection(rng):
             for sp, (idx, _) in zip(sps, sym):
                 moved = LabeledMatrix(sp.layout, m[np.ix_(idx, idx)], hermitian=True)
                 assert sp.residual(moved) <= 1e-9 * np.linalg.norm(m), sp.name
+
+
+def test_n4_par_value():
+    # the N=4 parallel point of ad p=0.2: 22 Newton systems over a 272-side
+    # block with a rank-16 gauge
+    fc = product_comb(ad_phase_channel(0.2, np.pi / 2), 4)
+    res = task_qfi(fc, StrategySetSpec.qubits("par", 4))
+    assert res.solver.status == "optimal"
+    ref = 9.7465794176
+    assert abs(res.value - ref) <= res.solver.gap * (1.0 + 2.0 * ref) + 1e-10
+
+
+_THREAD_CASES = """
+import json
+import numpy as np
+from combqfi.metrology_zoo import ad_phase_channel
+from combqfi.strategy_spaces import StrategySetSpec
+from combqfi.task_qfi import product_comb, task_qfi
+out = {}
+for n, kinds in ((2, ("par", "seq", "swi", "sup", "ico")), (3, ("par", "swi"))):
+    fc = product_comb(ad_phase_channel(0.3, np.pi / 2), n)
+    for kind in kinds:
+        res = task_qfi(fc, StrategySetSpec.qubits(kind, n))
+        out[f"{kind}{n}"] = [res.value, res.solver.gap]
+print(json.dumps(out))
+"""
+
+
+def test_values_do_not_depend_on_the_blas_thread_count():
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import combqfi
+
+    src = str(Path(combqfi.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_CASES], env=env, capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(out.stdout))
+    one, two = runs
+    assert set(one) == set(two) and len(one) == 7
+    for case, (v1, g1) in one.items():
+        v2, g2 = two[case]
+        assert abs(v1 - v2) <= max(g1, g2) * (1.0 + v1), case

@@ -103,3 +103,48 @@ def random_member_of(kind, n, rng, d=2):
             acc = part if acc is None else acc + part
         return LabeledMatrix(spec.process_layout(), acc, hermitian=True)
     raise ValueError(kind)
+
+
+def _split_gauge_terms(problem, split):
+    """The same engine problem with each gauge term replaced by ``split(mp)``."""
+    from dataclasses import replace
+
+    from combqfi import sdp_engine as se
+
+    blocks = []
+    for b in problem.blocks:
+        terms = []
+        for name, mp in b.terms:
+            if isinstance(mp, se.GaugeOffdiag):
+                terms += [(name, part) for part in split(mp)]
+            else:
+                terms.append((name, mp))
+        blocks.append(replace(b, terms=terms))
+    return replace(problem, blocks=blocks)
+
+
+def split_gauge_columns(problem):
+    """The gauge as one term per column block Cbar_j."""
+    from combqfi import sdp_engine as se
+
+    return _split_gauge_terms(
+        problem,
+        lambda mp: [
+            se.GaugeOffdiag(c, mp.row_offset, mp.col_offset + j * mp.r)
+            for j, c in enumerate(mp.cbar)
+        ],
+    )
+
+
+def split_gauge_rows(problem):
+    """The gauge as two terms, the upper and lower halves of its row band."""
+    from combqfi import sdp_engine as se
+
+    def halves(mp):
+        d = mp.d // 2
+        return [
+            se.GaugeOffdiag(mp.cbar[:, :d], mp.row_offset, mp.col_offset),
+            se.GaugeOffdiag(mp.cbar[:, d:], mp.row_offset + d, mp.col_offset),
+        ]
+
+    return _split_gauge_terms(problem, halves)
