@@ -7,8 +7,8 @@ k" iff its per-factor index is 0 there.  Coordinates of Hermitian matrices
 in this basis are real, and the coordinate map is an isometry for the
 Frobenius inner product.
 
-Every basis element has at most one nonzero entry per row, which the solver
-exploits for batched congruence transforms.
+Every basis element has at most one nonzero entry per row, so ``B_a F`` is a
+row gather of F; ``sandwich_gram`` builds the pin Gram that way.
 
 On several factors, element ``(a, b)`` is ``A_a (x) C_b`` over a split of the
 factor list into two halves, so ``matrices`` and ``coords_many`` are two dense
@@ -63,16 +63,12 @@ def _split(dims: tuple[int, ...]) -> int:
     )
 
 
-def congruence_many(z: np.ndarray, ms: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of Z @ M_a @ Z for a stack (k, n, n) of matrices, as two
-    flat GEMMs with ``len(rows)`` output rows per matrix: Z[rows] M_a first.
-    """
+def congruence_many(z: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Z @ M_a @ Z for a stack (k, n, n) of matrices, as two flat GEMMs."""
     k, n, _ = ms.shape
-    zl = z[rows]
-    b = zl.shape[0]
-    y = (zl @ ms.transpose(1, 0, 2).reshape(n, k * n)).reshape(b, k, n)
-    y = y.transpose(1, 0, 2).reshape(k * b, n) @ z
-    return y.reshape(k, b, n)
+    y = (z @ ms.transpose(1, 0, 2).reshape(n, k * n)).reshape(n, k, n)
+    y = y.transpose(1, 0, 2).reshape(k * n, n) @ z
+    return y.reshape(k, n, n)
 
 
 class ProductBasis:
@@ -193,9 +189,7 @@ class ProductBasis:
         """Coordinates of Z @ matrix(c) @ Z for each row c of cs."""
         return self.coords_many(congruence_many(z, self.matrices(cs)))
 
-    def sandwich_gram(
-        self, f: np.ndarray, idx: np.ndarray, chunk: int = 512
-    ) -> np.ndarray:
+    def sandwich_gram(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the index subset.
 
         For any factor F with F F^dag = M (a Cholesky factor or M^{1/2}),
@@ -203,7 +197,7 @@ class ProductBasis:
         span of the selected elements.
         """
         fh = f.conj().T
-        k = len(idx)
+        k, chunk = len(idx), 512  # elements per batch bound the complex temporaries
         D = self.side
         yr = np.empty((k, D * D))
         yi = np.empty((k, D * D))

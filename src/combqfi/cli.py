@@ -326,40 +326,51 @@ def export_strategy(strategy: StrategyChoi, path: str) -> None:
 
 
 def load_strategy(path: str) -> StrategyChoi:
-    with open(path) as f:
-        doc = json.load(f)
+    """Read a strategy file written by ``export_strategy``; a file that cannot
+    be read or parsed as one, or has another schema version, raises
+    ConfigError."""
+    doc = _read_json(path, "strategy")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"strategy file {path!r} is not a JSON object")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported strategy schema_version {doc.get('schema_version')!r}")
 
     def uncplx(m):
         return np.array([[complex(a, b) for a, b in row] for row in m])
 
-    layout = SubsystemLayout.of(*[(l, int(d)) for l, d in doc["layout"]])
-    marg = LabeledMatrix(layout, uncplx(doc["marginal"]), hermitian=True)
-    spec = None
-    if doc.get("set"):
-        n = int(doc["n_steps"])
-        spec = StrategySetSpec(
-            doc["set"],
-            n,
-            tuple((layout.dims[2 * k], layout.dims[2 * k + 1]) for k in range(n)),
-        )
-    s = StrategyChoi(marginal=marg, spec=spec)
-    if doc.get("branches") is not None:
-        s.branches = [
-            Branch(
-                tuple(b["perm"]),
-                b["weight"],
-                None if b["op"] is None else LabeledMatrix(layout, uncplx(b["op"]), hermitian=True),
-                b["rank"],
+    try:
+        layout = SubsystemLayout.of(*[(l, int(d)) for l, d in doc["layout"]])
+        marg = LabeledMatrix(layout, uncplx(doc["marginal"]), hermitian=True)
+        spec = None
+        if doc.get("set"):
+            n = int(doc["n_steps"])
+            spec = StrategySetSpec(
+                doc["set"],
+                n,
+                tuple((layout.dims[2 * k], layout.dims[2 * k + 1]) for k in range(n)),
             )
-            for b in doc["branches"]
-        ]
-    if doc.get("purification"):
-        p = doc["purification"]
-        s.purification = np.array([complex(a, b) for a, b in p["amplitudes"]])
-        s.purification_layout = SubsystemLayout.of(
-            *[(l, int(d)) for l, d in p["layout"]]
-        )
-        s.future_labels = tuple(p["future_labels"])
+        s = StrategyChoi(marginal=marg, spec=spec)
+        if doc.get("branches") is not None:
+            s.branches = [
+                Branch(
+                    tuple(b["perm"]),
+                    b["weight"],
+                    None
+                    if b["op"] is None
+                    else LabeledMatrix(layout, uncplx(b["op"]), hermitian=True),
+                    b["rank"],
+                )
+                for b in doc["branches"]
+            ]
+        if doc.get("purification"):
+            p = doc["purification"]
+            s.purification = np.array([complex(a, b) for a, b in p["amplitudes"]])
+            s.purification_layout = SubsystemLayout.of(
+                *[(l, int(d)) for l, d in p["layout"]]
+            )
+            s.future_labels = tuple(p["future_labels"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"malformed strategy file {path!r}: {e!r}") from None
     return s
 
 
@@ -414,13 +425,17 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
     return 0
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}") from None
-    return ExperimentConfig.from_json(doc)
+        raise ConfigError(f"cannot read {what} {path!r}: {e}") from None
+    return doc
+
+
+def _load_config(path: str) -> ExperimentConfig:
+    return ExperimentConfig.from_json(_read_json(path, "config"))
 
 
 def main(argv=None) -> int:

@@ -353,9 +353,7 @@ def validate_comb(
     return comb_report(cm, io_pairs, dims, float(w[0]))
 
 
-def factorize(
-    c: LabeledMatrix, c_dot: LabeledMatrix, rank_rtol: float = RANK_RTOL
-) -> FactorizedComb:
+def factorize(c: LabeledMatrix, c_dot: LabeledMatrix) -> FactorizedComb:
     """Vector decomposition from the eigendecomposition of a PSD operator.
 
     Columns are sqrt(lambda_i) u_i.  The derivative stack is the minimal
@@ -368,7 +366,7 @@ def factorize(
     wmax = max(w[-1], 0.0)
     if w[0] < -1e-9 * max(1.0, wmax):
         raise ValueError(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    keep = w > rank_rtol * max(wmax, 1e-300)
+    keep = w > RANK_RTOL * max(wmax, 1e-300)
     if not np.any(keep):
         raise ValueError("operator is numerically zero; nothing to decompose")
     ur = u[:, keep]
@@ -388,16 +386,14 @@ def factorize(
     return FactorizedComb(c.layout, vs, dvs)
 
 
-def purify(
-    rho: LabeledMatrix, future_label: str = "F", rank_rtol: float = RANK_RTOL
-) -> tuple[np.ndarray, SubsystemLayout]:
+def purify(rho: LabeledMatrix, future_label: str = "F") -> tuple[np.ndarray, SubsystemLayout]:
     """Purification vector on layout (x) F with dim(F) = rank(rho)."""
     rm = hermitize(rho.entries)
     w, u = np.linalg.eigh(rm)
     wmax = max(w[-1], 0.0)
     if w[0] < -1e-9 * max(1.0, wmax):
         raise ValueError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
-    keep = w > rank_rtol * max(wmax, 1e-300)
+    keep = w > RANK_RTOL * max(wmax, 1e-300)
     r = int(np.count_nonzero(keep))
     if r == 0:
         raise ValueError("state is numerically zero")

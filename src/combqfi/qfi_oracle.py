@@ -14,7 +14,7 @@ import numpy as np
 
 from .comb_algebra import FactorizedComb
 from .errors import DivergentFisherError, RankInstabilityError
-from .tensor_algebra import LabeledMatrix, SubsystemLayout, hermitize
+from .tensor_algebra import LabeledMatrix, SubsystemLayout, hermitize, permute_vector
 
 SLD_KERNEL_TOL = 1e-12
 
@@ -109,6 +109,31 @@ def pure_state_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.real(np.vdot(dpsi, dpsi)) - abs(ov) ** 2))
 
 
+def _process_amplitudes(
+    purification: np.ndarray,
+    layout: SubsystemLayout,
+    fc: FactorizedComb,
+    future_labels: Sequence[str],
+) -> np.ndarray:
+    """The purification as a (process, future) amplitude matrix, its factors
+    permuted into the process's label order, then ``future_labels``."""
+    order = list(fc.layout.labels) + list(future_labels)
+    if list(layout.labels) != order:
+        purification = permute_vector(layout, purification, order)
+    d_proc = fc.layout.total_dim
+    return np.asarray(purification, dtype=complex).reshape(d_proc, layout.total_dim // d_proc)
+
+
+def _state(fc: FactorizedComb, mp: np.ndarray) -> np.ndarray:
+    amps = fc.vectors.T @ mp  # row i: (<conj C_i| (x) I) |P>  on F
+    return amps.T @ amps.conj()
+
+
+def _state_deriv(fc: FactorizedComb, mp: np.ndarray) -> np.ndarray:
+    m = (fc.dvectors.T @ mp).T @ (fc.vectors.T @ mp).conj()
+    return m + m.conj().T
+
+
 def output_state(
     purification: np.ndarray,
     layout: SubsystemLayout,
@@ -120,20 +145,7 @@ def output_state(
 
     Computes sum_i (<conj C_i| (x) I_F) |P><P| (|conj C_i> (x) I_F).
     """
-    proc_labels = list(fc.layout.labels)
-    ordered = [l for l in layout.labels if l in proc_labels]
-    if ordered != proc_labels:
-        from .tensor_algebra import permute_vector
-
-        purification = permute_vector(
-            layout, purification, proc_labels + list(future_labels)
-        )
-        layout = layout.reorder(proc_labels + list(future_labels))
-    d_proc = fc.layout.total_dim
-    d_f = layout.total_dim // d_proc
-    mp = np.asarray(purification, dtype=complex).reshape(d_proc, d_f)
-    amps = fc.vectors.T @ mp  # row i: (<conj C_i| (x) I) |P>  on F
-    return amps.T @ amps.conj()
+    return _state(fc, _process_amplitudes(purification, layout, fc, future_labels))
 
 
 def output_state_deriv(
@@ -143,24 +155,10 @@ def output_state_deriv(
     future_labels: Sequence[str],
 ) -> np.ndarray:
     """Analytic d rho / d phi using the comb's derivative vectors."""
-    proc_labels = list(fc.layout.labels)
-    ordered = [l for l in layout.labels if l in proc_labels]
-    if ordered != proc_labels:
-        from .tensor_algebra import permute_vector
-
-        purification = permute_vector(
-            layout, purification, proc_labels + list(future_labels)
-        )
-    d_proc = fc.layout.total_dim
-    d_f = layout.total_dim // d_proc
-    mp = np.asarray(purification, dtype=complex).reshape(d_proc, d_f)
-    amps = fc.vectors.T @ mp
-    damps = fc.dvectors.T @ mp
-    m = damps.T @ amps.conj()
-    return m + m.conj().T
+    return _state_deriv(fc, _process_amplitudes(purification, layout, fc, future_labels))
 
 
-def single_channel_qfi_scan(fc: FactorizedComb, n_starts: int = 4) -> float:
+def single_channel_qfi_scan(fc: FactorizedComb) -> float:
     """Single-use channel QFI by derivative-free search over the gauge.
 
     For one channel use, the dual bound collapses to the operator norm of
@@ -187,7 +185,7 @@ def single_channel_qfi_scan(fc: FactorizedComb, n_starts: int = 4) -> float:
         return float(np.linalg.eigvalsh(red.entries)[-1])
 
     best = np.inf
-    for s in range(n_starts):
+    for s in range(4):  # starts: zero, then three fixed spreads
         x0 = np.zeros(basis.n) if s == 0 else ((np.arange(basis.n) % 3) - 1) * 0.3 * s
         res = minimize(
             bound,
@@ -216,8 +214,8 @@ def verify_strategy(
 ) -> StrategyVerification:
     """Close the loop: score a synthesized strategy with the SLD oracle,
     using the comb's analytic derivative vectors."""
-    rho = output_state(purification, layout, fc, future_labels)
-    rho_dot = output_state_deriv(purification, layout, fc, future_labels)
+    mp = _process_amplitudes(purification, layout, fc, future_labels)
+    rho, rho_dot = _state(fc, mp), _state_deriv(fc, mp)
     tr = float(np.real(np.trace(rho)))
     rho = rho / tr
     rho_dot = rho_dot / tr

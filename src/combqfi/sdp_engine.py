@@ -9,19 +9,19 @@ Nesterov-Todd scaling and a Mehrotra predictor-corrector.  Each PSD block is
 factored once per iteration (one Cholesky factor of S and one eigh), and
 the scaling, step lengths and corrector all read off that factor.
 
-A variable embedded as a diagonal sub-block of exactly one PSD block and
-named by no equality row is *local*: the Newton system eliminates it through
-its scaled Gram operator, a congruence map with an exact inverse that is
-never materialized, and its only constraints are coordinate pins.  Every
-other variable is *imaged*; the equality rows and the pins of imaged
-variables form dense rows E on the imaged coordinates.  So B = [E; P], with
-P the pins of the local variables, and the multipliers of all rows live in
-one vector y.  A gauge term L(h) = i [Cbar_k conj(h)]_k enters the rest of
-the Newton matrix through closed forms in r x r blocks of W (its entries
-against every gauge term of the block, and its rows on the eliminated
-variable); the other imaged terms through the congruences W F W of their
-images F, each computed only over the band of block rows that the adjoints
-read.
+Three linear maps place variables in the blocks, and each has one role.  A
+variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
+embedded variable of exactly one PSD block and named by no equality row: the
+Newton system eliminates it through its scaled Gram operator, a congruence
+map with an exact inverse that is never materialized, and its only
+constraints are coordinate pins.  The other variables, a scaled identity
+lambda I and gauges h, are *imaged*, and the equality rows E act on them
+alone.  So B = [E; P], with P the pins of the eliminated variables, and the
+multipliers of all rows live in one vector y.  No basis element is ever
+imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix
+through closed forms in r x r blocks of W (its entries against every gauge
+term of the block, and its rows on the eliminated variable), and lambda I
+through its one sandwich W A(1) W, which the adjoints read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._basis import ProductBasis, congruence_many, product_basis
+from ._basis import ProductBasis, product_basis
 from .errors import SolverFailureError
 from .tensor_algebra import hermitize
 
@@ -49,28 +49,13 @@ class EmbedDiag:
     def __init__(self, offset: int):
         self.offset = int(offset)
 
-    def rows(self, basis: ProductBasis, side: int) -> range:
-        """Block rows the adjoint reads; the image also vanishes outside them."""
-        return range(self.offset, self.offset + basis.side)
-
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         o, n = self.offset, m.shape[0]
         out[o : o + n, o : o + n] += m
 
-    def adjoint_coords_many(
-        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
-    ) -> np.ndarray:
+    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         o, n = self.offset, basis.side
-        return basis.coords_many(
-            np.ascontiguousarray(mats[:, o - row0 : o - row0 + n, o : o + n])
-        )
-
-    def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
-        el = basis.elements(idx)
-        out = np.zeros((len(idx), side, side), dtype=complex)
-        o, n = self.offset, basis.side
-        out[:, o : o + n, o : o + n] = el
-        return out
+        return basis.coords_many(np.ascontiguousarray(mats[:, o : o + n, o : o + n]))
 
 
 class ScaledIdentity:
@@ -79,24 +64,18 @@ class ScaledIdentity:
     def __init__(self, offset: int, size: int, scale: float = 1.0):
         self.offset, self.size, self.scale = int(offset), int(size), float(scale)
 
-    def rows(self, basis: ProductBasis, side: int) -> range:
-        return range(self.offset, self.offset + self.size)
-
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         idx = np.arange(self.offset, self.offset + self.size)
         out[idx, idx] += self.scale * m.reshape(-1)[0]
 
-    def adjoint_coords_many(
-        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
-    ) -> np.ndarray:
+    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         idx = np.arange(self.offset, self.offset + self.size)
-        return self.scale * np.real(mats[:, idx - row0, idx].sum(axis=1))[:, None]
+        return self.scale * np.real(mats[:, idx, idx].sum(axis=1))[:, None]
 
-    def images_chunk(self, basis: ProductBasis, idx: np.ndarray, side: int) -> np.ndarray:
-        out = np.zeros((len(idx), side, side), dtype=complex)
-        o = np.arange(self.offset, self.offset + self.size)
-        out[:, o, o] = self.scale
-        return out
+    def sandwich(self, w: np.ndarray) -> np.ndarray:
+        """W A(1) W = s W[:, R] W[R, :] over the index range R."""
+        rs = slice(self.offset, self.offset + self.size)
+        return self.scale * (w[:, rs] @ w[rs, :])
 
 
 class GaugeOffdiag:
@@ -118,9 +97,6 @@ class GaugeOffdiag:
         self._flat = self.cbar.reshape(self.k * self.d, self.r)
         self._hcat = self.cbar.transpose(1, 0, 2).reshape(self.d, self.k * self.r)
 
-    def rows(self, basis: ProductBasis, side: int) -> range:
-        return range(self.row_offset, self.row_offset + self.d)
-
     def _bands(self) -> tuple[slice, slice]:
         ro, co = self.row_offset, self.col_offset
         return slice(ro, ro + self.d), slice(co, co + self.k * self.r)
@@ -131,13 +107,11 @@ class GaugeOffdiag:
         out[rs, cs] += l.reshape(self.d, self.k * self.r)
         out[cs, rs] += l.reshape(self.d, self.k * self.r).conj().T
 
-    def adjoint_coords_many(
-        self, mats: np.ndarray, basis: ProductBasis, row0: int = 0
-    ) -> np.ndarray:
+    def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         # <A(h), M> = 2 Re[i Tr(conj(h) K)] = <h, i (K^T - conj(K))> for
         # K = sum_j M[rows, cols_j]^dag Cbar_j, exact for Hermitian M
-        ro, co = self.row_offset - row0, self.col_offset
-        b = mats[:, ro : ro + self.d, co : co + self.k * self.r].conj()
+        rs, cs = self._bands()
+        b = mats[:, rs, cs].conj()
         b = b.reshape(-1, self.d, self.k, self.r).transpose(0, 3, 2, 1)
         k = (b.reshape(-1, self.k * self.d) @ self._flat).reshape(-1, self.r, self.r)
         return basis.coords_many(1j * (np.transpose(k, (0, 2, 1)) - k.conj()))
@@ -281,9 +255,9 @@ class _Var:
 
 
 class _Compiled:
-    """The constraints B z = b: dense rows E on the imaged coordinates, then
-    the coordinate pins of the local variables, whose multipliers are the
-    slices ``y_sl`` of one vector y."""
+    """The constraints B z = b: the equality rows E on the imaged
+    coordinates, then the coordinate pins of the local variables, whose
+    multipliers are the slices ``y_sl`` of one vector y."""
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
@@ -294,9 +268,10 @@ class _Compiled:
                 if name not in self.vars:
                     raise SolverFailureError(f"block references unknown variable {name!r}")
                 occurrences[name].append((j, mp))
-        # a variable embedded as a diagonal sub-block of exactly one PSD block
-        # and named by no equality row is eliminated through the congruence
-        # structure of its scaled Gram
+        # every embedded variable is eliminated through the congruence
+        # structure of its scaled Gram, so it must be the only embedded
+        # variable of its one PSD block and named by no equality row; pins
+        # are its only constraints
         in_rows = {name for row in problem.equalities for name in row.coefs}
         self.local_of_block: dict[int, _Var] = {}
         for name, occ in occurrences.items():
@@ -306,12 +281,25 @@ class _Compiled:
                     f"variable {name!r} appears in no PSD block; the normal "
                     "matrix would be singular"
                 )
-            if len(occ) == 1 and isinstance(occ[0][1], EmbedDiag) and name not in in_rows:
-                j, mp = occ[0]
-                if j not in self.local_of_block:
-                    var.local_block = j
-                    var.map = mp
-                    self.local_of_block[j] = var
+            if not any(isinstance(mp, EmbedDiag) for _, mp in occ):
+                if len(var.pins):
+                    raise SolverFailureError(
+                        f"variable {name!r} has pins but is not embedded; only an "
+                        "embedded variable can be pinned"
+                    )
+                continue
+            j, mp = occ[0]
+            if len(occ) > 1:
+                why = "it enters more than one term"
+            elif name in in_rows:
+                why = "an equality row names it"
+            elif j in self.local_of_block:
+                why = f"block {j} already embeds {self.local_of_block[j].name!r}"
+            else:
+                var.local_block, var.map = j, mp
+                self.local_of_block[j] = var
+                continue
+            raise SolverFailureError(f"embedded variable {name!r} cannot be eliminated: {why}")
         self.imaged = [v for v in self.vars.values() if v.local_block is None]
         self.locals = [v for v in self.vars.values() if v.local_block is not None]
         # z lists the imaged coordinates first, then the local ones
@@ -324,18 +312,13 @@ class _Compiled:
         self.block_terms: list[list[tuple[_Var, LinearMap]]] = [
             [(self.vars[name], mp) for name, mp in b.terms] for b in problem.blocks
         ]
-        # per block: the imaged terms, and the smallest row band of W F W that
-        # their adjoints and the local sub-block read
-        self.img_terms: list[list[tuple[_Var, LinearMap]]] = []
-        self.bands: list[slice] = []
-        for j, b in enumerate(problem.blocks):
-            self.img_terms.append([(v, mp) for v, mp in self.block_terms[j] if v.local_block != j])
-            for v, mp in self.img_terms[-1]:
-                if isinstance(mp, GaugeOffdiag) and v.els is None:
-                    v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
-            spans = [mp.rows(v.basis, b.side) for v, mp in self.block_terms[j]]
-            lo = min((r.start for r in spans), default=0)
-            self.bands.append(slice(lo, max((r.stop for r in spans), default=b.side)))
+        # per block: the imaged terms (scaled identities and gauges)
+        self.img_terms = [
+            [(v, mp) for v, mp in terms if v.local_block is None] for terms in self.block_terms
+        ]
+        for v, mp in (t for terms in self.img_terms for t in terms):
+            if isinstance(mp, GaugeOffdiag) and v.els is None:
+                v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -356,24 +339,13 @@ class _Compiled:
                     f"objective for {name!r} has shape {coef.shape}, expected ({v.m},)"
                 )
             self.c[v.sl] = sgn * coef
-        # dense rows on the imaged coordinates: explicit rows plus their pins
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for row in problem.equalities:
-            r = np.zeros(self.m_u)
+        # the equality rows, dense on the imaged coordinates
+        self.e_rows = np.zeros((len(problem.equalities), self.m_u))
+        e_rhs = np.array([float(row.rhs) for row in problem.equalities])
+        for r, row in zip(self.e_rows, problem.equalities):
             for name, coef in row.coefs.items():
                 r[self.vars[name].sl] = np.asarray(coef, dtype=float)
-            rows.append(r)
-            rhs.append(float(row.rhs))
-        for v in self.imaged:
-            for a in v.pins:
-                r = np.zeros(self.m_u)
-                r[v.sl.start + a] = 1.0
-                rows.append(r)
-                rhs.append(float(v.spec.pin_values[a]))
-        self.e_rows = np.array(rows) if rows else np.zeros((0, self.m_u))
-        e_rhs = np.array(rhs) if rhs else np.zeros(0)
-        if len(rows) > 1:
+        if len(e_rhs) > 1:
             # dependent rows make the reduced saddle matrix singular: keep a
             # basis of their row space when the right-hand sides agree
             u, sv, vt = np.linalg.svd(self.e_rows, full_matrices=False)
@@ -548,9 +520,9 @@ class _KktFactors:
 
         H dz - B^T dy = r_hat,   B dz = r_b,
 
-    with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: dense rows E
-    on the imaged coordinates and the coordinate pins P of the local
-    variables.  Each local variable is eliminated through the exact
+    with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: the equality
+    rows E on the imaged coordinates (lambda and h) and the coordinate pins P
+    of the local variables.  Each local variable is eliminated through the exact
     congruence inverse T = K^{-1} of its diagonal H sub-operator K, and its
     pins through a small Cholesky of P T P^T.  What remains is the saddle
     system [[red_a, -E^T], [E, 0]] over (imaged coordinates, dense-row
@@ -594,45 +566,38 @@ class _KktFactors:
     def _assemble(self) -> None:
         """H on the imaged coordinates (``h_uu``) and, per local variable,
         its rows ``c_loc`` on them.  Gauge terms enter through the closed
-        forms of ``GaugeOffdiag``; the other imaged terms through the
-        congruences W F W of their images, whose adjoints also give the
-        gauge-vs-other entries, set in both triangles."""
+        forms of ``GaugeOffdiag``; a scaled identity through its one
+        sandwich W A(1) W, which every imaged adjoint and the local map read.
+        Its gauge entries are set in both triangles."""
         comp = self.comp
         m_u = comp.m_u
         self.h_uu = np.zeros((m_u, m_u))
         self.loc: list[_Local] = []
-        for j, block in enumerate(comp.problem.blocks):
+        for j, img in enumerate(comp.img_terms):
             winv = self.winvs[j]
-            img = comp.img_terms[j]
-            band = comp.bands[j]
             locvar = comp.local_of_block.get(j)
             if locvar is not None:
                 lc = _Local(locvar, winv, m_u if img else 0)
                 self.loc.append(lc)
                 o = locvar.map.offset
                 loc = slice(o, o + locvar.basis.side)
-            gauges = [(v, mp) for v, mp in img if isinstance(mp, GaugeOffdiag)]
-            others = [(v, mp) for v, mp in img if not isinstance(mp, GaugeOffdiag)]
-            for v, mp in gauges:
-                for v2, mp2 in gauges:
-                    self.h_uu[v.sl, v2.sl] += mp.gram_block(mp2, winv, v.els, v2.els)
-                if locvar is not None:
-                    rows = locvar.basis.coords_many(mp.local_rows(winv, v.els, loc))
-                    lc.c_loc[:, v.sl] += rows.T
-            for v, mp in others:
-                chunk = 256
-                for lo in range(0, v.m, chunk):
-                    idx = np.arange(lo, min(v.m, lo + chunk))
-                    y = congruence_many(winv, mp.images_chunk(v.basis, idx, block.side), band)
-                    cols = slice(v.sl.start + lo, v.sl.start + lo + len(idx))
+            for v, mp in img:
+                if isinstance(mp, GaugeOffdiag):
                     for v2, mp2 in img:
-                        vals = mp2.adjoint_coords_many(y, v2.basis, band.start)  # (k, m_v2)
-                        self.h_uu[v2.sl, cols] += vals.T
                         if isinstance(mp2, GaugeOffdiag):
-                            self.h_uu[cols, v2.sl] += vals
+                            self.h_uu[v.sl, v2.sl] += mp.gram_block(mp2, winv, v.els, v2.els)
                     if locvar is not None:
-                        c_new = locvar.map.adjoint_coords_many(y, locvar.basis, band.start)
-                        lc.c_loc[:, cols] += c_new.T
+                        rows = locvar.basis.coords_many(mp.local_rows(winv, v.els, loc))
+                        lc.c_loc[:, v.sl] += rows.T
+                    continue
+                y = mp.sandwich(winv)[None]
+                for v2, mp2 in img:
+                    vals = mp2.adjoint_coords_many(y, v2.basis)  # (1, m_v2)
+                    self.h_uu[v2.sl, v.sl] += vals.T
+                    if isinstance(mp2, GaugeOffdiag):
+                        self.h_uu[v.sl, v2.sl] += vals
+                if locvar is not None:
+                    lc.c_loc[:, v.sl] += locvar.map.adjoint_coords_many(y, locvar.basis).T
             if locvar is not None:
                 # the coordinates of the imaged variables, each once however
                 # many terms of the block it enters through

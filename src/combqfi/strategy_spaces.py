@@ -243,9 +243,7 @@ def _trace_pinned(kill: np.ndarray, layout: SubsystemLayout, trace: float) -> Co
     return CompiledSpace(kill, values)
 
 
-def _strategy_teeth(
-    spec: StrategySetSpec, perm: tuple[int, ...]
-) -> list[tuple[str | None, str | None]]:
+def _strategy_teeth(perm: tuple[int, ...]) -> list[tuple[str | None, str | None]]:
     """Tooth pairs of a sequential strategy querying slots in perm order.
 
     The probe preparation has no input and the final tooth's output (the
@@ -262,7 +260,7 @@ def _tower_pins(
     spec: StrategySetSpec, layout: SubsystemLayout, perm: tuple[int, ...]
 ) -> CompiledSpace:
     """Primal pins of a sequential strategy: its comb trace tower."""
-    levels = [((in_l,), s) for in_l, s in comb_tower_sets(_strategy_teeth(spec, perm))]
+    levels = [((in_l,), s) for in_l, s in comb_tower_sets(_strategy_teeth(perm))]
     return _pins(layout, levels, float(spec.out_dims_product))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb_algebra import CombReport, FactorizedComb, comb_report, pair_ordered, purify
+from .comb_algebra import RANK_RTOL, CombReport, FactorizedComb, comb_report, pair_ordered, purify
 from .errors import CombValidationError, SynthesisFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, primal_space
 from .task_qfi import QfiResult, performance_operator
@@ -217,7 +217,7 @@ def _psd_clean(m: np.ndarray) -> np.ndarray:
 # purification
 
 
-def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
+def purify_strategy(s: StrategyChoi) -> StrategyChoi:
     """Fill in a pure strategy vector over a global future factor.
 
     Definite-order strategies get a plain purification.  Branch-structured
@@ -228,7 +228,7 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
     """
     layout = s.marginal.layout
     if s.branches is None:
-        psi, full_layout = _purify(s.marginal, "F", rank_rtol)
+        psi, full_layout = _purify(s.marginal, "F")
         s.purification = psi
         s.purification_layout = full_layout
         s.future_labels = ("F",)
@@ -237,7 +237,7 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
     d_priv = 1
     purs = {}
     for b in live:
-        psi, lay = _purify(b.op, "FB", rank_rtol)
+        psi, lay = _purify(b.op, "FB")
         purs[b.perm] = (psi, lay.dim("FB"))
         d_priv = max(d_priv, lay.dim("FB"))
     n_ctrl = len(s.branches)
@@ -257,11 +257,9 @@ def purify_strategy(s: StrategyChoi, rank_rtol: float = 1e-10) -> StrategyChoi:
     return s
 
 
-def _purify(
-    rho: LabeledMatrix, future_label: str, rank_rtol: float
-) -> tuple[np.ndarray, SubsystemLayout]:
+def _purify(rho: LabeledMatrix, future_label: str) -> tuple[np.ndarray, SubsystemLayout]:
     try:
-        return purify(rho, future_label=future_label, rank_rtol=rank_rtol)
+        return purify(rho, future_label=future_label)
     except ValueError as exc:  # LinAlgError included
         raise SynthesisFailureError(f"cannot purify the strategy: {exc}") from exc
 
@@ -290,11 +288,7 @@ class IsometrySequence:
         return tuple(st.r_next for st in self.steps)
 
 
-def comb_to_isometries(
-    c: LabeledMatrix,
-    io_pairs,
-    rank_rtol: float = 1e-10,
-) -> IsometrySequence:
+def comb_to_isometries(c: LabeledMatrix, io_pairs) -> IsometrySequence:
     """Decompose a multi-step process into isometries with minimal ancillas.
 
     One pivoted Cholesky (LAPACK ?pstrf), stopped at pivots <= eig_tol / D,
@@ -303,7 +297,7 @@ def comb_to_isometries(
     -||conj(C) - X X^dag||_F is the certified bound the report checks, with
     the trace tower of ``comb_report``.  The process reduced to pairs 0..k
     has the factor X reshaped to D_k rows over sqrt(prod of the traced input
-    dims); its thin SVD U s V^dag gives the support U (s^2 > rank_rtol *
+    dims); its thin SVD U s V^dag gives the support U (s^2 > RANK_RTOL *
     max s^2), the square root U s U^dag and its pseudo-inverse.  Step k joins
     the square root at k with the pseudo-inverse at k - 1; the ancilla after
     it is the support at k, of the reduced process's rank.  No D x D matrix
@@ -331,7 +325,7 @@ def comb_to_isometries(
         for di, do in reversed(dims):
             y = x.reshape(rows, -1) / np.sqrt(in_later)
             u, sv, _ = np.linalg.svd(y, full_matrices=False)
-            keep = sv**2 > rank_rtol * max(float(sv[0]) ** 2, 1e-300)
+            keep = sv**2 > RANK_RTOL * max(float(sv[0]) ** 2, 1e-300)
             supports.insert(0, u[:, keep])
             svals.insert(0, sv[keep])
             rows //= di * do

@@ -339,3 +339,27 @@ class TestValidate:
         doc["branches"] = None
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path), cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["missing", "not-json", "not-an-object", "no-layout", "no-marginal", "wrong-schema"],
+    )
+    def test_bad_strategy_file_exit_3(self, fault, tmp_path, capsys):
+        # a strategy file that cannot be read as one is a configuration
+        # error, as a bad config file is
+        path = tmp_path / "strategy.json"
+        marginal = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        docs = {
+            "not-an-object": [1, 2],
+            "no-layout": {"schema_version": 1, "marginal": marginal},
+            "no-marginal": {"schema_version": 1, "layout": [["1", 2]]},
+            "wrong-schema": {"schema_version": 99, "layout": [["1", 2]], "marginal": marginal},
+        }
+        if fault == "not-json":
+            path.write_text("not json {")
+        elif fault in docs:
+            path.write_text(json.dumps(docs[fault]))
+        cfg = write(tmp_path, "c.json", base_config(strategies=["seq"]))
+        capsys.readouterr()
+        assert main(["validate", str(path), cfg]) == 3
+        assert "config error" in capsys.readouterr().err

@@ -172,6 +172,26 @@ class TestOutputState:
         p2 = output_state(psi, full_lay, family(0.9 - d), ("F",))
         assert np.linalg.norm(a - (p1 - p2) / (2 * d)) < 1e-6
 
+    def test_permuted_purification_matches_process_order(self, rng):
+        # the purification is read in the process's label order, whatever
+        # order its own layout lists the factors in, a future factor between
+        # process factors included
+        from combqfi.comb_algebra import purify
+        from combqfi.strategy_spaces import StrategySetSpec, primal_space
+        from combqfi.tensor_algebra import LabeledMatrix, permute_vector
+
+        fc = product_comb(ad_phase_channel(0.3, 0.9), 2)
+        m = primal_space(StrategySetSpec.qubits("par", 2))[0].random_member(rng)
+        w, v = np.linalg.eigh(m.entries)
+        psi, lay = purify(LabeledMatrix(m.layout, (v * np.clip(w, 1e-10, None)) @ v.conj().T))
+        for order in (["F", "3", "1", "4", "2"], ["1", "F", "2", "3", "4"]):
+            psi_p, lay_p = permute_vector(lay, psi, order), lay.reorder(order)
+            assert not np.allclose(psi_p, psi)
+            for f in (output_state, output_state_deriv):
+                ref = f(psi, lay, fc, ("F",))
+                got = f(psi_p, lay_p, fc, ("F",))
+                assert np.allclose(got, ref, atol=1e-13 * np.abs(ref).max())
+
     def test_suboptimal_never_beats_sdp(self, rng):
         from combqfi.comb_algebra import purify
         from combqfi.strategy_spaces import StrategySetSpec, primal_space

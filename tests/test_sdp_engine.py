@@ -154,23 +154,51 @@ class TestSolverContracts:
             solve(prob)
 
     def test_dependent_rows_reduced(self):
-        # a repeated row would leave the reduced saddle matrix singular
-        basis = product_basis((2,))
-        row = np.zeros(4)
-        row[0] = np.sqrt(2.0)
+        # a repeated row would leave the reduced saddle matrix singular:
+        # min s + t over s >= 1, t >= 2 with s = t given twice
+        terms = [("s", ScaledIdentity(0, 1)), ("t", ScaledIdentity(1, 1))]
+        row = EqualityRow({"s": np.array([1.0]), "t": np.array([-1.0])}, 0.0)
         prob = SdpProblem(
-            variables=[HermitianVariable("x", (2,))],
-            blocks=[PsdBlockSpec(2, None, [("x", EmbedDiag(0))])],
-            equalities=[EqualityRow({"x": row}, 1.0), EqualityRow({"x": row}, 1.0)],
-            objective={"x": basis.coords(np.diag([1.0, 0.0]))},
-            sense="max",
+            variables=[HermitianVariable("s", (1,)), HermitianVariable("t", (1,))],
+            blocks=[PsdBlockSpec(2, -np.diag([1.0, 2.0]), terms)],
+            equalities=[row, row],
+            objective={"s": np.array([1.0]), "t": np.array([1.0])},
+            sense="min",
         )
+        assert _Compiled(prob).n_rows == 1
         sol = solve(prob)
         assert sol.optimal
-        assert abs(sol.objective - 1.0) < 1e-7
-        prob.equalities[1] = EqualityRow({"x": row}, 2.0)
-        with pytest.raises(SolverFailureError):
+        assert abs(sol.objective - 4.0) < 1e-7
+        prob.equalities[1] = EqualityRow(row.coefs, 1.0)
+        with pytest.raises(SolverFailureError, match="conflicting"):
             solve(prob)
+
+    @pytest.mark.parametrize(
+        "shape", ["named-by-a-row", "in-two-blocks", "second-in-a-block", "pinned-imaged"]
+    )
+    def test_embedded_variable_must_be_eliminable(self, shape):
+        # an embedded variable is always eliminated, so a shape that would
+        # keep one in the reduced system is refused, naming the variable;
+        # pins belong to eliminated variables only
+        x, y = HermitianVariable("x", (2,)), HermitianVariable("y", (2,))
+        blocks = [PsdBlockSpec(2, None, [("x", EmbedDiag(0))])]
+        rows = []
+        if shape == "named-by-a-row":
+            rows = [EqualityRow({"x": np.array([1.0, 0.0, 0.0, 0.0])}, 1.0)]
+            variables, name = [x], "x"
+        elif shape == "in-two-blocks":
+            blocks.append(PsdBlockSpec(2, None, [("x", EmbedDiag(0))]))
+            variables, name = [x], "x"
+        elif shape == "second-in-a-block":
+            blocks[0] = PsdBlockSpec(4, None, [("x", EmbedDiag(0)), ("y", EmbedDiag(2))])
+            variables, name = [x, y], "y"
+        else:
+            t = HermitianVariable("t", (1,), pin_mask=np.array([True]), pin_values=np.ones(1))
+            blocks.append(PsdBlockSpec(1, None, [("t", ScaledIdentity(0, 1))]))
+            variables, name = [x, t], "t"
+        prob = SdpProblem(variables=variables, blocks=blocks, equalities=rows)
+        with pytest.raises(SolverFailureError, match=f"variable '{name}'"):
+            _Compiled(prob)
 
     def test_linear_algebra_failure_is_typed(self, rng, monkeypatch):
         import combqfi.sdp_engine as se
@@ -408,20 +436,21 @@ class TestStructuredMaps:
     def test_pinned_embedding_and_equalities(self):
         # max <w, x> over the 3-dim PSD cone slice x0 I + x1 X + x2 Z >= 0,
         # x0 = 1: the optimum is on the unit circle of (x1, x2); the slice is
-        # one 2x2 variable with its Y coordinate pinned and its trace fixed
-        # by an equality row
+        # one 2x2 variable with its trace and its Y coordinate pinned
         basis = product_basis((2,))
         x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
-        pin = np.array([False, False, True, False])
+        pin = np.array([True, False, True, False])
+        pv = basis.coords(np.eye(2))  # trace 2, Y coordinate 0
         prob = SdpProblem(
-            variables=[HermitianVariable("x", (2,), pin_mask=pin, pin_values=np.zeros(4))],
+            variables=[HermitianVariable("x", (2,), pin_mask=pin, pin_values=pv)],
             blocks=[PsdBlockSpec(2, None, [("x", EmbedDiag(0))])],
-            equalities=[EqualityRow({"x": basis.coords(np.eye(2))}, 2.0)],
             objective={"x": basis.coords((3 * x + 4 * z) / 2.0)},
             sense="max",
         )
-        # x is named by a dense row, so it stays imaged and its pin is a row
-        assert _Compiled(prob).locals == []
+        # x is eliminated, and its pins are its only constraints
+        comp = _Compiled(prob)
+        assert [v.name for v in comp.locals] == ["x"]
+        assert comp.n_rows == 0
         sol = solve(prob, verify_newton=True)
         assert sol.optimal
         assert abs(sol.objective - 5.0) < 1e-6  # sqrt(3^2 + 4^2)
@@ -488,6 +517,7 @@ class TestStackedGauge:
         ms = np.stack([rand_herm(rng, self.side) for _ in range(3)])
         full = stacked.adjoint_coords_many(ms, basis)
         ref = sum(mp.adjoint_coords_many(ms, basis) for mp in single)
-        band = ms[:, self.ro : self.ro + self.d]
+        band = np.zeros_like(ms)
+        band[:, self.ro : self.ro + self.d] = ms[:, self.ro : self.ro + self.d]
         assert np.allclose(full, ref, atol=1e-13)
-        assert np.allclose(stacked.adjoint_coords_many(band, basis, self.ro), full, atol=1e-13)
+        assert np.allclose(stacked.adjoint_coords_many(band, basis), full, atol=1e-13)
