@@ -7,8 +7,9 @@ Examples:
     python3 scripts/hierarchy_sweep.py --noise ad --n 2 --points 11 --out ad_n2.csv
     python3 scripts/hierarchy_sweep.py --noise bf --n 2 --points 11 --out bf_n2.csv
 
-N = 3 reproduces the full strict hierarchy but takes a few minutes per
-grid point for the branch-structured sets.
+N = 3 reproduces the full strict hierarchy. One grid point takes about
+half a minute for all five sets (1 BLAS thread on a shared 2-core Xeon),
+most of it in ico.
 """
 
 import argparse

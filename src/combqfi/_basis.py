@@ -64,10 +64,10 @@ def _split(dims: tuple[int, ...]) -> int:
 
 
 def congruence_many(z: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Z @ M_a @ Z for a stack (k, n, n) of matrices, as two flat GEMMs."""
+    """Z @ M_a @ Z^dag for a stack (k, n, n) of matrices, as two flat GEMMs."""
     k, n, _ = ms.shape
     y = (z @ ms.transpose(1, 0, 2).reshape(n, k * n)).reshape(n, k, n)
-    y = y.transpose(1, 0, 2).reshape(k * n, n) @ z
+    y = y.transpose(1, 0, 2).reshape(k * n, n) @ z.conj().T
     return y.reshape(k, n, n)
 
 
@@ -186,7 +186,7 @@ class ProductBasis:
     # -- solver helpers ----------------------------------------------------
 
     def sandwich_coords_many(self, z: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Coordinates of Z @ matrix(c) @ Z for each row c of cs."""
+        """Coordinates of Z @ matrix(c) @ Z^dag for each row c of cs."""
         return self.coords_many(congruence_many(z, self.matrices(cs)))
 
     def sandwich_gram(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -15,7 +15,13 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import CombValidationError, ConfigError, SolverFailureError, SynthesisFailureError
+from .errors import (
+    CombValidationError,
+    ConfigError,
+    DimensionMismatchError,
+    SolverFailureError,
+    SynthesisFailureError,
+)
 from .metrology_zoo import (
     ChannelSpec,
     build_channel,
@@ -63,8 +69,11 @@ class ExperimentConfig:
             n = int(doc["N"])
             phi = float(doc["phi"])
             strategies = tuple(doc["strategies"])
+            gap_tol = float(dict(doc.get("tolerances", {})).get("gap", 1e-8))
         except KeyError as e:
             raise ConfigError(f"missing config key {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"malformed config value: {e}") from None
         if not isinstance(process, dict):
             raise ConfigError("process must be a JSON object")
         for s in strategies:
@@ -76,10 +85,10 @@ class ExperimentConfig:
             raise ConfigError("swi/sup/ico are limited to N <= 3")
         sweep = doc.get("sweep")
         if sweep is not None:
-            if "parameter" not in sweep or "grid" not in sweep:
+            if not isinstance(sweep, dict) or "parameter" not in sweep or "grid" not in sweep:
                 raise ConfigError("sweep needs 'parameter' and 'grid'")
-            if len(sweep["grid"]) == 0:
-                raise ConfigError("sweep grid is empty")
+            if not isinstance(sweep["grid"], list) or not sweep["grid"]:
+                raise ConfigError("sweep grid must be a non-empty list")
             if sweep["parameter"] != "phi":
                 _set_param(process, sweep["parameter"], sweep["grid"][0])
         return ExperimentConfig(
@@ -88,7 +97,7 @@ class ExperimentConfig:
             phi=phi,
             strategies=strategies,
             sweep=sweep,
-            gap_tol=float(doc.get("tolerances", {}).get("gap", 1e-8)),
+            gap_tol=gap_tol,
             validate_oracle=bool(doc.get("validate_oracle", True)),
         )
 
@@ -110,6 +119,8 @@ def _set_param(process: dict, key: str, value) -> dict:
 
 
 def _channel_spec_from_doc(doc: dict) -> ChannelSpec:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a process or part must be a JSON object, not {doc!r}")
     kind = doc.get("kind")
     if kind is None:
         raise ConfigError("process needs a 'kind'")
@@ -410,10 +421,13 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
         for order, comb in (("12", fc), ("21", alt)):
             if comb is None:
                 continue
-            lam = task_qfi(comb, s.spec).value if s.spec else 0.0
-            ver = verify_strategy(
-                s.purification, s.purification_layout, s.future_labels, comb, lam
-            )
+            try:
+                lam = task_qfi(comb, s.spec).value if s.spec else 0.0
+                ver = verify_strategy(
+                    s.purification, s.purification_layout, s.future_labels, comb, lam
+                )
+            except DimensionMismatchError as e:
+                raise ConfigError(f"the strategy does not fit the process: {e}") from None
             scored.append((ver.relative_gap, order, lam, ver))
         _, order, lam, ver = min(scored, key=lambda t: t[0])
         report["oracle_qfi"] = ver.j_oracle

@@ -161,21 +161,31 @@ def pf_rx_channel(p: float, phi: float) -> KrausChannel:
 
 def build_channel(spec: ChannelSpec, phi: float) -> KrausChannel:
     """Materialize a channel spec at the working point."""
-    kind, p = spec.kind, spec.params
+    kind = spec.kind
+
+    def p(key: str, default: float | None = None) -> float:
+        value = spec.params.get(key, default)
+        if value is None:
+            raise ConfigError(f"channel {kind!r} needs the parameter {key!r}")
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"channel parameter {key}={value!r} is not a number") from None
+
     if kind == "rz":
         return rz(phi)
     if kind == "rx":
         return rx(phi)
     if kind == "uz":
-        return uz(phi, p["t"])
+        return uz(phi, p("t"))
     if kind == "amplitude_damping":
-        return amplitude_damping(p["p"])
+        return amplitude_damping(p("p"))
     if kind == "bit_flip":
-        return bit_flip(p["p"])
+        return bit_flip(p("p"))
     if kind == "phase_flip":
-        return phase_flip(p["p"])
+        return phase_flip(p("p"))
     if kind == "nmr_relaxation":
-        return nmr_relaxation(p["t"], p.get("T1", 3.2), p.get("T2", 1.1), p.get("a0", 0.5))
+        return nmr_relaxation(p("t"), p("T1", 3.2), p("T2", 1.1), p("a0", 0.5))
     if kind == "composed":
         if not spec.parts:
             raise ConfigError("composed channel needs parts")

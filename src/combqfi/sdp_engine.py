@@ -5,7 +5,8 @@ Problem form after compilation: a real coordinate vector z (orthonormal
 Hermitian-basis coordinates of every matrix variable), PSD constraints
 ``S_j = G_j + A_j(z) >= 0``, equality constraints B z = b and a linear
 objective.  The algorithm is primal-dual path following with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector.  Each PSD block is
+Nesterov-Todd scaling and a Mehrotra predictor-corrector, stepping a fixed
+fraction of the way to the boundary with no line search.  Each PSD block is
 factored once per iteration (one Cholesky factor of S and one eigh), and
 the scaling, step lengths and corrector all read off that factor.
 
@@ -16,8 +17,10 @@ Newton system eliminates it through its scaled Gram operator, a congruence
 map with an exact inverse that is never materialized, and its only
 constraints are coordinate pins.  The other variables, a scaled identity
 lambda I and gauges h, are *imaged*, and the equality rows E act on them
-alone.  So B = [E; P], with P the pins of the eliminated variables, and the
-multipliers of all rows live in one vector y.  No basis element is ever
+alone, reduced to an orthonormal basis of their row space.  So B = [E; P],
+with P the pins of the eliminated variables, and the multipliers of all rows
+live in one vector y.  On the null space of E the Newton matrix is positive
+definite, so one Cholesky solves it.  No basis element is ever
 imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix
 through closed forms in r x r blocks of W (its entries against every gauge
 term of the block, and its rows on the eliminated variable), and lambda I
@@ -28,7 +31,6 @@ Deterministic: fixed initial point, no randomness anywhere.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,8 +228,8 @@ class SdpSolution:
     compl_residual: float
     history: list[tuple[float, float, float, float, float]]  # (pobj, dobj, mu, p_res, d_res)
     block_duals: list[np.ndarray]
-    # the exit the iteration took: converged, merit-degraded, singular-newton,
-    # step-stall, backtrack-rejected, max-iter or diverged
+    # the exit the iteration took: converged, merit-degraded, step-stall,
+    # max-iter or diverged
     stop_reason: str
 
     @property
@@ -345,19 +347,20 @@ class _Compiled:
         for r, row in zip(self.e_rows, problem.equalities):
             for name, coef in row.coefs.items():
                 r[self.vars[name].sl] = np.asarray(coef, dtype=float)
-        if len(e_rhs) > 1:
-            # dependent rows make the reduced saddle matrix singular: keep a
-            # basis of their row space when the right-hand sides agree
-            u, sv, vt = np.linalg.svd(self.e_rows, full_matrices=False)
-            keep = sv > 1e-12 * sv[0]
-            if not keep.all():
-                clash = float(np.linalg.norm(u[:, ~keep].T @ e_rhs))
-                if clash > 1e-9 * (1.0 + float(np.linalg.norm(e_rhs))):
-                    raise SolverFailureError(
-                        f"dependent equality rows with conflicting right-hand sides ({clash:.2e})"
-                    )
-                e_rhs = (u.T @ e_rhs)[keep] / sv[keep]
-                self.e_rows = vt[keep]
+        # E becomes an orthonormal basis of the row space, and ``e_null`` a
+        # basis of its null space, on which the Newton matrix is definite;
+        # dependent rows are kept once when their right-hand sides agree
+        self.e_null = None
+        if len(e_rhs):
+            u, sv, vt = np.linalg.svd(self.e_rows)
+            rank = int(np.sum(sv > 1e-12 * sv.max(initial=0.0)))
+            clash = float(np.linalg.norm(u[:, rank:].T @ e_rhs))
+            if clash > 1e-9 * (1.0 + float(np.linalg.norm(e_rhs))):
+                raise SolverFailureError(
+                    f"dependent equality rows with conflicting right-hand sides ({clash:.2e})"
+                )
+            e_rhs = (u[:, :rank].T @ e_rhs) / sv[:rank]
+            self.e_rows, self.e_null = vt[:rank], vt[rank:].T
         self.n_rows = len(e_rhs)
         off = self.n_rows
         for v in self.locals:
@@ -488,10 +491,6 @@ def _psd_solver(gm: np.ndarray):
 # Newton system
 
 
-class _SingularNewton(np.linalg.LinAlgError):
-    """The reduced Newton matrix has an exact zero LU pivot."""
-
-
 class _Local:
     """The elimination of one local variable from the Newton system."""
 
@@ -500,19 +499,24 @@ class _Local:
         sub, n = var.map.offset, var.basis.side
         # inv(W^{-1} sub-block) = F F^dag with F = L^{-dag}
         _, li = _cholesky_inv(hermitize(winv[sub : sub + n, sub : sub + n]))
-        f = li.conj().T
-        self.whinv = hermitize(f @ li)
+        self.f = li.conj().T
         if len(var.pins):
-            gm = var.basis.sandwich_gram(f, var.pins)
+            gm = var.basis.sandwich_gram(self.f, var.pins)
             gm = 0.5 * (gm + gm.T)
             gm += (1e-14 * np.trace(gm) / len(var.pins)) * np.eye(len(var.pins))
             self.gsolve = _psd_solver(gm)
         self.c_loc = np.zeros((var.m, n_u))  # C: the local rows of H on the imaged coordinates
 
+    def half(self, cs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """G X = F^dag X F on the coordinate columns X of cs, or G^T X =
+        F X F^dag with ``adjoint``: T = K^{-1} = G^T G."""
+        z = self.f if adjoint else self.f.conj().T
+        out = self.var.basis.sandwich_coords_many(z, cs.T.reshape(-1, len(cs)))
+        return out.T.reshape(cs.shape)
+
     def t_apply(self, cs: np.ndarray) -> np.ndarray:
         """T = K^{-1}, the inverse scaled Gram of the local variable, on coords."""
-        out = self.var.basis.sandwich_coords_many(self.whinv, cs.T.reshape(-1, len(cs)))
-        return out.T.reshape(cs.shape)
+        return self.half(self.half(cs), adjoint=True)
 
 
 class _KktFactors:
@@ -524,10 +528,11 @@ class _KktFactors:
     rows E on the imaged coordinates (lambda and h) and the coordinate pins P
     of the local variables.  Each local variable is eliminated through the exact
     congruence inverse T = K^{-1} of its diagonal H sub-operator K, and its
-    pins through a small Cholesky of P T P^T.  What remains is the saddle
-    system [[red_a, -E^T], [E, 0]] over (imaged coordinates, dense-row
-    multipliers).  Solves apply iterative refinement against the exact
-    operators.
+    pins through a small Cholesky of P T P^T.  What remains is the matrix
+    red_a on the imaged coordinates under the orthonormal rows E: with N a
+    basis of their null space, N^T red_a N is positive definite and factored
+    by Cholesky (Nocedal & Wright, Numerical Optimization, sec. 16.2).  Solves
+    apply iterative refinement against the exact operators.
     """
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
@@ -535,33 +540,26 @@ class _KktFactors:
         self.winvs = winvs
         self._assemble()
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
-        # rhs-independent eliminations and the reduced saddle matrix
+        # rhs-independent eliminations and the reduced matrix; C^T T C is
+        # the Gram (G C)^T (G C), which keeps it symmetric and accurate where
+        # T itself is ill-conditioned
         red_a = self.h_uu.copy()
         for lc in self.loc:
             uu = np.ix_(lc.u_idx, lc.u_idx)
-            lc.t_c = lc.t_apply(lc.c_loc) if len(lc.u_idx) else lc.c_loc
-            red_a[uu] -= lc.c_loc.T @ lc.t_c
+            lc.t_c = lc.c_loc
+            if len(lc.u_idx):
+                gc = lc.half(lc.c_loc)
+                lc.t_c = lc.half(gc, adjoint=True)
+                red_a[uu] -= gc.T @ gc
             if len(lc.var.pins):
                 lc.u_i = lc.t_c[lc.var.pins]  # P T C
                 lc.gi_u = lc.gsolve(lc.u_i) if len(lc.u_idx) else lc.u_i
                 red_a[uu] += lc.u_i.T @ lc.gi_u
-        e = comp.e_rows
-        self.full = np.block([[red_a, -e.T], [e, np.zeros((len(e), len(e)))]])
-        if self.full.size:
-            import scipy.linalg as sla
-
-            # symmetric equilibration keeps the LU honest when the normal
-            # part and the multiplier rows live on very different scales
-            dg = np.sqrt(np.maximum(np.abs(np.diagonal(self.full)), 1e-300))
-            dg = np.maximum(dg, 1e-8 * dg.max() if dg.max() > 0 else 1.0)
-            self.full_scale = dg
-            scaled = self.full / dg[:, None] / dg[None, :]
-            # an exact zero pivot is handled below, so its warning is noise
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                self.full_lu = sla.lu_factor(scaled)
-            if not np.all(np.diagonal(self.full_lu[0])):
-                raise _SingularNewton("Newton system is singular to working precision")
+        self.red_a = red_a
+        # the rows hold du to E^T r_b + N w, and the matrix is positive
+        # definite on the null space N of the rows
+        n = comp.e_null
+        self.red_solve = _psd_solver(red_a if n is None else n.T @ red_a @ n)
 
     def _assemble(self) -> None:
         """H on the imaged coordinates (``h_uu``) and, per local variable,
@@ -619,9 +617,7 @@ class _KktFactors:
         """One backsolve of the factored Newton system."""
         comp = self.comp
         m_u, g = comp.m_u, comp.n_rows
-        import scipy.linalg as sla
-
-        rhs = np.concatenate([r_hat[:m_u], r_b[:g]])
+        rhs = r_hat[:m_u].copy()
         parts = []
         for lc in self.loc:
             v = lc.var
@@ -632,14 +628,18 @@ class _KktFactors:
                 gi_r = lc.gsolve(r_b[v.y_sl] - t_rq[v.pins])
                 rhs[lc.u_idx] -= lc.u_i.T @ gi_r
             parts.append((t_rq, gi_r))
-        sol = np.zeros(0)
-        if rhs.size:
-            sol = sla.lu_solve(self.full_lu, rhs / self.full_scale) / self.full_scale
-        du = sol[:m_u]
         dz = np.zeros(comp.m_total)
         dy = np.zeros(len(r_b))
+        n = comp.e_null
+        if n is None:
+            du = self.red_solve(rhs)
+        else:
+            # du = E^T r_b + N w with N^T red_a N w = N^T (rhs - red_a E^T r_b);
+            # then red_a du - E^T dy = rhs gives dy = E (red_a du - rhs)
+            du = comp.e_rows.T @ r_b[:g]
+            du += n @ self.red_solve(n.T @ (rhs - self.red_a @ du))
+            dy[:g] = comp.e_rows @ (self.red_a @ du - rhs)
         dz[:m_u] = du
-        dy[:g] = sol[m_u:]
         for lc, (t_rq, gi_r) in zip(self.loc, parts):
             v = lc.var
             step = t_rq - lc.t_c @ du[lc.u_idx]
@@ -711,9 +711,8 @@ def solve(
 
     A malformed problem, and any linear-algebra failure inside the iteration
     (a failed factorization, a non-finite iterate), raise SolverFailureError.
-    A reduced Newton system that is singular to working precision (an exact
-    zero pivot of its LU) ends the solve at the best iterate instead, with
-    status ``numerical-limit`` unless that iterate meets the tolerances.
+    A solve that stops short of the tolerances ends at its best iterate, with
+    status ``numerical-limit`` unless that iterate meets them;
     ``stop_reason`` names the exit the iteration took.
     """
     comp = _Compiled(problem)
@@ -752,22 +751,12 @@ def _interior_point(
     best = None
     best_merit = np.inf
 
-    def stationarity(x_bl, y_):
-        r_stat = c.copy()
-        for j in range(nblk):
-            comp.adjoint_into(j, -x_bl[j], r_stat)
-        return r_stat - comp.rows_t(y_)
-
-    def dual_res(r_stat):
-        # the stationarity residual is scaled by the terms entering the sum
-        # (c - r_stat is the accumulated adjoint part), the customary measure
-        return float(np.linalg.norm(r_stat)) / (
-            1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
-        )
-
     def measures():
         """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
-        r_stat = stationarity(x_blocks, y)
+        r_stat = c.copy()
+        for j in range(nblk):
+            comp.adjoint_into(j, -x_blocks[j], r_stat)
+        r_stat -= comp.rows_t(y)
         r_blocks = [comp.block_matrix(j, z) - s_blocks[j] for j in range(nblk)]
         r_b = comp.b - comp.rows(z)
         pobj = float(c @ z)
@@ -779,7 +768,12 @@ def _interior_point(
             max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
             float(np.linalg.norm(r_b)),
         ) / (1.0 + float(np.linalg.norm(z)))
-        return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, dual_res(r_stat)
+        # the stationarity residual is scaled by the terms entering the sum
+        # (c - r_stat is the accumulated adjoint part), the customary measure
+        d_res = float(np.linalg.norm(r_stat)) / (
+            1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
+        )
+        return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res
 
     for it in range(1, max_iter + 1):
         (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
@@ -805,11 +799,7 @@ def _interior_point(
             break
 
         scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
-        try:
-            kkt = _KktFactors(comp, [sc.winv for sc in scalings])
-        except _SingularNewton:
-            stop_reason = "singular-newton"  # no Newton direction: keep the best iterate
-            break
+        kkt = _KktFactors(comp, [sc.winv for sc in scalings])
 
         def step_lengths(frames, tau):  # (primal, dual), the least over blocks
             steps = np.min([sc.max_steps(*fr) for sc, fr in zip(scalings, frames)], axis=0)
@@ -851,26 +841,10 @@ def _interior_point(
         else:
             stall = 0
 
-        def try_step(a_p, a_d):
-            z_t = z + a_p * dz
-            s_t = [hermitize(s_blocks[j] + a_p * ds[j]) for j in range(nblk)]
-            x_t = [hermitize(x_blocks[j] + a_d * dx[j]) for j in range(nblk)]
-            return z_t, s_t, x_t, y + a_d * dy
-
-        # merit backtracking: reject directions that wreck the residuals
-        accepted = False
-        for _ in range(4):
-            z_t, s_t, x_t, y_t = try_step(ap, ad)
-            d_res_t = dual_res(stationarity(x_t, y_t))
-            if d_res_t <= max(30.0 * d_res, 10.0 * FEAS_TOL):
-                accepted = True
-                break
-            ap *= 0.3
-            ad *= 0.3
-        if not accepted:
-            stop_reason = "backtrack-rejected"  # keep the best iterate
-            break
-        z, s_blocks, x_blocks, y = z_t, s_t, x_t, y_t
+        # the step-to-boundary lengths, with no line search
+        z, y = z + ap * dz, y + ad * dy
+        s_blocks = [hermitize(s_blocks[j] + ap * ds[j]) for j in range(nblk)]
+        x_blocks = [hermitize(x_blocks[j] + ad * dx[j]) for j in range(nblk)]
 
     restored = status != "optimal" and best is not None
     if restored:

@@ -9,15 +9,7 @@ from combqfi.cli import main
 
 PHI = float(np.pi / 2)
 # the exits SdpSolution.stop_reason documents
-STOP_REASONS = {
-    "converged",
-    "merit-degraded",
-    "singular-newton",
-    "step-stall",
-    "backtrack-rejected",
-    "max-iter",
-    "diverged",
-}
+STOP_REASONS = {"converged", "merit-degraded", "step-stall", "max-iter", "diverged"}
 
 
 def write(tmp_path, name, doc):
@@ -148,6 +140,29 @@ class TestRun:
         cfg = write(tmp_path, "c.json", base_config(process=process, strategies=["par"]))
         assert main(["run", cfg]) == 3
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["N", "sweep", "tolerances", "part-without-p", "part-as-string", "p-not-a-number"],
+    )
+    def test_malformed_value_exit_3(self, fault, tmp_path, capsys):
+        # a value of the wrong type or a missing channel parameter is a
+        # configuration error, not a traceback
+        damping = {"kind": "amplitude_damping", "p": 0.4}
+        over = {
+            "N": {"N": "two"},
+            "sweep": {"sweep": 5},
+            "tolerances": {"tolerances": 3},
+            "part-without-p": {"parts": [{"kind": "rz"}, {"kind": "amplitude_damping"}]},
+            "part-as-string": {"parts": ["rz", damping]},
+            "p-not-a-number": {"parts": [{"kind": "rz"}, {**damping, "p": "high"}]},
+        }[fault]
+        if "parts" in over:
+            over = {"process": {"kind": "composed", **over}}
+        cfg = write(tmp_path, "c.json", base_config(strategies=["par"], **over))
+        capsys.readouterr()
+        assert main(["run", cfg]) == 3
+        assert "config" in capsys.readouterr().err
+
     def test_n_guard_exit_3(self, tmp_path):
         cfg = write(tmp_path, "c.json", base_config(N=4, strategies=["sup"]))
         assert main(["run", cfg]) == 3
@@ -273,6 +288,22 @@ class TestValidate:
         cfg = write(tmp_path, "c.json", base_config(strategies=["seq"]))
         rc = main(["validate", str(path), cfg])
         assert rc == 0
+
+    def test_strategy_of_another_n_exit_3(self, tmp_path, capsys):
+        from combqfi.cli import export_strategy
+        from combqfi.metrology_zoo import ad_phase_channel
+        from combqfi.strategy_spaces import StrategySetSpec
+        from combqfi.strategy_synthesis import optimal_strategy, purify_strategy
+        from combqfi.task_qfi import product_comb, task_qfi
+
+        fc = product_comb(ad_phase_channel(0.4, PHI), 2)
+        spec = StrategySetSpec.qubits("seq", 2)
+        path = tmp_path / "strategy.json"
+        export_strategy(purify_strategy(optimal_strategy(fc, spec, task_qfi(fc, spec))), str(path))
+        cfg = write(tmp_path, "c.json", base_config(N=1, strategies=["seq"]))
+        capsys.readouterr()
+        assert main(["validate", str(path), cfg]) == 3
+        assert "config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", ["12", "21"])
     def test_validate_scores_each_slot_order(self, order, tmp_path, capsys):

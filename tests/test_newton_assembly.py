@@ -1,7 +1,11 @@
-"""The Newton matrix of the interior-point solver against an image-stack
-reference: every imaged basis element's image A(E_a) is built with
-``add_apply``, congruenced as W A(E_a) W over the whole block and read by
-every adjoint.  The solver builds gauge rows in closed form instead."""
+"""The Newton system of the interior-point solver against references.
+
+The matrix against image stacks: every imaged basis element's image A(E_a)
+is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
+and read by every adjoint.  The solver builds gauge rows in closed form
+instead.  Its directions against an LU of the saddle matrix
+[[red_a, -E^T], [E, 0]]: the solver factors red_a on the null space of the
+rows instead."""
 
 import sys
 
@@ -11,7 +15,13 @@ import pytest
 from combqfi import sdp_engine as se
 from combqfi.metrology_zoo import ad_phase_channel
 from combqfi.strategy_spaces import StrategySetSpec, dual_space, primal_space
-from combqfi.task_qfi import build_factorized_problem, build_problem, product_comb
+from combqfi.task_qfi import (
+    _restrict_to_identity_branch,
+    _slot_symmetry,
+    build_factorized_problem,
+    build_problem,
+    product_comb,
+)
 
 sys.path.insert(0, "tests")
 from util import split_gauge_columns, split_gauge_rows  # noqa: E402
@@ -151,8 +161,98 @@ def test_closed_form_matches_image_stacks(name, rng, monkeypatch):
     monkeypatch.setattr(se._KktFactors, "_assemble", image_stack_assemble)
     ref = se._KktFactors(comp, winvs)
     assert _rel(kkt.h_uu, ref.h_uu) <= 1e-12
-    assert _rel(kkt.full, ref.full) <= 1e-12
+    assert _rel(kkt.red_a, ref.red_a) <= 1e-12
     assert len(kkt.loc) == len(ref.loc)
     for lc, lr in zip(kkt.loc, ref.loc):
         assert np.array_equal(lc.u_idx, lr.u_idx)
         assert _rel(lc.c_loc, lr.c_loc) <= 1e-12
+
+
+def saddle_solve_linear(kkt, r_hat, r_b):
+    """``_KktFactors._solve_linear`` with the reduced system solved as one
+    equilibrated LU of [[red_a, -E^T], [E, 0]] over (imaged coordinates,
+    row multipliers)."""
+    import scipy.linalg as sla
+
+    comp = kkt.comp
+    m_u, g, e = comp.m_u, comp.n_rows, comp.e_rows
+    full = np.block([[kkt.red_a, -e.T], [e, np.zeros((g, g))]])
+    rhs = np.concatenate([r_hat[:m_u], r_b[:g]])
+    parts = []
+    for lc in kkt.loc:
+        v = lc.var
+        t_rq = lc.t_apply(r_hat[v.sl])
+        rhs[lc.u_idx] -= lc.c_loc.T @ t_rq
+        gi_r = None
+        if len(v.pins):
+            gi_r = lc.gsolve(r_b[v.y_sl] - t_rq[v.pins])
+            rhs[lc.u_idx] -= lc.u_i.T @ gi_r
+        parts.append((t_rq, gi_r))
+    sol = np.zeros(0)
+    if rhs.size:
+        dg = np.sqrt(np.maximum(np.abs(np.diagonal(full)), 1e-300))
+        dg = np.maximum(dg, 1e-8 * dg.max() if dg.max() > 0 else 1.0)
+        lu = sla.lu_factor(full / dg[:, None] / dg[None, :])
+        sol = sla.lu_solve(lu, rhs / dg) / dg
+    du = sol[:m_u]
+    dz, dy = np.zeros(comp.m_total), np.zeros(len(r_b))
+    dz[:m_u], dy[:g] = du, sol[m_u:]
+    for lc, (t_rq, gi_r) in zip(kkt.loc, parts):
+        v = lc.var
+        step = t_rq - lc.t_c @ du[lc.u_idx]
+        if gi_r is not None:
+            dy[v.y_sl] = gi_r + lc.gi_u @ du[lc.u_idx]
+            pv = np.zeros(v.m)
+            pv[v.pins] = dy[v.y_sl]
+            step += lc.t_apply(pv)
+        dz[v.sl] = step
+    return dz, dy
+
+
+def dependent_rows(rng):
+    """``test_dependent_rows_reduced``'s problem: the row s = t twice."""
+    terms = [("s", se.ScaledIdentity(0, 1)), ("t", se.ScaledIdentity(1, 1))]
+    row = se.EqualityRow({"s": np.array([1.0]), "t": np.array([-1.0])}, 0.0)
+    return se.SdpProblem(
+        variables=[se.HermitianVariable("s", (1,)), se.HermitianVariable("t", (1,))],
+        blocks=[se.PsdBlockSpec(2, -np.diag([1.0, 2.0]), terms)],
+        equalities=[row, row],
+        objective={"s": np.array([1.0]), "t": np.array([1.0])},
+    )
+
+
+def swi_3_identity_branch(rng):
+    """The factorized N=3 SWITCH held to its identity branch by symmetry rows."""
+    fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 3)
+    spaces = primal_space(StrategySetSpec.qubits("swi", 3))
+    problem = build_factorized_problem(fc, spaces)
+    _restrict_to_identity_branch(problem, _slot_symmetry(fc, spaces))
+    return problem
+
+
+SOLVE_PROBLEMS = {
+    **PROBLEMS,
+    "dependent-rows": dependent_rows,
+    "swi-3-identity-branch": swi_3_identity_branch,
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_PROBLEMS))
+def test_projected_solve_matches_saddle_lu(name, rng):
+    problem = SOLVE_PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    if name in ("dependent-rows", "swi-3-identity-branch"):
+        assert comp.n_rows
+    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    r_hat = rng.standard_normal(comp.m_total)
+    r_b = rng.standard_normal(len(comp.b))
+    dz, dy = kkt._solve_linear(r_hat, r_b)
+    ref_z, ref_y = saddle_solve_linear(kkt, r_hat, r_b)
+    assert _rel(dz, ref_z) <= 1e-10
+    assert _rel(dy, ref_y) <= 1e-10
+    # H dz - B^T dy = r_hat and B dz = r_b against the exact operators
+    h_dz, bt_dy = kkt._h_apply(dz), comp.rows_t(dy)
+    scale = np.linalg.norm(r_hat) + np.linalg.norm(h_dz) + np.linalg.norm(bt_dy)
+    assert np.linalg.norm(h_dz - bt_dy - r_hat) <= 1e-12 * scale
+    b_dz = comp.rows(dz)
+    assert np.linalg.norm(b_dz - r_b) <= 1e-12 * (np.linalg.norm(r_b) + np.linalg.norm(b_dz))

@@ -154,7 +154,7 @@ class TestSolverContracts:
             solve(prob)
 
     def test_dependent_rows_reduced(self):
-        # a repeated row would leave the reduced saddle matrix singular:
+        # the row reduction keeps an orthonormal basis of the row space:
         # min s + t over s >= 1, t >= 2 with s = t given twice
         terms = [("s", ScaledIdentity(0, 1)), ("t", ScaledIdentity(1, 1))]
         row = EqualityRow({"s": np.array([1.0]), "t": np.array([-1.0])}, 0.0)
@@ -210,40 +210,10 @@ class TestSolverContracts:
         with pytest.raises(SolverFailureError, match="not positive definite"):
             solve(lambda_min_problem(rand_herm(rng, 4)))
 
-    @pytest.mark.parametrize("fault", ["zero pivot", "raise"])
-    def test_singular_newton_ends_at_best_iterate(self, rng, monkeypatch, fault):
-        # only an exact zero pivot of the reduced Newton LU ends the solve at
-        # its best iterate; any other failure in the factorization is typed
-        import scipy.linalg as sla
-
-        real, calls = sla.lu_factor, []
-
-        def lu_factor(a, *args, **kwargs):
-            calls.append(1)
-            if len(calls) < 3:
-                return real(a, *args, **kwargs)
-            if fault == "raise":
-                raise np.linalg.LinAlgError("factorization failed")
-            lu, piv = real(a, *args, **kwargs)
-            lu[-1, -1] = 0.0
-            return lu, piv
-
-        monkeypatch.setattr(sla, "lu_factor", lu_factor)
-        prob = lambda_min_problem(rand_herm(rng, 4))
-        if fault == "raise":
-            with pytest.raises(SolverFailureError, match="factorization failed"):
-                solve(prob)
-            return
-        sol = solve(prob)
-        assert sol.status == "numerical-limit"
-        assert sol.stop_reason == "singular-newton"
-        assert sol.iterations == 3
-        assert sol.objective in [h[0] for h in sol.history]
-
     def test_exactly_singular_newton_is_silent(self):
         # two scalars with the same image leave the reduced Newton matrix
-        # exactly singular at the first iteration; the solver handles the
-        # zero pivot, so no LinAlgWarning may reach the caller
+        # exactly singular; the eigenvalue floor of its Cholesky solve still
+        # gives a direction, and no warning may reach the caller
         terms = [("s", ScaledIdentity(0, 2)), ("t", ScaledIdentity(0, 2))]
         prob = SdpProblem(
             variables=[HermitianVariable("s", (1,)), HermitianVariable("t", (1,))],
@@ -254,10 +224,8 @@ class TestSolverContracts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(prob)
-        assert sol.status == "numerical-limit"
-        assert sol.stop_reason == "singular-newton"
-        assert sol.iterations == 1
-        assert sol.objective == sol.history[0][0]
+        assert (sol.status, sol.stop_reason) == ("optimal", "converged")
+        assert abs(sol.objective - 1.0) < 1e-7
 
     def test_psd_solver_survives_rounding_indefinite(self, rng):
         from combqfi.sdp_engine import _psd_solver

@@ -249,9 +249,10 @@ def test_stacked_gauge_matches_per_column_terms(n, rng):
     for b in stacked.blocks:
         g = rng.standard_normal((b.side, b.side)) + 1j * rng.standard_normal((b.side, b.side))
         winvs.append(g @ g.conj().T / b.side + np.eye(b.side))
-    full = se._KktFactors(se._Compiled(stacked), winvs).full
-    ref = se._KktFactors(se._Compiled(split), winvs).full
-    assert np.linalg.norm(full - ref) <= 1e-12 * np.linalg.norm(ref)
+    kkt = se._KktFactors(se._Compiled(stacked), winvs)
+    ref = se._KktFactors(se._Compiled(split), winvs)
+    assert np.linalg.norm(kkt.red_a - ref.red_a) <= 1e-12 * np.linalg.norm(ref.red_a)
+    assert np.array_equal(kkt.comp.e_rows, ref.comp.e_rows)
     # the engine still takes several terms of one variable, to the same optimum
     a, b = se.solve(stacked), se.solve(split)
     assert a.optimal and b.optimal
