@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import (
     DimensionMismatchError,
     SolverFailureError,
     SynthesisFailureError,
+    checked,
+    config_value,
 )
 from .metrology_zoo import (
     ChannelSpec,
@@ -38,6 +41,8 @@ from .tensor_algebra import LabeledMatrix, SubsystemLayout
 SCHEMA_VERSION = 1
 SET_NAMES = ("par", "seq", "swi", "sup", "ico", "control_free")
 SIG_DIGITS = 12
+# the failures of a solve: they exit 2, and a sweep flags the point and goes on
+SOLVER_ERRORS = (SolverFailureError, SynthesisFailureError, np.linalg.LinAlgError)
 
 
 def _fmt(x: float) -> str:
@@ -58,48 +63,49 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {doc.get('schema_version')!r}"
-            )
-        try:
-            process = doc["process"]
-            n = int(doc["N"])
-            phi = float(doc["phi"])
-            strategies = tuple(doc["strategies"])
-            gap_tol = float(dict(doc.get("tolerances", {})).get("gap", 1e-8))
-        except KeyError as e:
-            raise ConfigError(f"missing config key {e.args[0]!r}") from None
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"malformed config value: {e}") from None
-        if not isinstance(process, dict):
-            raise ConfigError("process must be a JSON object")
-        for s in strategies:
+        """Check every value of a config document by its JSON type, and build
+        the process at each point the config scores: a config that loads
+        runs, and a config fault raises ConfigError before any solve."""
+        checked(doc, "object", "a config")
+        version = config_value(doc, "schema_version", "integer", None)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}")
+        config = ExperimentConfig(
+            process=config_value(doc, "process", "object"),
+            n_steps=config_value(doc, "N", "integer"),
+            phi=config_value(doc, "phi", "number"),
+            strategies=tuple(config_value(doc, "strategies", "array")),
+            sweep=config_value(doc, "sweep", "object", None),
+            gap_tol=config_value(
+                config_value(doc, "tolerances", "object", {}), "gap", "number", 1e-8, "tolerances"
+            ),
+            validate_oracle=config_value(doc, "validate_oracle", "boolean", True),
+        )
+        for s in config.strategies:
             if s not in SET_NAMES:
                 raise ConfigError(f"unknown strategy set {s!r}")
-        if n < 1:
+        if config.n_steps < 1:
             raise ConfigError("N must be positive")
-        if n > 3 and any(s in ("swi", "sup", "ico") for s in strategies):
+        if config.n_steps > 3 and any(s in ("swi", "sup", "ico") for s in config.strategies):
             raise ConfigError("swi/sup/ico are limited to N <= 3")
-        sweep = doc.get("sweep")
-        if sweep is not None:
-            if not isinstance(sweep, dict) or "parameter" not in sweep or "grid" not in sweep:
-                raise ConfigError("sweep needs 'parameter' and 'grid'")
-            if not isinstance(sweep["grid"], list) or not sweep["grid"]:
-                raise ConfigError("sweep grid must be a non-empty list")
-            if sweep["parameter"] != "phi":
-                _set_param(process, sweep["parameter"], sweep["grid"][0])
-        return ExperimentConfig(
-            process=process,
-            n_steps=n,
-            phi=phi,
-            strategies=strategies,
-            sweep=sweep,
-            gap_tol=gap_tol,
-            validate_oracle=bool(doc.get("validate_oracle", True)),
-        )
+        for point in config.points():
+            build_process(*point)
+        return config
+
+    def points(self) -> list[tuple["ExperimentConfig", dict | None]]:
+        """The (config, process override) pairs the config scores: one per
+        sweep grid value, else the working point alone."""
+        if self.sweep is None:
+            return [(self, None)]
+        param = config_value(self.sweep, "parameter", "string", what="sweep")
+        grid = config_value(self.sweep, "grid", "array", what="sweep")
+        if not grid:
+            raise ConfigError("sweep grid must be a non-empty list")
+        for value in grid:
+            checked(value, "number", "a sweep grid value")
+        if param == "phi":
+            return [(replace(self, phi=value, sweep=None), None) for value in grid]
+        return [(self, {param: value}) for value in grid]
 
 
 def _set_param(process: dict, key: str, value) -> dict:
@@ -107,8 +113,8 @@ def _set_param(process: dict, key: str, value) -> dict:
     key if there is one, else the key of the one part that holds it."""
     if key in process:
         return {**process, key: value}
-    parts = list(process.get("parts", []))
-    holders = [i for i, part in enumerate(parts) if key in part]
+    parts = list(config_value(process, "parts", "array", [], "process"))
+    holders = [i for i, part in enumerate(parts) if isinstance(part, dict) and key in part]
     if len(holders) != 1:
         raise ConfigError(
             f"sweep parameter {key!r} is neither a process key nor held by exactly "
@@ -119,14 +125,10 @@ def _set_param(process: dict, key: str, value) -> dict:
 
 
 def _channel_spec_from_doc(doc: dict) -> ChannelSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"a process or part must be a JSON object, not {doc!r}")
-    kind = doc.get("kind")
-    if kind is None:
-        raise ConfigError("process needs a 'kind'")
-    parts = tuple(_channel_spec_from_doc(p) for p in doc.get("parts", []))
+    checked(doc, "object", "a process or part")
+    parts = tuple(map(_channel_spec_from_doc, config_value(doc, "parts", "array", [], "process")))
     params = {k: v for k, v in doc.items() if k not in ("kind", "parts")}
-    return ChannelSpec(kind=kind, params=params, parts=parts)
+    return ChannelSpec(config_value(doc, "kind", "string", what="process"), params, parts)
 
 
 def build_process(config: ExperimentConfig, override: dict | None = None):
@@ -134,108 +136,103 @@ def build_process(config: ExperimentConfig, override: dict | None = None):
 
     Returns (factorized comb, alternate-order comb or None).
     """
-    doc = dict(config.process)
+    doc = config.process
     for key, value in (override or {}).items():
         doc = _set_param(doc, key, value)
-    kind = doc.get("kind")
+    kind = config_value(doc, "kind", "string", what="process")
+
+    def param(key: str, json_type: str, *default):
+        return config_value(doc, key, json_type, *default, what="process")
+
     if kind == "nonmarkovian_swap":
         if config.n_steps != 2:
             raise ConfigError("the exchange-coupling process has two steps")
+        markovian = param("markovian", "boolean", False)
+        if not markovian and any(s in ("swi", "sup", "ico") for s in config.strategies):
+            # in the order 2-1 the memory would carry slot 2's output back to
+            # slot 1: the output is not a normalized state, nor its value a QFI
+            raise ConfigError("swi/sup/ico need a process without memory between slots")
         fc = nonmarkovian_swap_comb(
-            config.phi,
-            float(doc.get("g", 1.0)),
-            float(doc.get("t", 1.0)),
-            markovian=bool(doc.get("markovian", False)),
+            config.phi, param("g", "number", 1.0), param("t", "number", 1.0), markovian
         )
         return fc, None
     if kind == "nonidentical_ad_pair":
         if config.n_steps != 2:
             raise ConfigError("the non-identical pair has two steps")
-        fc = nonidentical_pair(float(doc["p1"]), float(doc["p2"]), config.phi)
+        fc = nonidentical_pair(param("p1", "number"), param("p2", "number"), config.phi)
         return fc, swap_slot_order(fc)
     spec = _channel_spec_from_doc(doc)
     return product_comb(build_channel(spec, config.phi), config.n_steps), None
 
 
-def _score_one(args):
-    """Worker: score every requested set at one parameter point."""
-    config, override = args
+def _set_spec(kind: str, n_steps: int, layout: SubsystemLayout) -> StrategySetSpec:
+    """The strategy set ``kind`` on the slots of an N-step process layout."""
+    dims = layout.dims
+    if len(dims) != 2 * n_steps:
+        raise ConfigError(f"a {n_steps}-step strategy needs {2 * n_steps} layout factors")
+    return StrategySetSpec(kind, n_steps, tuple(zip(dims[0::2], dims[1::2])))
+
+
+def _score_one(point) -> dict:
+    """Score every requested set at one (config, process override) point."""
+    config, override = point
+    fc, alt = build_process(config, override)
+    out = {}
+    for name in config.strategies:
+        oracle_gap = None
+        if name == "control_free":
+            space = control_free_space(config.n_steps, fc.layout.dims[0])
+            res = solve_factorized(fc, [space], gap_tol=config.gap_tol)
+        else:
+            spec = _set_spec(name, config.n_steps, fc.layout)
+            # seq reports the better slot order, and certifies that one
+            best, res = fc, task_qfi(fc, spec, gap_tol=config.gap_tol)
+            if alt is not None and name == "seq":
+                res2 = task_qfi(alt, spec, gap_tol=config.gap_tol)
+                if res2.value > res.value:
+                    best, res = alt, res2
+            if config.validate_oracle:
+                try:
+                    strat = purify_strategy(optimal_strategy(best, spec, res))
+                    ver = verify_strategy(
+                        strat.purification,
+                        strat.purification_layout,
+                        strat.future_labels,
+                        best,
+                        res.value,
+                    )
+                    oracle_gap = ver.relative_gap
+                except SOLVER_ERRORS:
+                    pass
+        stats = res.solver
+        out[name] = {
+            "value": res.value,
+            "status": stats.status,
+            "gap": stats.gap,
+            "iterations": stats.iterations,
+            "stop_reason": stats.stop_reason,
+            "oracle_gap": oracle_gap,
+        }
+    return out
+
+
+def _score_or_failure(point):
+    """Sweep worker: the point's scores, or the solver failure that stopped it."""
     try:
-        fc, alt = build_process(config, override)
-        out = {}
-        for name in config.strategies:
-            if name == "control_free":
-                d = fc.layout.dims[0]
-                space = control_free_space(config.n_steps, d)
-                res = solve_factorized(fc, [space], gap_tol=config.gap_tol)
-                value, stats = res.value, res.solver
-                oracle_gap = None
-            else:
-                spec = StrategySetSpec(
-                    name,
-                    config.n_steps,
-                    tuple(
-                        (fc.layout.dims[2 * k], fc.layout.dims[2 * k + 1])
-                        for k in range(config.n_steps)
-                    ),
-                )
-                # seq reports the better slot order, and certifies that one
-                best, res = fc, task_qfi(fc, spec, gap_tol=config.gap_tol)
-                if alt is not None and name == "seq":
-                    res2 = task_qfi(alt, spec, gap_tol=config.gap_tol)
-                    if res2.value > res.value:
-                        best, res = alt, res2
-                value, stats = res.value, res.solver
-                oracle_gap = None
-                if config.validate_oracle:
-                    try:
-                        strat = purify_strategy(optimal_strategy(best, spec, res))
-                        ver = verify_strategy(
-                            strat.purification,
-                            strat.purification_layout,
-                            strat.future_labels,
-                            best,
-                            res.value,
-                        )
-                        oracle_gap = ver.relative_gap
-                    except (SynthesisFailureError, SolverFailureError, np.linalg.LinAlgError):
-                        oracle_gap = None
-            out[name] = {
-                "value": value,
-                "status": stats.status,
-                "gap": stats.gap,
-                "iterations": stats.iterations,
-                "stop_reason": stats.stop_reason,
-                "oracle_gap": oracle_gap,
-            }
-        return {"ok": True, "sets": out}
-    except (SolverFailureError, SynthesisFailureError, np.linalg.LinAlgError) as e:
-        # LinAlgError subclasses ValueError: it must not read as a config error
-        return {"ok": False, "error": f"solver: {e}"}
-    except (ConfigError, CombValidationError, ValueError) as e:
-        return {"ok": False, "error": f"config: {e}"}
+        return _score_one(point)
+    except SOLVER_ERRORS as e:
+        return e
 
 
 def run_task(config: ExperimentConfig, out_path: str | None) -> int:
-    result = _score_one((config, None))
-    if not result["ok"]:
-        print(f"error: {result['error']}", file=sys.stderr)
-        return 3 if result["error"].startswith("config") else 2
     doc = {
         "schema_version": SCHEMA_VERSION,
         "phi": config.phi,
         "N": config.n_steps,
         "process": config.process,
         "results": {
-            name: {
-                "value": float(f"{r['value']:.{SIG_DIGITS - 1}e}"),
-                "status": r["status"],
-                "gap": r["gap"],
-                "iterations": r["iterations"],
-                "stop_reason": r["stop_reason"],
-                "oracle_gap": r["oracle_gap"],
-            }
-            for name, r in result["sets"].items()
+            name: {**r, "value": float(f"{r['value']:.{SIG_DIGITS - 1}e}")}
+            for name, r in _score_one((config, None)).items()
         },
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -249,45 +246,30 @@ def run_task(config: ExperimentConfig, out_path: str | None) -> int:
 
 def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
     if config.sweep is None:
-        print("error: config has no sweep section", file=sys.stderr)
-        return 3
-    param = config.sweep["parameter"]
-    grid = list(config.sweep["grid"])
-    tasks = []
-    for val in grid:
-        if param == "phi":
-            cfg = ExperimentConfig(**{**config.__dict__, "phi": float(val), "sweep": None})
-            tasks.append((cfg, None))
-        else:
-            tasks.append((config, {param: val}))
+        raise ConfigError("config has no sweep section")
+    points = config.points()
     if jobs > 1:
         with get_context("spawn").Pool(jobs) as pool:
-            rows = pool.map(_score_one, tasks)
+            rows = pool.map(_score_or_failure, points)
     else:
-        rows = [_score_one(t) for t in tasks]
+        rows = [_score_or_failure(p) for p in points]
     names = list(config.strategies)
     header = ["grid_value"] + [f"J_{n}" for n in names] + [
         f"oracle_gap_{n}" for n in names
     ] + [f"stop_{n}" for n in names] + ["status"]
     lines = [",".join(header)]
-    any_solver_failure = False
-    for val, row in zip(grid, rows):
-        if row["ok"]:
-            cells = [_fmt(float(val))]
-            cells += [_fmt(row["sets"][n]["value"]) for n in names]
+    for val, row in zip(config.sweep["grid"], rows):
+        cells = [_fmt(val)]
+        if isinstance(row, Exception):
+            cells += [""] * (3 * len(names)) + [f"failed:solver: {row}".replace(",", ";")]
+        else:
+            cells += [_fmt(row[n]["value"]) for n in names]
             cells += [
-                _fmt(row["sets"][n]["oracle_gap"])
-                if row["sets"][n]["oracle_gap"] is not None
-                else ""
+                "" if row[n]["oracle_gap"] is None else _fmt(row[n]["oracle_gap"])
                 for n in names
             ]
-            cells += [row["sets"][n]["stop_reason"] for n in names]
+            cells += [row[n]["stop_reason"] for n in names]
             cells.append("ok")
-        else:
-            any_solver_failure = any_solver_failure or row["error"].startswith("solver")
-            cells = [_fmt(float(val))] + [""] * (3 * len(names)) + [
-                "failed:" + row["error"].replace(",", ";")
-            ]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -295,7 +277,7 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
             f.write(text)
     else:
         print(text, end="")
-    return 2 if any_solver_failure else 0
+    return 2 if any(isinstance(row, Exception) for row in rows) else 0
 
 
 def export_strategy(strategy: StrategyChoi, path: str) -> None:
@@ -340,53 +322,63 @@ def load_strategy(path: str) -> StrategyChoi:
     """Read a strategy file written by ``export_strategy``; a file that cannot
     be read or parsed as one, or has another schema version, raises
     ConfigError."""
-    doc = _read_json(path, "strategy")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"strategy file {path!r} is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported strategy schema_version {doc.get('schema_version')!r}")
+    doc = checked(_read_json(path, "strategy"), "object", f"strategy file {path!r}")
+    version = config_value(doc, "schema_version", "integer", None, "strategy file")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported strategy schema_version {version!r}")
 
-    def uncplx(m):
-        return np.array([[complex(a, b) for a, b in row] for row in m])
+    value = partial(config_value, what="strategy file")
+
+    def layout(d: dict) -> SubsystemLayout:
+        return SubsystemLayout.of(
+            *[
+                (checked(l, "string", "a layout label"), checked(n, "integer", "a layout dim"))
+                for l, n in value(d, "layout", "array")
+            ]
+        )
+
+    def uncplx(m) -> np.ndarray:
+        a = np.asarray(m)
+        if a.dtype.kind not in "if" or a.shape[-1:] != (2,):
+            raise ConfigError("entries must be [re, im] pairs of JSON numbers")
+        return a.astype(float).view(complex)[..., 0]
 
     try:
-        layout = SubsystemLayout.of(*[(l, int(d)) for l, d in doc["layout"]])
-        marg = LabeledMatrix(layout, uncplx(doc["marginal"]), hermitian=True)
-        spec = None
-        if doc.get("set"):
-            n = int(doc["n_steps"])
-            spec = StrategySetSpec(
-                doc["set"],
-                n,
-                tuple((layout.dims[2 * k], layout.dims[2 * k + 1]) for k in range(n)),
-            )
+        lay = layout(doc)
+        marg = LabeledMatrix(lay, uncplx(value(doc, "marginal", "array")), hermitian=True)
+        kind = value(doc, "set", "string", None)
+        spec = None if kind is None else _set_spec(kind, value(doc, "n_steps", "integer"), lay)
         s = StrategyChoi(marginal=marg, spec=spec)
-        if doc.get("branches") is not None:
-            s.branches = [
-                Branch(
-                    tuple(b["perm"]),
-                    b["weight"],
-                    None
-                    if b["op"] is None
-                    else LabeledMatrix(layout, uncplx(b["op"]), hermitian=True),
-                    b["rank"],
+        branches = value(doc, "branches", "array", None)
+        if branches is not None:
+            s.branches = []
+            for b in branches:
+                checked(b, "object", "a branch")
+                op = value(b, "op", "array", None)
+                perm = value(b, "perm", "array")
+                perm = tuple(checked(k, "integer", "a branch slot") for k in perm)
+                s.branches.append(
+                    Branch(
+                        perm,
+                        value(b, "weight", "number"),
+                        None if op is None else LabeledMatrix(lay, uncplx(op), hermitian=True),
+                        value(b, "rank", "integer"),
+                    )
                 )
-                for b in doc["branches"]
-            ]
-        if doc.get("purification"):
-            p = doc["purification"]
-            s.purification = np.array([complex(a, b) for a, b in p["amplitudes"]])
-            s.purification_layout = SubsystemLayout.of(
-                *[(l, int(d)) for l, d in p["layout"]]
+        p = value(doc, "purification", "object", None)
+        if p is not None:
+            s.purification = uncplx(value(p, "amplitudes", "array"))
+            s.purification_layout = layout(p)
+            s.future_labels = tuple(
+                checked(l, "string", "a future label") for l in value(p, "future_labels", "array")
             )
-            s.future_labels = tuple(p["future_labels"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed strategy file {path!r}: {e!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"malformed strategy file {path!r}: {e}") from None
     return s
 
 
 def validate_strategy_file(strategy_path: str, config_path: str) -> int:
-    config = _load_config(config_path)
+    config = ExperimentConfig.from_json(_read_json(config_path, "config"))
     s = load_strategy(strategy_path)
     fc, alt = build_process(config, None)
     report = {"schema_version": SCHEMA_VERSION}
@@ -422,7 +414,7 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
             if comb is None:
                 continue
             try:
-                lam = task_qfi(comb, s.spec).value if s.spec else 0.0
+                lam = task_qfi(comb, s.spec, gap_tol=config.gap_tol).value if s.spec else 0.0
                 ver = verify_strategy(
                     s.purification, s.purification_layout, s.future_labels, comb, lam
                 )
@@ -442,14 +434,9 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
 def _read_json(path: str, what: str):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read {what} {path!r}: {e}") from None
-    return doc
-
-
-def _load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_json(_read_json(path, "config"))
 
 
 def main(argv=None) -> int:
@@ -472,7 +459,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return validate_strategy_file(args.strategy, args.config)
-        config = _load_config(args.config)
+        config = ExperimentConfig.from_json(_read_json(args.config, "config"))
         if args.tol_gap is not None:
             config.gap_tol = args.tol_gap
         if args.command == "run":
@@ -481,7 +468,7 @@ def main(argv=None) -> int:
     except (ConfigError, CombValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
-    except (SolverFailureError, SynthesisFailureError) as e:
+    except SOLVER_ERRORS as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 2
 

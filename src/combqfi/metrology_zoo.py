@@ -18,7 +18,7 @@ from .comb_algebra import (
     kraus_product_comb,
     process_layout,
 )
-from .errors import ConfigError
+from .errors import ConfigError, config_value
 from .tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
@@ -163,14 +163,8 @@ def build_channel(spec: ChannelSpec, phi: float) -> KrausChannel:
     """Materialize a channel spec at the working point."""
     kind = spec.kind
 
-    def p(key: str, default: float | None = None) -> float:
-        value = spec.params.get(key, default)
-        if value is None:
-            raise ConfigError(f"channel {kind!r} needs the parameter {key!r}")
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"channel parameter {key}={value!r} is not a number") from None
+    def p(key: str, *default: float) -> float:
+        return config_value(spec.params, key, "number", *default, what=f"channel {kind!r}")
 
     if kind == "rz":
         return rz(phi)

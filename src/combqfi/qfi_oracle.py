@@ -200,9 +200,7 @@ def single_channel_qfi_scan(fc: FactorizedComb) -> float:
 @dataclass(frozen=True)
 class StrategyVerification:
     j_oracle: float
-    lambda_claimed: float
     relative_gap: float
-    trace_residual: float
 
 
 def verify_strategy(
@@ -223,7 +221,5 @@ def verify_strategy(
     gap = abs(rep.j_sld - lambda_claimed) / max(abs(lambda_claimed), 1e-6)
     return StrategyVerification(
         j_oracle=rep.j_sld,
-        lambda_claimed=float(lambda_claimed),
         relative_gap=float(gap),
-        trace_residual=abs(tr - 1.0),
     )

@@ -220,11 +220,8 @@ class SdpSolution:
     status: str
     objective: float
     variables: dict[str, np.ndarray]
-    coords: dict[str, np.ndarray]
     gap: float
     iterations: int
-    primal_residual: float
-    dual_residual: float
     compl_residual: float
     history: list[tuple[float, float, float, float, float]]  # (pobj, dobj, mu, p_res, d_res)
     block_duals: list[np.ndarray]
@@ -742,7 +739,7 @@ def _interior_point(
         s_blocks.append(m + shift * np.eye(b.side))
         x_blocks.append(scale * np.eye(b.side, dtype=complex))
 
-    history: list[tuple[float, float, float]] = []
+    history: list[tuple[float, float, float, float, float]] = []
     status = "numerical-limit"
     stop_reason = "max-iter"
     it = 0
@@ -849,7 +846,7 @@ def _interior_point(
     restored = status != "optimal" and best is not None
     if restored:
         z, y, s_blocks, x_blocks = best
-    (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
+    _, pobj, dobj, relgap, p_res, d_res = measures()
     if restored and relgap <= gap_tol and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL:
         status = "optimal"
     compl = max(
@@ -860,20 +857,12 @@ def _interior_point(
         ),
         default=0.0,
     )
-    coords = {name: z[var.sl].copy() for name, var in comp.vars.items()}
-    mats = {name: comp.vars[name].basis.matrix(cv) for name, cv in coords.items()}
     return SdpSolution(
         status=status,
         objective=comp.obj_sign * pobj,
-        variables=mats,
-        coords=coords,
+        variables={name: var.basis.matrix(z[var.sl]) for name, var in comp.vars.items()},
         gap=relgap,
         iterations=it,
-        primal_residual=max(
-            max((float(np.linalg.norm(r)) for r in r_blocks), default=0.0),
-            float(np.linalg.norm(r_b)),
-        ),
-        dual_residual=float(np.linalg.norm(r_stat)),
         compl_residual=compl,
         history=history,
         block_duals=[x.copy() for x in x_blocks],

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LabelNotFoundError
 
-HERMITICITY_RTOL = 1e-12
 _HERMITICITY_REJECT_RTOL = 1e-8
 
 
@@ -130,9 +129,6 @@ class LabeledMatrix:
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def dagger(self) -> "LabeledMatrix":
-        return LabeledMatrix(self.layout, self.entries.conj().T, self.hermitian)
 
     def scalar(self) -> complex:
         if self.layout.total_dim != 1:

@@ -134,7 +134,7 @@ class TestRun:
         assert main(["run", cfg]) == 3
 
     def test_bad_noise_strength_exit_3(self, tmp_path):
-        # a config error raised while the point is scored is still a config error
+        # the process is built at load, so an out-of-range value is a config error
         parts = [{"kind": "rz"}, {"kind": "amplitude_damping", "p": 1.5}]
         process = {"kind": "composed", "parts": parts}
         cfg = write(tmp_path, "c.json", base_config(process=process, strategies=["par"]))
@@ -142,11 +142,35 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "fault",
-        ["N", "sweep", "tolerances", "part-without-p", "part-as-string", "p-not-a-number"],
+        [
+            "N",
+            "sweep",
+            "tolerances",
+            "part-without-p",
+            "part-as-string",
+            "p-not-a-number",
+            "N-fraction",
+            "N-boolean",
+            "oracle-flag-string",
+            "phi-string",
+            "markovian-string",
+            "pair-without-p2",
+            "grid-string",
+            "grid-out-of-range",
+            "switch-on-memory",
+        ],
     )
-    def test_malformed_value_exit_3(self, fault, tmp_path, capsys):
-        # a value of the wrong type or a missing channel parameter is a
-        # configuration error, not a traceback
+    def test_malformed_value_exit_3(self, fault, tmp_path, capsys, monkeypatch):
+        # a value of the wrong JSON type, a missing parameter or an
+        # out-of-range value at any grid point is a configuration error,
+        # found at load: nothing is converted, no traceback, no solve
+        import combqfi.cli as cli
+
+        def no_solve(*args, **kw):
+            raise AssertionError("a malformed config reached a solve")
+
+        monkeypatch.setattr(cli, "task_qfi", no_solve)
+        monkeypatch.setattr(cli, "solve_factorized", no_solve)
         damping = {"kind": "amplitude_damping", "p": 0.4}
         over = {
             "N": {"N": "two"},
@@ -155,13 +179,38 @@ class TestRun:
             "part-without-p": {"parts": [{"kind": "rz"}, {"kind": "amplitude_damping"}]},
             "part-as-string": {"parts": ["rz", damping]},
             "p-not-a-number": {"parts": [{"kind": "rz"}, {**damping, "p": "high"}]},
+            "N-fraction": {"N": 2.7},
+            "N-boolean": {"N": True},
+            "oracle-flag-string": {"validate_oracle": "no"},
+            "phi-string": {"phi": "1.57"},
+            "markovian-string": {"process": {"kind": "nonmarkovian_swap", "markovian": "no"}},
+            "pair-without-p2": {"process": {"kind": "nonidentical_ad_pair", "p1": 0.1}},
+            "grid-string": {"sweep": {"parameter": "p", "grid": [0.1, "abc"]}},
+            "grid-out-of-range": {"sweep": {"parameter": "p", "grid": [0.1, 1.5]}},
+            # the reversed slot order of a process with memory is no process
+            "switch-on-memory": {
+                "process": {"kind": "nonmarkovian_swap", "markovian": False},
+                "strategies": ["par", "swi"],
+            },
         }[fault]
         if "parts" in over:
             over = {"process": {"kind": "composed", **over}}
-        cfg = write(tmp_path, "c.json", base_config(strategies=["par"], **over))
+        cfg = write(tmp_path, "c.json", base_config(**{"strategies": ["par"], **over}))
         capsys.readouterr()
-        assert main(["run", cfg]) == 3
+        assert main(["sweep" if fault.startswith("grid") else "run", cfg]) == 3
         assert "config" in capsys.readouterr().err
+
+    def test_readme_config_loads(self):
+        # the schema the README documents is the one the checker accepts
+        from pathlib import Path
+
+        from combqfi.cli import ExperimentConfig
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Config schema")[1].split("```json")[1].split("```")[0]
+        config = ExperimentConfig.from_json(json.loads(block))
+        assert config.strategies == ("par", "seq", "swi", "sup", "ico")
+        assert [over for _, over in config.points()] == [{"p": 0.0}, {"p": 0.1}, {"p": 0.2}]
 
     def test_n_guard_exit_3(self, tmp_path):
         cfg = write(tmp_path, "c.json", base_config(N=4, strategies=["sup"]))
@@ -305,6 +354,30 @@ class TestValidate:
         assert main(["validate", str(path), cfg]) == 3
         assert "config" in capsys.readouterr().err
 
+    def test_validate_scores_at_the_config_gap(self, tmp_path, monkeypatch):
+        # run and validate of one config certify against the same task value
+        import combqfi.cli as cli
+        from combqfi.metrology_zoo import ad_phase_channel
+        from combqfi.strategy_spaces import StrategySetSpec
+        from combqfi.strategy_synthesis import optimal_strategy, purify_strategy
+        from combqfi.task_qfi import product_comb, task_qfi
+
+        fc = product_comb(ad_phase_channel(0.4, PHI), 2)
+        spec = StrategySetSpec.qubits("seq", 2)
+        path = tmp_path / "strategy.json"
+        strategy = purify_strategy(optimal_strategy(fc, spec, task_qfi(fc, spec)))
+        cli.export_strategy(strategy, str(path))
+        gaps = []
+
+        def recording_task_qfi(fc, spec, **kw):
+            gaps.append(kw.get("gap_tol"))
+            return task_qfi(fc, spec, **kw)
+
+        monkeypatch.setattr(cli, "task_qfi", recording_task_qfi)
+        doc = base_config(strategies=["seq"], tolerances={"gap": 1e-7})
+        assert main(["validate", str(path), write(tmp_path, "c.json", doc)]) == 0
+        assert gaps == [1e-7]
+
     @pytest.mark.parametrize("order", ["12", "21"])
     def test_validate_scores_each_slot_order(self, order, tmp_path, capsys):
         # a non-identical pair has two slot orders and the strategy file
@@ -373,7 +446,16 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "fault",
-        ["missing", "not-json", "not-an-object", "no-layout", "no-marginal", "wrong-schema"],
+        [
+            "missing",
+            "not-json",
+            "not-an-object",
+            "no-layout",
+            "no-marginal",
+            "wrong-schema",
+            "fractional-dim",
+            "fractional-n-steps",
+        ],
     )
     def test_bad_strategy_file_exit_3(self, fault, tmp_path, capsys):
         # a strategy file that cannot be read as one is a configuration
@@ -385,6 +467,15 @@ class TestValidate:
             "no-layout": {"schema_version": 1, "marginal": marginal},
             "no-marginal": {"schema_version": 1, "layout": [["1", 2]]},
             "wrong-schema": {"schema_version": 99, "layout": [["1", 2]], "marginal": marginal},
+            # int() would read 2.7 as 2 and 1.5 as 1
+            "fractional-dim": {"schema_version": 1, "layout": [["1", 2.7]], "marginal": marginal},
+            "fractional-n-steps": {
+                "schema_version": 1,
+                "layout": [["1", 2], ["2", 1]],
+                "marginal": marginal,
+                "set": "par",
+                "n_steps": 1.5,
+            },
         }
         if fault == "not-json":
             path.write_text("not json {")
