@@ -20,6 +20,8 @@ from .errors import (
     CombValidationError,
     ConfigError,
     DimensionMismatchError,
+    OracleFailureError,
+    RankInstabilityError,
     SolverFailureError,
     SynthesisFailureError,
     checked,
@@ -43,6 +45,9 @@ SET_NAMES = ("par", "seq", "swi", "sup", "ico", "control_free")
 SIG_DIGITS = 12
 # the failures of a solve: they exit 2, and a sweep flags the point and goes on
 SOLVER_ERRORS = (SolverFailureError, SynthesisFailureError, np.linalg.LinAlgError)
+# the failures of the oracle check: like a failed synthesis, they leave the
+# value standing and its oracle_gap null
+ORACLE_ERRORS = (OracleFailureError, RankInstabilityError)
 
 
 def _fmt(x: float) -> str:
@@ -202,7 +207,7 @@ def _score_one(point) -> dict:
                         res.value,
                     )
                     oracle_gap = ver.relative_gap
-                except SOLVER_ERRORS:
+                except SOLVER_ERRORS + ORACLE_ERRORS:
                     pass
         stats = res.solver
         out[name] = {
@@ -420,6 +425,8 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
                 )
             except DimensionMismatchError as e:
                 raise ConfigError(f"the strategy does not fit the process: {e}") from None
+            except ORACLE_ERRORS as e:
+                raise ConfigError(f"the oracle cannot score the strategy: {e}") from None
             scored.append((ver.relative_gap, order, lam, ver))
         _, order, lam, ver = min(scored, key=lambda t: t[0])
         report["oracle_qfi"] = ver.j_oracle

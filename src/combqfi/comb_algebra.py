@@ -7,7 +7,7 @@ input factor first, matching the layout order H_1, H_2, ... of a process.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -189,22 +189,16 @@ def kraus_product_comb(
     """
     if layout is None:
         layout = process_layout([(c.d_in, c.d_out) for c in channels])
-    kets = [[double_ket(k) for k in c.kraus] for c in channels]
-    dkets = [[double_ket(dk) for dk in c.dkraus] for c in channels]
-    cols, dcols = [], []
-    for combo in itertools.product(*[range(c.n_kraus) for c in channels]):
-        v = np.array([1.0 + 0j])
-        for slot, i in enumerate(combo):
-            v = np.kron(v, kets[slot][i])
-        cols.append(v)
-        dv = np.zeros_like(v)
-        for slot_d in range(len(channels)):
-            term = np.array([1.0 + 0j])
-            for slot, i in enumerate(combo):
-                term = np.kron(term, dkets[slot][i] if slot == slot_d else kets[slot][i])
-            dv = dv + term
-        dcols.append(dv)
-    return FactorizedComb(layout, np.stack(cols, axis=1), np.stack(dcols, axis=1))
+    # kron(V_1, ..., V_N) orders its columns lexicographically in the Kraus
+    # indices, as the product of the slots' kets does
+    mats = [np.stack([double_ket(k) for k in c.kraus], axis=1) for c in channels]
+    dmats = [np.stack([double_ket(dk) for dk in c.dkraus], axis=1) for c in channels]
+    cols = functools.reduce(np.kron, mats)
+    dcols = sum(
+        functools.reduce(np.kron, mats[:k] + [dmats[k]] + mats[k + 1 :])
+        for k in range(len(channels))
+    )
+    return FactorizedComb(layout, cols, dcols)
 
 
 def link_product(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:

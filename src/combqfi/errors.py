@@ -33,7 +33,12 @@ class SolverFailureError(RuntimeError):
     """The SDP solver did not return an optimal certificate."""
 
 
-class DivergentFisherError(ValueError):
+class OracleFailureError(ValueError):
+    """The state-QFI oracle cannot score its input: the state is not a
+    normalized PSD family, or the outcome probabilities are not."""
+
+
+class DivergentFisherError(OracleFailureError):
     """An outcome probability vanishes while its derivative does not."""
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .comb_algebra import FactorizedComb
-from .errors import DivergentFisherError, RankInstabilityError
+from .errors import DivergentFisherError, OracleFailureError, RankInstabilityError
 from .tensor_algebra import LabeledMatrix, SubsystemLayout, hermitize, permute_vector
 
 SLD_KERNEL_TOL = 1e-12
@@ -34,11 +34,11 @@ def cfi(probs: Sequence[tuple[float, float]]) -> float:
     q = np.array([p[0] for p in probs], dtype=float)
     dq = np.array([p[1] for p in probs], dtype=float)
     if np.any(q < -1e-10):
-        raise ValueError(f"negative probability {q.min():.3e}")
+        raise OracleFailureError(f"negative probability {q.min():.3e}")
     if abs(q.sum() - 1.0) > 1e-8:
-        raise ValueError(f"probabilities sum to {q.sum():.12f}, not 1")
+        raise OracleFailureError(f"probabilities sum to {q.sum():.12f}, not 1")
     if abs(dq.sum()) > 1e-8:
-        raise ValueError(f"probability derivatives sum to {dq.sum():.3e}, not 0")
+        raise OracleFailureError(f"probability derivatives sum to {dq.sum():.3e}, not 0")
     out = 0.0
     for qi, dqi in zip(q, dq):
         if qi <= 1e-12:
@@ -63,10 +63,10 @@ def state_qfi_sld(rho: np.ndarray, rho_dot: np.ndarray) -> OracleReport:
     rho_dot = hermitize(np.asarray(rho_dot, dtype=complex))
     tr_dot = abs(np.trace(rho_dot).real)
     if tr_dot > 1e-8 * max(1.0, np.linalg.norm(rho_dot)):
-        raise ValueError(f"state derivative has trace {tr_dot:.3e}, expected 0")
+        raise OracleFailureError(f"state derivative has trace {tr_dot:.3e}, expected 0")
     w, v = np.linalg.eigh(rho)
     if w[0] < -1e-9 * max(1.0, w[-1]):
-        raise ValueError(f"state not PSD: min eigenvalue {w[0]:.3e}")
+        raise OracleFailureError(f"state not PSD: min eigenvalue {w[0]:.3e}")
     d_eig = v.conj().T @ rho_dot @ v
     denom = w[:, None] + w[None, :]
     live = denom > SLD_KERNEL_TOL

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -278,16 +278,43 @@ def _scaled_identity(layout: SubsystemLayout, trace_value: float) -> LabeledMatr
     )
 
 
+def _read_only(spaces: list[AffineSpace]) -> tuple[AffineSpace, ...]:
+    """The spaces, their arrays made read-only: a cached space is shared by
+    every later call, so a caller's write must raise."""
+    for sp in spaces:
+        arrays = [sp.canonical.entries]
+        if sp.compiled is not None:
+            arrays += [sp.compiled.kill_mask, sp.compiled.pin_values]
+        if sp.fixed_factor is not None:
+            arrays.append(sp.fixed_factor.entries)
+        for a in arrays:
+            a.flags.writeable = False
+    return tuple(spaces)
+
+
 def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
     """Dual affine spaces, one per branch, pairing to 1 with every strategy
-    marginal of the set."""
+    marginal of the set.  Built once per spec; each call returns a new list
+    of the shared, read-only spaces."""
+    return list(_dual_spaces(spec))
+
+
+def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
+    """Affine spaces of strategy marginals Tr_F P, one per branch.  Built
+    once per spec; each call returns a new list of the shared, read-only
+    spaces."""
+    return list(_primal_spaces(spec))
+
+
+@cache
+def _dual_spaces(spec: StrategySetSpec) -> tuple[AffineSpace, ...]:
     layout = spec.process_layout()
     n = spec.n_steps
     tr = float(spec.in_dims_product)
     if spec.kind == "swi":
         # a SWITCH dual branch is carried by its factorized primal: contract(Q) = I
         canon = _scaled_identity(layout, layout.total_dim / spec.slot_dims[0][0] ** n)
-        return [
+        return _read_only([
             AffineSpace(
                 layout,
                 canon,
@@ -295,8 +322,8 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
                 name=f"dual[swi/{''.join(map(str, psp.branch_tag))}]",
                 dual_of=psp,
             )
-            for psp in primal_space(spec)
-        ]
+            for psp in _primal_spaces(spec)
+        ])
     spaces = []
     for perm in spec.branches:
         if spec.kind == "par":
@@ -316,11 +343,11 @@ def dual_space(spec: StrategySetSpec) -> list[AffineSpace]:
                 name=f"dual[{spec.kind}/{''.join(map(str, perm))}]",
             )
         )
-    return spaces
+    return _read_only(spaces)
 
 
-def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
-    """Affine spaces of strategy marginals Tr_F P, one per branch."""
+@cache
+def _primal_spaces(spec: StrategySetSpec) -> tuple[AffineSpace, ...]:
     layout = spec.process_layout()
     n = spec.n_steps
     tr = float(spec.out_dims_product)
@@ -394,7 +421,7 @@ def primal_space(spec: StrategySetSpec) -> list[AffineSpace]:
             )
         else:  # pragma: no cover
             raise ConfigError(spec.kind)
-    return spaces
+    return _read_only(spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,29 @@ class TestRun:
         assert r["value"] > 2.25
         assert r["stop_reason"] in STOP_REASONS
 
+    @pytest.mark.parametrize(
+        "error", ["OracleFailureError", "RankInstabilityError", "DivergentFisherError"]
+    )
+    def test_oracle_failure_keeps_the_row(self, error, tmp_path, monkeypatch):
+        # an oracle that cannot score the strategy leaves the value standing
+        # and only the oracle check empty, as a failed synthesis does
+        import combqfi.errors
+        import combqfi.qfi_oracle
+
+        def failing_oracle(rho, rho_dot):
+            raise getattr(combqfi.errors, error)("the oracle cannot score this state")
+
+        monkeypatch.setattr(combqfi.qfi_oracle, "state_qfi_sld", failing_oracle)
+        doc = base_config(strategies=["par", "seq"], validate_oracle=True)
+        cfg = write(tmp_path, "c.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert abs(results["par"]["value"] - 2.25) < 1e-6
+        for r in results.values():
+            assert r["oracle_gap"] is None
+            assert r["stop_reason"] in STOP_REASONS
+
     def test_seq_certifies_the_reported_slot_order(self, tmp_path, monkeypatch):
         # a non-identical pair reports the better of its two slot orders;
         # the oracle must score that order's strategy against that value
@@ -337,6 +360,29 @@ class TestValidate:
         cfg = write(tmp_path, "c.json", base_config(strategies=["seq"]))
         rc = main(["validate", str(path), cfg])
         assert rc == 0
+
+    def test_strategy_the_oracle_refuses_exit_3(self, tmp_path, capsys):
+        # random amplitudes in place of the purification: its output state's
+        # derivative is not traceless, which the oracle refuses
+        from combqfi.cli import export_strategy
+        from combqfi.metrology_zoo import ad_phase_channel
+        from combqfi.strategy_spaces import StrategySetSpec
+        from combqfi.strategy_synthesis import optimal_strategy, purify_strategy
+        from combqfi.task_qfi import product_comb, task_qfi
+
+        fc = product_comb(ad_phase_channel(0.4, PHI), 2)
+        spec = StrategySetSpec.qubits("seq", 2)
+        s = purify_strategy(optimal_strategy(fc, spec, task_qfi(fc, spec)))
+        path = tmp_path / "strategy.json"
+        export_strategy(s, str(path))
+        doc = json.loads(path.read_text())
+        n_amps = len(doc["purification"]["amplitudes"])
+        amps = np.random.default_rng(1).standard_normal((n_amps, 2))
+        doc["purification"]["amplitudes"] = amps.tolist()
+        path.write_text(json.dumps(doc))
+        cfg = write(tmp_path, "c.json", base_config(strategies=["seq"]))
+        assert main(["validate", str(path), cfg]) == 3
+        assert "oracle cannot score" in capsys.readouterr().err
 
     def test_strategy_of_another_n_exit_3(self, tmp_path, capsys):
         from combqfi.cli import export_strategy

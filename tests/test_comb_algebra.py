@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from combqfi.comb_algebra import (
     validate_comb,
 )
 from combqfi.errors import InvalidChannelError, RankInstabilityError
-from combqfi.metrology_zoo import amplitude_damping, bit_flip, rz
+from combqfi.metrology_zoo import ad_phase_channel, amplitude_damping, bit_flip, nmr_relaxation, rz
 from combqfi.tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
@@ -64,6 +65,43 @@ class TestChoiFromKraus:
         fc = choi_from_kraus(rz(0.3))
         w = np.linalg.eigvalsh(fc.choi().entries)
         assert np.sum(w > 1e-12) == 1
+
+
+def per_combo_product(channels):
+    """Columns and derivative columns of a product comb, one Kraus combo
+    at a time: the kron of the slots' kets, and its Leibniz sum."""
+    kets = [[double_ket(k) for k in c.kraus] for c in channels]
+    dkets = [[double_ket(dk) for dk in c.dkraus] for c in channels]
+    cols, dcols = [], []
+    for combo in itertools.product(*[range(c.n_kraus) for c in channels]):
+        v = np.array([1.0 + 0j])
+        for slot, i in enumerate(combo):
+            v = np.kron(v, kets[slot][i])
+        cols.append(v)
+        dv = np.zeros_like(v)
+        for slot_d in range(len(channels)):
+            term = np.array([1.0 + 0j])
+            for slot, i in enumerate(combo):
+                term = np.kron(term, dkets[slot][i] if slot == slot_d else kets[slot][i])
+            dv = dv + term
+        dcols.append(dv)
+    return np.stack(cols, axis=1), np.stack(dcols, axis=1)
+
+
+def test_kraus_product_comb_matches_per_combo_kets(rng):
+    # Kraus counts 2, 4, 3 and 1; the third slot maps a qubit to a qutrit
+    chans = [
+        ad_phase_channel(0.3, 0.8),
+        nmr_relaxation(0.5, 1.0, 0.7, 0.2),
+        random_channel(2, 3, 3, rng),
+        rz(0.4),
+    ]
+    assert [c.n_kraus for c in chans] == [2, 4, 3, 1]
+    fc = kraus_product_comb(chans)
+    cols, dcols = per_combo_product(chans)
+    assert fc.layout.dims == (2, 2, 2, 2, 2, 3, 2, 2)
+    assert np.array_equal(fc.vectors, cols)
+    assert np.array_equal(fc.dvectors, dcols)
 
 
 class TestLinkProduct:

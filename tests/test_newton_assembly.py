@@ -5,8 +5,10 @@ is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
 and read by every adjoint.  The solver builds gauge rows in closed form
 instead.  Its directions against an LU of the saddle matrix
 [[red_a, -E^T], [E, 0]]: the solver factors red_a on the null space of the
-rows instead."""
+rows instead.  And the refinement rule: a system with no eliminated variable
+takes one back-solve per direction."""
 
+import inspect
 import sys
 
 import numpy as np
@@ -256,3 +258,71 @@ def test_projected_solve_matches_saddle_lu(name, rng):
     assert np.linalg.norm(h_dz - bt_dy - r_hat) <= 1e-12 * scale
     b_dz = comp.rows(dz)
     assert np.linalg.norm(b_dz - r_b) <= 1e-12 * (np.linalg.norm(r_b) + np.linalg.norm(b_dz))
+
+
+# the problems of SOLVE_PROBLEMS with no eliminated variable: their Newton
+# system is (lambda, h) alone, solved by one Cholesky with no refinement
+LOCAL_FREE = [
+    "par-2",
+    "swi-2",
+    "par-3",
+    "swi-3",
+    "par-2-split-columns",
+    "par-3-split-columns",
+    "dependent-rows",
+    "swi-3-identity-branch",
+]
+
+
+def _random_herm(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("name", LOCAL_FREE)
+def test_unrefined_solve_meets_verify_bound(name, rng, monkeypatch):
+    problem = SOLVE_PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    assert not comp.locals
+    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    assert not kkt.loc
+
+    def no_h_apply(dz):
+        raise AssertionError("an unrefined solve applies no exact operator")
+
+    monkeypatch.setattr(kkt, "_h_apply", no_h_apply)
+    sides = [b.side for b in problem.blocks]
+    r_stat = rng.standard_normal(comp.m_total)
+    r_blocks = [_random_herm(rng, n) for n in sides]
+    rc = [_random_herm(rng, n) for n in sides]
+    r_b = rng.standard_normal(len(comp.b))
+    # _verify raises SolverFailureError past its bound
+    kkt.solve(r_stat, r_blocks, r_b, rc, verify=True, refine=0)
+
+
+def _refine_schedule(mu):
+    return 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
+
+
+@pytest.mark.parametrize("kind, factorized", [("par", True), ("seq", False)])
+def test_refinement_only_with_an_eliminated_variable(kind, factorized, monkeypatch):
+    solve = se._KktFactors.solve
+    refines = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(solve).bind(*args, **kwargs)
+        bound.apply_defaults()
+        refines.append(bound.arguments["refine"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(se._KktFactors, "solve", spy)
+    sol = se.solve(_task_problem(kind, 2, factorized))
+    assert (sol.status, sol.stop_reason) == ("optimal", "converged")
+    # a predictor and a corrector at every iterate but the converged last
+    mus = [mu for _, _, mu, _, _ in sol.history[:-1]]
+    assert len(refines) == 2 * len(mus)
+    if factorized:
+        assert refines == [0] * len(refines)
+    else:
+        assert refines == [_refine_schedule(mu) for mu in mus for _ in range(2)]
+        assert set(refines) == {1, 2, 3}

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combqfi.comb_algebra import choi_from_kraus
-from combqfi.errors import DivergentFisherError, RankInstabilityError
+from combqfi.errors import DivergentFisherError, OracleFailureError, RankInstabilityError
 from combqfi.metrology_zoo import ad_phase_channel, amplitude_damping, rz
 from combqfi.qfi_oracle import (
     cfi,
@@ -42,7 +42,7 @@ class TestCfi:
             cfi([(1.0, -0.5), (0.0, 0.5)])
 
     def test_normalization_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OracleFailureError):
             cfi([(0.5, 0.0), (0.4, 0.0)])
 
     @given(st.integers(0, 2**31 - 1))
@@ -90,6 +90,14 @@ class TestStateQfi:
         rep = state_qfi_sld(rho, drho)
         assert abs(rep.measurement_cfi - rep.j_sld) < 1e-8
         assert rep.j_sld >= rep.measurement_cfi - 1e-8
+
+    def test_improper_state_family_typed(self):
+        # an error of the package, still a ValueError
+        with pytest.raises(OracleFailureError, match="trace"):
+            state_qfi_sld(np.diag([0.5, 0.5]), np.diag([0.1, 0.0]))
+        with pytest.raises(OracleFailureError, match="PSD"):
+            state_qfi_sld(np.diag([1.2, -0.2]), np.zeros((2, 2)))
+        assert issubclass(OracleFailureError, ValueError)
 
     def test_kernel_weight_refused(self):
         rho = np.diag([1.0, 0.0])

@@ -256,7 +256,11 @@ class TestSolverContracts:
         sol = solve(lambda_min_problem(a), gap_tol=1e-8)
         if sol.optimal:
             assert sol.gap <= 1e-7  # best-iterate restore allows 10x feas slack
-            assert sol.compl_residual <= 1e-6
+            # complementarity of the block S = t I - A and its dual X
+            x = sol.block_duals[0]
+            s = sol.variables["t"][0, 0].real * np.eye(6) - a
+            compl = np.linalg.norm(x @ s) / (1.0 + np.linalg.norm(x) * np.linalg.norm(s))
+            assert compl <= 1e-6
 
 
 def _herm_sqrt_reference(m):
