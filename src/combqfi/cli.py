@@ -81,8 +81,9 @@ class ExperimentConfig:
             phi=config_value(doc, "phi", "number"),
             strategies=tuple(config_value(doc, "strategies", "array")),
             sweep=config_value(doc, "sweep", "object", None),
-            gap_tol=config_value(
-                config_value(doc, "tolerances", "object", {}), "gap", "number", 1e-8, "tolerances"
+            gap_tol=_gap_tol(
+                config_value(doc, "tolerances", "object", {}).get("gap", 1e-8),
+                "tolerances key 'gap'",
             ),
             validate_oracle=config_value(doc, "validate_oracle", "boolean", True),
         )
@@ -111,6 +112,13 @@ class ExperimentConfig:
         if param == "phi":
             return [(replace(self, phi=value, sweep=None), None) for value in grid]
         return [(self, {param: value}) for value in grid]
+
+
+def _gap_tol(value, name: str) -> float:
+    """``value`` as a duality-gap tolerance: a finite JSON number above zero."""
+    if checked(value, "number", name) <= 0:
+        raise ConfigError(f"{name} must be positive, not {value!r}")
+    return value
 
 
 def _set_param(process: dict, key: str, value) -> dict:
@@ -252,9 +260,13 @@ def run_task(config: ExperimentConfig, out_path: str | None) -> int:
 def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
     if config.sweep is None:
         raise ConfigError("config has no sweep section")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {jobs}")
     points = config.points()
-    if jobs > 1:
-        with get_context("spawn").Pool(jobs) as pool:
+    # no idle workers: a grid shorter than --jobs gets one per point
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with get_context("spawn").Pool(workers) as pool:
             rows = pool.map(_score_or_failure, points)
     else:
         rows = [_score_or_failure(p) for p in points]
@@ -468,7 +480,7 @@ def main(argv=None) -> int:
             return validate_strategy_file(args.strategy, args.config)
         config = ExperimentConfig.from_json(_read_json(args.config, "config"))
         if args.tol_gap is not None:
-            config.gap_tol = args.tol_gap
+            config.gap_tol = _gap_tol(args.tol_gap, "--tol-gap")
         if args.command == "run":
             return run_task(config, args.out)
         return sweep(config, args.out, jobs=args.jobs)

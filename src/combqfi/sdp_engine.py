@@ -8,7 +8,11 @@ objective.  The algorithm is primal-dual path following with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector, stepping a fixed
 fraction of the way to the boundary with no line search.  Each PSD block is
 factored once per iteration (one Cholesky factor of S and one eigh), and
-the scaling, step lengths and corrector all read off that factor.
+the scaling, step lengths and corrector all read off that factor, in the
+frame where S and X are both D: the dual direction there is read off the
+frame identity dX_G = rc_G - dS_G, so a block costs one Cholesky, one eigh
+and three eigvalsh per iteration, and dX itself is formed only for the
+corrector's update.
 
 Three linear maps place variables in the blocks, and each has one role.  A
 variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
@@ -428,21 +432,36 @@ class _NtScaling:
     X = G^{-dag} D G^{-1} with D diagonal, so W^{-1} = G^{-dag} G^{-1} has
     W X W = S.  G = L Q D^{-1/2} from the Cholesky factor L of S and the
     eigendecomposition Q D^2 Q^dag of L^dag X L (Todd, Toh & Tutuncu, SIAM
-    J. Optim. 8, 769 (1998)); step lengths and the corrector read off it.
+    J. Optim. 8, 769 (1998)).
+
+    The iteration runs in the frame where S and X are both D: a direction
+    dX = rc - W^{-1} dS W^{-1} has G^dag dX G = rc_G - dS_G, so only the
+    primal frame dS_G = G^{-1} dS G^{-dag} is formed, and the dual one is
+    read off the frame rc_G of the complementarity residual rc (-D for the
+    predictor, ``corrector`` returns the corrector's).  Per iteration a
+    block costs one Cholesky, one eigh and three eigvalsh: one for both
+    predictor steps and two for the corrector's.
     """
 
     def __init__(self, s: np.ndarray, x: np.ndarray):
+        self.x = x
         ls, lsi = _cholesky_inv(s)
         lam, q = np.linalg.eigh(hermitize(ls.conj().T @ x @ ls))
         self.d = np.sqrt(np.maximum(lam, 1e-300))
-        r = np.sqrt(self.d)
-        self.g, self.gi = (ls @ q) / r, (q.conj().T @ lsi) * r[:, None]
+        self._lq = ls, q
+        self.gi = (q.conj().T @ lsi) * np.sqrt(self.d)[:, None]
         self.winv = hermitize(self.gi.conj().T @ self.gi)
 
-    def frame(self, ds: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G^{-1} dS G^{-dag} and G^dag dX G: the frame where S and X are D."""
-        gi, g = self.gi, self.g
-        return hermitize(gi @ ds @ gi.conj().T), hermitize(g.conj().T @ dx @ g)
+    @property
+    def g(self) -> np.ndarray:
+        """G = L Q D^{-1/2}, formed on request: the iteration reads only G^{-1}."""
+        ls, q = self._lq
+        return (ls @ q) / np.sqrt(self.d)
+
+    def frame(self, ds: np.ndarray) -> np.ndarray:
+        """dS_G = G^{-1} dS G^{-dag}, the primal direction where S is D."""
+        gi = self.gi
+        return hermitize(gi @ ds @ gi.conj().T)
 
     def max_steps(self, ds_g: np.ndarray, dx_g: np.ndarray) -> list[float]:
         """sup {a : S + a dS >= 0} and sup {a : X + a dX >= 0}, from
@@ -451,15 +470,35 @@ class _NtScaling:
         lam = [float(np.linalg.eigvalsh(r[:, None] * m * r)[0]) for m in (ds_g, dx_g)]
         return [np.inf if v >= 0 else -1.0 / v for v in lam]
 
-    def corrector(self, sigma_mu: float, ds_g=None, dx_g=None) -> np.ndarray:
-        """sigma mu S^{-1} - G^{-dag} Y G^{-1}, where the Mehrotra term Y
-        solves (D Y + Y D)/2 = (dS_G dX_G + dX_G dS_G)/2 (Y = 0 without
-        directions): a Lyapunov solve that is an entrywise division here."""
+    def predictor_steps(self, ds_g: np.ndarray) -> list[float]:
+        """``max_steps(ds_g, -D - ds_g)`` from one eigvalsh: with
+        M = D^{-1/2} dS_G D^{-1/2} the dual pencil is -I - M, so the primal
+        step is -1/lambda_min(M) and the dual one 1/(1 + lambda_max(M))."""
+        r = 1.0 / np.sqrt(self.d)
+        lam = np.linalg.eigvalsh(r[:, None] * ds_g * r)
+        lo, hi = float(lam[0]), 1.0 + float(lam[-1])
+        return [np.inf if lo >= 0 else -1.0 / lo, np.inf if hi <= 0 else 1.0 / hi]
+
+    def complementarity(self, ds_g, dx_g, ap: float, ad: float) -> float:
+        """Re Tr((X + ad dX)(S + ap dS)), read in the frame as
+        Re Tr((D + ad dX_G)(D + ap dS_G))."""
+        d = np.diag(self.d)
+        return float(np.real(np.vdot(d + ad * dx_g, d + ap * ds_g)))
+
+    def corrector(self, sigma_mu: float, ds_g=None, dx_g=None) -> tuple[np.ndarray, np.ndarray]:
+        """The corrector's complementarity residual rc = sigma mu S^{-1} - X
+        - G^{-dag} Y G^{-1} and its frame rc_G = sigma mu D^{-1} - Y - D.
+        The Mehrotra term Y solves (D Y + Y D)/2 = (P + P^dag)/2 for
+        P = dS_G dX_G (Y = 0 without directions): a Lyapunov solve that is
+        an entrywise division here."""
         m = np.diag(sigma_mu / self.d).astype(complex)
         if ds_g is not None:
             d = np.maximum(self.d, max(1e-14 * float(self.d.max()), 1e-150))
-            m -= hermitize(0.5 * (ds_g @ dx_g + dx_g @ ds_g)) / (0.5 * (d[:, None] + d))
-        return self.gi.conj().T @ m @ self.gi
+            p = ds_g @ dx_g
+            m -= (p + p.conj().T) / (d[:, None] + d)
+        rc = hermitize(self.gi.conj().T @ m @ self.gi - self.x)
+        m[np.diag_indices_from(m)] -= self.d
+        return rc, m
 
 
 def _psd_solver(gm: np.ndarray):
@@ -661,12 +700,24 @@ class _KktFactors:
             dz[v.sl] = step
         return dz, dy
 
-    def solve(self, r_stat, r_blocks, r_b, rc, verify=False, refine=1):
+    def residual_share(self, r_stat, r_blocks) -> np.ndarray:
+        """-r_stat - sum_j A_j^*(W_j^{-1} R_j W_j^{-1}): the share of the
+        right-hand side that the two directions of an iteration have in
+        common, formed once."""
         comp = self.comp
-        nblk = len(comp.problem.blocks)
         r_hat = -np.asarray(r_stat, dtype=float).copy()
-        for j in range(nblk):
-            m = hermitize(rc[j] - self.winvs[j] @ r_blocks[j] @ self.winvs[j])
+        for j, (winv, r) in enumerate(zip(self.winvs, r_blocks)):
+            comp.adjoint_into(j, hermitize(-(winv @ r @ winv)), r_hat)
+        return r_hat
+
+    def solve(self, r_share, r_blocks, r_b, rc, refine):
+        """(dz, dy, dS) for the complementarity residuals ``rc``, with
+        ``r_share`` from ``residual_share``; the dual direction
+        dX = rc - W^{-1} dS W^{-1} is left to ``dual_directions`` (or to its
+        frame, G^dag dX G = rc_G - dS_G)."""
+        comp = self.comp
+        r_hat = r_share.copy()
+        for j, m in enumerate(rc):
             comp.adjoint_into(j, m, r_hat)
         dz, dy = self._solve_linear(r_hat, r_b)
         for _ in range(refine):
@@ -674,16 +725,17 @@ class _KktFactors:
             res_hat = r_hat - self._h_apply(dz) + comp.rows_t(dy)
             cz, cy = self._solve_linear(res_hat, r_b - comp.rows(dz))
             dz, dy = dz + cz, dy + cy
-        ds, dx = [], []
-        for j in range(nblk):
-            dsj = hermitize(r_blocks[j] + comp.apply_into(j, dz, np.zeros_like(r_blocks[j])))
-            ds.append(dsj)
-            dx.append(hermitize(rc[j] - self.winvs[j] @ dsj @ self.winvs[j]))
-        if verify:
-            self._verify(dz, dy, dx, r_stat, r_b)
-        return dz, dy, ds, dx
+        ds = [
+            hermitize(r + comp.apply_into(j, dz, np.zeros_like(r)))
+            for j, r in enumerate(r_blocks)
+        ]
+        return dz, dy, ds
 
-    def _verify(self, dz, dy, dx, r_stat, r_b):
+    def dual_directions(self, rc, ds) -> list[np.ndarray]:
+        """dX = rc - W^{-1} dS W^{-1} per block."""
+        return [hermitize(r - winv @ s @ winv) for winv, r, s in zip(self.winvs, rc, ds)]
+
+    def verify(self, dz, dy, dx, r_stat, r_b):
         comp = self.comp
         lhs = comp.rows_t(dy)
         for j in range(len(comp.problem.blocks)):
@@ -770,7 +822,7 @@ def _interior_point(
         r_b = comp.b - comp.rows(z)
         pobj = float(c @ z)
         dobj = float(comp.b @ y) - sum(
-            float(np.real(np.trace(comp.consts[j] @ x_blocks[j]))) for j in range(nblk)
+            float(np.real(np.vdot(comp.consts[j], x_blocks[j]))) for j in range(nblk)
         )
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_res = max(
@@ -786,7 +838,7 @@ def _interior_point(
 
     for it in range(1, max_iter + 1):
         (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
-        mu = sum(float(np.real(np.trace(x_blocks[j] @ s_blocks[j]))) for j in range(nblk)) / ntot
+        mu = sum(float(np.real(np.vdot(x, s))) for x, s in zip(x_blocks, s_blocks)) / ntot
         history.append((comp.obj_sign * pobj, comp.obj_sign * dobj, mu, p_res, d_res))
         merit = max(relgap, p_res, d_res)
         if merit < best_merit:
@@ -809,25 +861,27 @@ def _interior_point(
 
         scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
         kkt = _KktFactors(comp, [sc.winv for sc in scalings])
-
-        def step_lengths(frames, tau):  # (primal, dual), the least over blocks
-            steps = np.min([sc.max_steps(*fr) for sc, fr in zip(scalings, frames)], axis=0)
-            return np.minimum(1.0, tau * steps)
-
+        r_share = kkt.residual_share(r_stat, r_blocks)
         # refinement pays only where a local variable is eliminated; the
         # Cholesky on (lambda, h) alone is backward stable
         nref = (1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)) if kkt.loc else 0
-        rc_aff = [-x_blocks[j] for j in range(nblk)]
-        _, _, ds_a, dx_a = kkt.solve(r_stat, r_blocks, r_b, rc_aff, verify_newton, nref)
-        frames_a = [sc.frame(ds_a[j], dx_a[j]) for j, sc in enumerate(scalings)]
-        ap, ad = step_lengths(frames_a, 0.99)
+
+        def direction(rc):
+            dz, dy, ds = kkt.solve(r_share, r_blocks, r_b, rc, nref)
+            if verify_newton:
+                kkt.verify(dz, dy, kkt.dual_directions(rc, ds), r_stat, r_b)
+            return dz, dy, ds
+
+        # the predictor: rc = -X, whose frame is -D, so dX_G = -D - dS_G
+        _, _, ds_a = direction([-x for x in x_blocks])
+        frames_a = []
+        for sc, dsj in zip(scalings, ds_a):
+            ds_g = sc.frame(dsj)
+            frames_a.append((ds_g, -np.diag(sc.d) - ds_g))
+        steps = [sc.predictor_steps(f[0]) for sc, f in zip(scalings, frames_a)]
+        ap, ad = np.minimum(1.0, 0.99 * np.min(steps, axis=0))
         mu_aff = sum(
-            float(
-                np.real(
-                    np.trace((x_blocks[j] + ad * dx_a[j]) @ (s_blocks[j] + ap * ds_a[j]))
-                )
-            )
-            for j in range(nblk)
+            sc.complementarity(*f, ap, ad) for sc, f in zip(scalings, frames_a)
         ) / ntot
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
         # keep centering while infeasibility dominates complementarity, so
@@ -837,13 +891,19 @@ def _interior_point(
             sigma = max(sigma, 0.5)
 
         # the second-order term is pure noise below mu = 1e-8
-        rc_cor = [
-            hermitize(sc.corrector(sigma * mu, *(frames_a[j] if mu > 1e-8 else ())) - x_blocks[j])
-            for j, sc in enumerate(scalings)
+        cors = [
+            sc.corrector(sigma * mu, *(f if mu > 1e-8 else ()))
+            for sc, f in zip(scalings, frames_a)
         ]
-        dz, dy, ds, dx = kkt.solve(r_stat, r_blocks, r_b, rc_cor, verify_newton, nref)
+        rc_cor = [rc for rc, _ in cors]
+        dz, dy, ds = direction(rc_cor)
+        dx = kkt.dual_directions(rc_cor, ds)
         tau = 0.995 if mu < 1e-5 else (0.99 if mu < 1e-3 else 0.98)
-        ap, ad = step_lengths([sc.frame(ds[j], dx[j]) for j, sc in enumerate(scalings)], tau)
+        steps = []
+        for sc, (_, rc_g), dsj in zip(scalings, cors, ds):
+            ds_g = sc.frame(dsj)
+            steps.append(sc.max_steps(ds_g, rc_g - ds_g))
+        ap, ad = np.minimum(1.0, tau * np.min(steps, axis=0))
         if min(ap, ad) < 1e-10:
             stall += 1
             if stall >= 3:

@@ -169,6 +169,9 @@ class TestRun:
             "N",
             "sweep",
             "tolerances",
+            "gap-zero",
+            "gap-negative",
+            "gap-nan",
             "part-without-p",
             "part-as-string",
             "p-not-a-number",
@@ -199,6 +202,10 @@ class TestRun:
             "N": {"N": "two"},
             "sweep": {"sweep": 5},
             "tolerances": {"tolerances": 3},
+            # a gap target must be a finite number above zero
+            "gap-zero": {"tolerances": {"gap": 0}},
+            "gap-negative": {"tolerances": {"gap": -1e-8}},
+            "gap-nan": {"tolerances": {"gap": float("nan")}},
             "part-without-p": {"parts": [{"kind": "rz"}, {"kind": "amplitude_damping"}]},
             "part-as-string": {"parts": ["rz", damping]},
             "p-not-a-number": {"parts": [{"kind": "rz"}, {**damping, "p": "high"}]},
@@ -222,6 +229,20 @@ class TestRun:
         capsys.readouterr()
         assert main(["sweep" if fault.startswith("grid") else "run", cfg]) == 3
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_gap_flag_exit_3(self, value, tmp_path, capsys, monkeypatch):
+        import combqfi.cli as cli
+
+        def no_solve(*args, **kw):
+            raise AssertionError("a bad --tol-gap reached a solve")
+
+        monkeypatch.setattr(cli, "task_qfi", no_solve)
+        monkeypatch.setattr(cli, "solve_factorized", no_solve)
+        cfg = write(tmp_path, "c.json", base_config(strategies=["par"]))
+        capsys.readouterr()
+        assert main(["run", cfg, "--tol-gap", value]) == 3
+        assert "--tol-gap" in capsys.readouterr().err
 
     def test_readme_config_loads(self):
         # the schema the README documents is the one the checker accepts
@@ -327,6 +348,51 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out), "--jobs", "1"]) == 2
         status = [r.split(",")[-1] for r in out.read_text().strip().splitlines()[1:]]
         assert status == ["ok", "failed:solver: injected", "ok"]
+
+    @pytest.mark.parametrize("jobs, grid, pool", [(4, 2, 2), (2, 3, 2), (4, 1, None)])
+    def test_sweep_starts_no_idle_workers(self, jobs, grid, pool, tmp_path, monkeypatch):
+        import combqfi.cli as cli
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class Context:
+            Pool = InProcessPool
+
+        monkeypatch.setattr(cli, "get_context", lambda method: Context())
+        values = [0.1 * (k + 1) for k in range(grid)]
+        doc = base_config(strategies=["par"], sweep={"parameter": "p", "grid": values})
+        out = tmp_path / "a.csv"
+        cfg = write(tmp_path, "c.json", doc)
+        assert main(["sweep", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if pool is None else [pool])
+        assert len(out.read_text().strip().splitlines()) == grid + 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_3(self, jobs, tmp_path, capsys, monkeypatch):
+        import combqfi.cli as cli
+
+        def no_pool(method):
+            raise AssertionError("a bad --jobs started a pool")
+
+        monkeypatch.setattr(cli, "get_context", no_pool)
+        monkeypatch.setattr(cli, "_score_or_failure", no_pool)
+        doc = base_config(strategies=["par"], sweep={"parameter": "p", "grid": [0.1, 0.2]})
+        capsys.readouterr()
+        assert main(["sweep", write(tmp_path, "c.json", doc), "--jobs", jobs]) == 3
+        assert "--jobs" in capsys.readouterr().err
 
     def test_phi_sweep(self, tmp_path):
         doc = base_config(

@@ -296,8 +296,10 @@ def test_unrefined_solve_meets_verify_bound(name, rng, monkeypatch):
     r_blocks = [_random_herm(rng, n) for n in sides]
     rc = [_random_herm(rng, n) for n in sides]
     r_b = rng.standard_normal(len(comp.b))
-    # _verify raises SolverFailureError past its bound
-    kkt.solve(r_stat, r_blocks, r_b, rc, verify=True, refine=0)
+    r_share = kkt.residual_share(r_stat, r_blocks)
+    dz, dy, ds = kkt.solve(r_share, r_blocks, r_b, rc, refine=0)
+    # verify raises SolverFailureError past its bound
+    kkt.verify(dz, dy, kkt.dual_directions(rc, ds), r_stat, r_b)
 
 
 def _refine_schedule(mu):

@@ -327,19 +327,40 @@ class TestNtScaling:
         w = g @ g.conj().T
         assert self.rel(w @ x @ w, s) < tol
         assert self.rel(sc.winv, _winv_reference(s, x)) < 1e-13
-        assert self.rel(sc.corrector(1.0), np.linalg.inv(s)) < tol
+        rc, rc_g = sc.corrector(1.0)
+        assert self.rel(rc + x, np.linalg.inv(s)) < tol
+        assert np.allclose(rc_g, np.diag(1.0 / d - d), rtol=1e-14, atol=0)
         # step lengths: -1/lambda_min of the pencils (dS, S) and (dX, X),
         # whose eigenvalues rounding in S and X moves by eps * cond
         ds = rand_herm(rng, n)
         dx = rand_herm(rng, n) * np.linalg.norm(x)
-        ap, ad = sc.max_steps(*sc.frame(ds, dx))
+        dx_g = g.conj().T @ dx @ g
+        dx_g = 0.5 * (dx_g + dx_g.conj().T)
+        ap, ad = sc.max_steps(sc.frame(ds), dx_g)
         assert abs(ap * sla.eigh(ds, s, eigvals_only=True)[0] + 1) < tol
         assert abs(ad * sla.eigh(dx, x, eigvals_only=True)[0] + 1) < tol
-        assert sc.max_steps(*sc.frame(s, x)) == [np.inf, np.inf]
+        assert sc.max_steps(sc.frame(s), np.diag(d)) == [np.inf, np.inf]
         # the corrector, at a step the iteration could take
-        ds, dx = 0.5 * ap * ds, 0.5 * ad * dx
-        ref = _corrector_reference(s, sc.winv, ds, dx, 0.3)
-        assert self.rel(sc.corrector(0.3, *sc.frame(ds, dx)), ref) < tol
+        ds, dx_g = 0.5 * ap * ds, 0.5 * ad * dx_g
+        ds_g = sc.frame(ds)
+        ref = _corrector_reference(s, sc.winv, ds, 0.5 * ad * dx, 0.3)
+        rc_cor, rc_cor_g = sc.corrector(0.3, ds_g, dx_g)
+        assert self.rel(rc_cor + x, ref) < tol
+        # the frame identity G^dag (rc - W^{-1} dS W^{-1}) G = rc_G - dS_G,
+        # for the predictor (rc = -X, rc_G = -D) and the corrector
+        for rc, rc_g in ((-x, -np.diag(d).astype(complex)), (rc_cor, rc_cor_g)):
+            dx_formed = rc - sc.winv @ ds @ sc.winv
+            assert self.rel(g.conj().T @ dx_formed @ g, rc_g - ds_g) < tol
+        # the predictor's two steps from one eigvalsh, and its
+        # complementarity Tr((X + ad dX)(S + ap dS)) read in the frame
+        pred = sc.predictor_steps(ds_g)
+        ref_steps = sc.max_steps(ds_g, -np.diag(d) - ds_g)
+        assert np.allclose(pred, ref_steps, rtol=tol, atol=0)
+        ap, ad = np.minimum(1.0, 0.99 * np.array(pred))
+        dx = -x - sc.winv @ ds @ sc.winv
+        full = np.trace((x + ad * dx) @ (s + ap * ds)).real
+        mu = sc.complementarity(ds_g, -np.diag(d) - ds_g, ap, ad)
+        assert abs(mu - full) < tol * abs(full)
 
     def test_rounding_indefinite_s_is_floored(self, rng):
         from combqfi.sdp_engine import _NtScaling
@@ -350,7 +371,7 @@ class TestNtScaling:
             np.linalg.cholesky(s)
         x = _hpd(rng, 6, 1e4)
         sc = _NtScaling(s, x)
-        for m in (sc.g, sc.gi, sc.d, sc.winv, sc.corrector(1.0)):
+        for m in (sc.g, sc.gi, sc.d, sc.winv, *sc.corrector(1.0)):
             assert np.all(np.isfinite(m))
         # the factor reproduces S up to its eigenvalue floor, 1e-14 * 100
         assert np.linalg.norm((sc.g * sc.d) @ sc.g.conj().T - s) < 2e-12
