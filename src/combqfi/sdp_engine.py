@@ -17,10 +17,11 @@ corrector's update.
 Three linear maps place variables in the blocks, and each has one role.  A
 variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
 embedded variable of exactly one PSD block and named by no equality row: the
-Newton system eliminates it through its scaled Gram operator, a congruence
-map with an exact inverse that is never materialized, and its only
-constraints are coordinate pins.  The other variables, a scaled identity
-lambda I and gauges h, are *imaged*, and the equality rows E act on them
+Newton system eliminates it through its scaled Gram operator
+K X = W^{-1}_QQ X W^{-1}_QQ, whose exact inverse T X = M X M, for
+M = (W^{-1}_QQ)^{-1}, is applied as one congruence and never materialized,
+and its only constraints are coordinate pins.  The other variables, a
+scaled identity lambda I and gauges h, are *imaged*, and the equality rows E act on them
 alone, reduced to an orthonormal basis of their row space.  So B = [E; P],
 with P the pins of the eliminated variables, and the multipliers of all rows
 live in one vector y.  On the null space of E the Newton matrix is positive
@@ -72,14 +73,13 @@ class ScaledIdentity:
 
     def __init__(self, offset: int, size: int, scale: float = 1.0):
         self.offset, self.size, self.scale = int(offset), int(size), float(scale)
+        self._idx = np.arange(self.offset, self.offset + self.size)
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
-        idx = np.arange(self.offset, self.offset + self.size)
-        out[idx, idx] += self.scale * m.reshape(-1)[0]
+        out[self._idx, self._idx] += self.scale * m.reshape(-1)[0]
 
     def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
-        idx = np.arange(self.offset, self.offset + self.size)
-        return self.scale * np.real(mats[:, idx, idx].sum(axis=1))[:, None]
+        return self.scale * np.real(mats[:, self._idx, self._idx].sum(axis=1))[:, None]
 
     def sandwich(self, w: np.ndarray) -> np.ndarray:
         """W A(1) W = s W[:, R] W[R, :] over the index range R."""
@@ -412,19 +412,34 @@ class _Compiled:
 # numerical helpers
 
 
+def _lapack(name: str, *args, **kwargs):
+    """LAPACK routine ``name`` of ``scipy.linalg.lapack`` on the arguments,
+    imported on first use (a module-level scipy import would slow the
+    package import).  Returns the routine's outputs and then its info.  An
+    illegal argument (info < 0) and any error of the wrapper itself, whose
+    f2py type scipy does not export, raise SolverFailureError."""
+    from scipy.linalg import lapack
+
+    try:
+        *out, info = getattr(lapack, name)(*args, **kwargs)
+    except Exception as exc:
+        raise SolverFailureError(f"LAPACK {name} failed: {exc}") from exc
+    if info < 0:
+        raise SolverFailureError(f"LAPACK {name}: illegal value in argument {-info}")
+    return *out, info
+
+
 def _cholesky_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, L^{-1}) with L L^dag = m: a Cholesky factor and its triangular
     inverse, else an eigenvalue floor, since rounding can push an iterate
     microscopically across the boundary."""
-    from scipy.linalg.lapack import ztrtri  # on first use, as in _psd_solver
-
     try:
         l = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(hermitize(m))
         w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
         return v * np.sqrt(w), (v / np.sqrt(w)).conj().T
-    return l, ztrtri(l, lower=1)[0]  # info is 0: the diagonal of l is positive
+    return l, _lapack("ztrtri", l, lower=1)[0]  # info is 0: the diagonal of l is positive
 
 
 class _NtScaling:
@@ -502,27 +517,28 @@ class _NtScaling:
 
 
 def _psd_solver(gm: np.ndarray):
-    """Solver for a PSD system matrix that rounding may have left slightly
-    indefinite: Cholesky, else the eigenvalue floor of ``_cholesky_inv``.
+    """Solver for a real PSD system matrix that rounding may have left
+    slightly indefinite: LAPACK's Cholesky (dpotrf, dpotrs), else, where it
+    meets a non-positive pivot, the eigenvalue floor of ``_cholesky_inv``.
 
     A Gram matrix squares the condition number of its factor, so near the
     optimum its smallest eigenvalues sit at rounding level and their sign
-    can depend on the BLAS summation order.
+    can depend on the BLAS summation order.  The solver takes a vector or
+    a matrix of columns, and a 0 x 0 system solves to an empty result.
     """
-    import scipy.linalg as sla  # on first use: it would slow the package import
+    if not len(gm):
+        return np.zeros_like
+    fac, info = _lapack("dpotrf", gm, lower=1, clean=0)
+    if info == 0:
+        return lambda b: _lapack("dpotrs", fac, b, lower=1)[0]
+    w, v = np.linalg.eigh(gm)
+    w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
 
-    try:
-        fac = sla.cho_factor(gm, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(gm)
-        w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
+    def solve_eig(b):
+        y = v.T @ b
+        return v @ (y / (w[:, None] if y.ndim == 2 else w))
 
-        def solve_eig(b):
-            y = v.T @ b
-            return v @ (y / (w[:, None] if y.ndim == 2 else w))
-
-        return solve_eig
-    return lambda b: sla.cho_solve(fac, b, check_finite=False)
+    return solve_eig
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +546,23 @@ def _psd_solver(gm: np.ndarray):
 
 
 class _Local:
-    """The elimination of one local variable from the Newton system."""
+    """The elimination of one local variable from the Newton system.
+
+    Its diagonal H sub-operator is K X = W^{-1}_QQ X W^{-1}_QQ, with the
+    exact inverse T X = M X M for M = (W^{-1}_QQ)^{-1} = F F^dag, F = L^{-dag}
+    from the Cholesky factor L of W^{-1}_QQ.  A back-solve applies T as that
+    one congruence.  The half G X = F^dag X F, with T = G^T G, is kept for
+    the Gram forms that guard the ill-conditioned spots: the pin Gram
+    P T P^T, and the share (G C)^T (G C) of the reduced matrix together with
+    its T C = G^T (G C).
+    """
 
     def __init__(self, var: _Var, winv: np.ndarray, n_u: int):
         self.var = var
         sub, n = var.map.offset, var.basis.side
-        # inv(W^{-1} sub-block) = F F^dag with F = L^{-dag}
         _, li = _cholesky_inv(hermitize(winv[sub : sub + n, sub : sub + n]))
         self.f = li.conj().T
+        self.m = hermitize(self.f @ li)
         if len(var.pins):
             gm = var.basis.sandwich_gram(self.f, var.pins)
             gm = 0.5 * (gm + gm.T)
@@ -545,16 +570,20 @@ class _Local:
             self.gsolve = _psd_solver(gm)
         self.c_loc = np.zeros((var.m, n_u))  # C: the local rows of H on the imaged coordinates
 
-    def half(self, cs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """G X = F^dag X F on the coordinate columns X of cs, or G^T X =
-        F X F^dag with ``adjoint``: T = K^{-1} = G^T G."""
-        z = self.f if adjoint else self.f.conj().T
+    def _congruence(self, z: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        """Z X Z^dag on the coordinate columns X of cs."""
         out = self.var.basis.sandwich_coords_many(z, cs.T.reshape(-1, len(cs)))
         return out.T.reshape(cs.shape)
 
+    def half(self, cs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """G X = F^dag X F on coordinate columns, or G^T X = F X F^dag with
+        ``adjoint``: T = G^T G."""
+        return self._congruence(self.f if adjoint else self.f.conj().T, cs)
+
     def t_apply(self, cs: np.ndarray) -> np.ndarray:
-        """T = K^{-1}, the inverse scaled Gram of the local variable, on coords."""
-        return self.half(self.half(cs), adjoint=True)
+        """T X = M X M, the inverse scaled Gram of the local variable, on
+        coordinate columns."""
+        return self._congruence(self.m, cs)
 
 
 class _KktFactors:
@@ -565,8 +594,9 @@ class _KktFactors:
     with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: the equality
     rows E on the imaged coordinates (lambda and h) and the coordinate pins P
     of the local variables.  Each local variable is eliminated through the exact
-    congruence inverse T = K^{-1} of its diagonal H sub-operator K, and its
-    pins through a small Cholesky of P T P^T.  What remains is the matrix
+    inverse T X = M X M of its diagonal H sub-operator K X = W^{-1}_QQ X
+    W^{-1}_QQ, M = (W^{-1}_QQ)^{-1} (``_Local``), and its pins through a
+    small Cholesky of P T P^T.  What remains is the matrix
     red_a on the imaged coordinates under the orthonormal rows E: with N a
     basis of their null space, N^T red_a N is positive definite and factored
     by Cholesky (Nocedal & Wright, Numerical Optimization, sec. 16.2).
@@ -575,12 +605,12 @@ class _KktFactors:
     exact operators.  The loop asks for them only when ``loc`` is non-empty:
     the pin Gram P T P^T of an eliminated variable has a condition number
     that grows as kappa(M)^2, and one step there cuts a direction's
-    stationarity residual from at worst 1.7e-8 to 3.5e-13 (N=2 ``ico``,
-    amplitude damping p = 0.2).  Without one, the direction is one
-    back-solve of a backward-stable Cholesky, which refinement in the same
-    precision cannot improve (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 12): at N=2 ``par`` the residual is at most
-    5e-11 before a step and 3e-11 after.
+    stationarity residual from at worst 1.4e-7 to 5.1e-12 (N=2 ``ico``,
+    amplitude damping p = 0.2, relative to its summands).  Without one, the
+    direction is one back-solve of a backward-stable Cholesky, which
+    refinement in the same precision cannot improve (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 12): at N=2 ``par`` the
+    residual is at most 6.0e-9 before a step and 6.3e-9 after.
     """
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
@@ -590,7 +620,10 @@ class _KktFactors:
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
         # rhs-independent eliminations and the reduced matrix; C^T T C is
         # the Gram (G C)^T (G C), which keeps it symmetric and accurate where
-        # T itself is ill-conditioned
+        # T itself is ill-conditioned, and the back-substitution reads
+        # T C = G^T (G C) off the same product: formed as M C M it departs
+        # from the Gram by rounding, which raised the stationarity residual
+        # of N=2 ``ico`` directions from 5e-12 to 2.5e-7 after one refinement
         red_a = self.h_uu.copy()
         for lc in self.loc:
             uu = np.ix_(lc.u_idx, lc.u_idx)

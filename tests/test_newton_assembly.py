@@ -5,8 +5,10 @@ is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
 and read by every adjoint.  The solver builds gauge rows in closed form
 instead.  Its directions against an LU of the saddle matrix
 [[red_a, -E^T], [E, 0]]: the solver factors red_a on the null space of the
-rows instead.  And the refinement rule: a system with no eliminated variable
-takes one back-solve per direction."""
+rows instead.  The refinement rule: a system with no eliminated variable
+takes one back-solve per direction.  And the elimination's inverse scaled
+Gram T, one congruence, against its two-half composition and as the inverse
+of K, with a count of the congruences one back-solve makes."""
 
 import inspect
 import sys
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from combqfi import sdp_engine as se
+from combqfi._basis import ProductBasis
 from combqfi.metrology_zoo import ad_phase_channel
 from combqfi.strategy_spaces import StrategySetSpec, dual_space, primal_space
 from combqfi.task_qfi import (
@@ -328,3 +331,47 @@ def test_refinement_only_with_an_eliminated_variable(kind, factorized, monkeypat
     else:
         assert refines == [_refine_schedule(mu) for mu in mus for _ in range(2)]
         assert set(refines) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e8])
+def test_t_apply_inverts_the_scaled_gram(cond, rng):
+    """T X = M X M against the two-half composition G^T G, G X = F^dag X F,
+    and as the inverse of K c = coords(W^{-1}_QQ X W^{-1}_QQ), at a
+    tolerance eps * cond with cond = kappa(K) = kappa(W^{-1}_QQ)^2."""
+    var = se._Var(se.HermitianVariable("q", (2, 2, 2)))
+    var.map = se.EmbedDiag(1)
+    basis, n = var.basis, var.basis.side
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    wq = (u * np.geomspace(1.0, cond**-0.5, n)) @ u.conj().T
+    winv = np.eye(n + 2, dtype=complex)
+    winv[1 : n + 1, 1 : n + 1] = wq
+    lc = se._Local(var, winv, 0)
+
+    def congruence(z, cs):
+        return basis.sandwich_coords_many(z, cs.T).T
+
+    cs = rng.standard_normal((var.m, 3))
+    tc = lc.t_apply(cs)
+    tol = 64 * np.finfo(float).eps * cond
+    assert _rel(tc, congruence(lc.f, congruence(lc.f.conj().T, cs))) <= tol
+    assert _rel(congruence(wq, tc), cs) <= tol
+    assert np.array_equal(lc.t_apply(cs[:, 1]), tc[:, 1])
+
+
+@pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])
+def test_back_solve_applies_t_once_per_use(name, rng, monkeypatch):
+    """One back-solve maps coordinates to matrices twice per eliminated
+    variable: T r_q and T P^T dp, each one congruence."""
+    problem = PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    assert kkt.loc and all(len(lc.var.pins) for lc in kkt.loc)
+    matrices, calls = ProductBasis.matrices, []
+
+    def spy(self, cs):
+        calls.append(self.dims)
+        return matrices(self, cs)
+
+    monkeypatch.setattr(ProductBasis, "matrices", spy)
+    kkt._solve_linear(rng.standard_normal(comp.m_total), rng.standard_normal(len(comp.b)))
+    assert len(calls) == 2 * len(kkt.loc)

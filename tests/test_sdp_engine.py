@@ -227,21 +227,59 @@ class TestSolverContracts:
         assert (sol.status, sol.stop_reason) == ("optimal", "converged")
         assert abs(sol.objective - 1.0) < 1e-7
 
-    def test_psd_solver_survives_rounding_indefinite(self, rng):
+    def test_psd_solver_survives_rounding_indefinite(self, rng, monkeypatch):
+        from scipy.linalg import lapack
+
         from combqfi.sdp_engine import _psd_solver
+
+        dpotrf, infos = lapack.dpotrf, []
+
+        def spy(*args, **kwargs):
+            out = dpotrf(*args, **kwargs)
+            infos.append(out[-1])
+            return out
 
         v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         w = np.array([-2e-8, 1e-3, 1.0, 10.0, 1e4, 1.8e8])
         gm = (v * w) @ v.T
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gm)
-        b = v[:, 2:] @ rng.standard_normal(4)
-        x = _psd_solver(gm)(b)
+        b = v[:, 2:] @ rng.standard_normal((4, 3))
+        with monkeypatch.context() as mp:
+            mp.setattr(lapack, "dpotrf", spy)
+            solver = _psd_solver(gm)
+        # LAPACK met a non-positive pivot, so the eigenvalue floor solves
+        assert len(infos) == 1 and infos[0] > 0
         # rounding in gm itself is ~1e-16 * 1.8e8, so 1e-6 is the honest floor
-        assert np.all(np.isfinite(x))
-        assert np.linalg.norm(gm @ x - b) < 1e-6 * np.linalg.norm(b)
+        for rhs in (b[:, 0], b):
+            x = solver(rhs)
+            assert x.shape == rhs.shape and np.all(np.isfinite(x))
+            assert np.linalg.norm(gm @ x - rhs) < 1e-6 * np.linalg.norm(rhs)
         pd = (v * np.arange(1.0, 7.0)) @ v.T
-        assert np.allclose(_psd_solver(pd)(b), np.linalg.solve(pd, b))
+        for rhs in (b[:, 0], b):
+            assert np.allclose(_psd_solver(pd)(rhs), np.linalg.solve(pd, rhs))
+        # a 0 x 0 system, as a reduced matrix with every coordinate fixed by rows
+        for shape in ((0,), (0, 2)):
+            assert _psd_solver(np.zeros((0, 0)))(np.zeros(shape)).shape == shape
+
+        # every LAPACK failure reaches the caller of solve typed: an error of
+        # the wrapper (f2py raises its own type) or an illegal argument
+        class WrapperError(Exception):
+            pass
+
+        def raising(*args, **kwargs):
+            raise WrapperError("shape check failed")
+
+        def illegal(routine):
+            return lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], -1)
+
+        prob = lambda_min_problem(rand_herm(rng, 4))
+        for name in ("dpotrf", "dpotrs", "ztrtri"):
+            for fake in (raising, illegal(getattr(lapack, name))):
+                with monkeypatch.context() as mp:
+                    mp.setattr(lapack, name, fake)
+                    with pytest.raises(SolverFailureError, match=f"LAPACK {name}"):
+                        solve(prob)
 
     def test_stop_reason_names_the_exit(self, rng):
         prob = lambda_min_problem(rand_herm(rng, 4))
