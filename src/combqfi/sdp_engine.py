@@ -19,20 +19,21 @@ variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
 embedded variable of exactly one PSD block and named by no equality row: the
 Newton system eliminates it through its scaled Gram operator
 K X = W^{-1}_QQ X W^{-1}_QQ, whose exact inverse T X = M X M, for
-M = (W^{-1}_QQ)^{-1}, is applied as one congruence and never materialized,
-and its only constraints are coordinate pins.  The other variables, a
-scaled identity lambda I and gauges h, are *imaged*, and the equality rows E act on them
-alone, reduced to an orthonormal basis of their row space.  So B = [E; P],
-with P the pins of the eliminated variables, and the multipliers of all rows
-live in one vector y.  On the null space of E the Newton matrix is positive
-definite, so one Cholesky solves it.  A direction is refined against the
-exact operators only when a variable is eliminated, whose pin Gram can be
-ill-conditioned; a system of lambda and h alone takes one back-solve, since
-its Cholesky is backward stable.  No basis element is ever
-imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix
-through closed forms in r x r blocks of W (its entries against every gauge
-term of the block, and its rows on the eliminated variable), and lambda I
-through its one sandwich W A(1) W, which the adjoints read.
+M = (W^{-1}_QQ)^{-1}, is never materialized: a back-solve applies it to the
+right-hand side as one congruence by M and to the pin term in the Gram form
+of the pin Gram, and its only constraints are coordinate pins.  The other
+variables, a scaled identity lambda I and gauges h, are *imaged*, and the
+equality rows E act on them alone, reduced to an orthonormal basis of their
+row space.  So B = [E; P], with P the pins of the eliminated variables, and
+the multipliers of all rows live in one vector y.  On the null space of E
+the Newton matrix is positive definite, so one Cholesky solves it.  A
+direction is refined against the exact operators only when a variable is
+eliminated, whose pin Gram can be ill-conditioned; a system of lambda and h
+alone takes one back-solve, since its Cholesky is backward stable.  No basis
+element is ever imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the
+Newton matrix through closed forms in r x r blocks of W (its entries against
+every gauge term of the block, and its rows on the eliminated variable), and
+lambda I through its one sandwich W A(1) W, which the adjoints read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -550,11 +551,12 @@ class _Local:
 
     Its diagonal H sub-operator is K X = W^{-1}_QQ X W^{-1}_QQ, with the
     exact inverse T X = M X M for M = (W^{-1}_QQ)^{-1} = F F^dag, F = L^{-dag}
-    from the Cholesky factor L of W^{-1}_QQ.  A back-solve applies T as that
-    one congruence.  The half G X = F^dag X F, with T = G^T G, is kept for
-    the Gram forms that guard the ill-conditioned spots: the pin Gram
-    P T P^T, and the share (G C)^T (G C) of the reduced matrix together with
-    its T C = G^T (G C).
+    from the Cholesky factor L of W^{-1}_QQ.  The half G X = F^dag X F, with
+    T = G^T G, gives the Gram forms that guard the ill-conditioned spots: the
+    pin Gram P T P^T, the share (G C)^T (G C) of the reduced matrix together
+    with its T C = G^T (G C), and the pin term T P^T dp of a back-solve
+    (``t_gram``).  The back-solve's T r_q takes the one congruence by M
+    (``t_apply``).
     """
 
     def __init__(self, var: _Var, winv: np.ndarray, n_u: int):
@@ -585,6 +587,11 @@ class _Local:
         coordinate columns."""
         return self._congruence(self.m, cs)
 
+    def t_gram(self, cs: np.ndarray) -> np.ndarray:
+        """T X = G^T (G X) on coordinate columns: T in the Gram form of the
+        pin Gram, two congruences by the half."""
+        return self.half(self.half(cs), adjoint=True)
+
 
 class _KktFactors:
     """Per-iteration factorization of the Newton system
@@ -595,8 +602,9 @@ class _KktFactors:
     rows E on the imaged coordinates (lambda and h) and the coordinate pins P
     of the local variables.  Each local variable is eliminated through the exact
     inverse T X = M X M of its diagonal H sub-operator K X = W^{-1}_QQ X
-    W^{-1}_QQ, M = (W^{-1}_QQ)^{-1} (``_Local``), and its pins through a
-    small Cholesky of P T P^T.  What remains is the matrix
+    W^{-1}_QQ, M = (W^{-1}_QQ)^{-1} (``_Local``): a back-solve applies it as
+    one congruence by M to the right-hand side and as G^T G to the pin term.
+    Its pins go through a small Cholesky of P T P^T.  What remains is the matrix
     red_a on the imaged coordinates under the orthonormal rows E: with N a
     basis of their null space, N^T red_a N is positive definite and factored
     by Cholesky (Nocedal & Wright, Numerical Optimization, sec. 16.2).
@@ -605,7 +613,7 @@ class _KktFactors:
     exact operators.  The loop asks for them only when ``loc`` is non-empty:
     the pin Gram P T P^T of an eliminated variable has a condition number
     that grows as kappa(M)^2, and one step there cuts a direction's
-    stationarity residual from at worst 1.4e-7 to 5.1e-12 (N=2 ``ico``,
+    stationarity residual from at worst 1.9e-7 to 1.1e-11 (N=2 ``ico``,
     amplitude damping p = 0.2, relative to its summands).  Without one, the
     direction is one back-solve of a backward-stable Cholesky, which
     refinement in the same precision cannot improve (Higham, Accuracy and
@@ -623,7 +631,8 @@ class _KktFactors:
         # T itself is ill-conditioned, and the back-substitution reads
         # T C = G^T (G C) off the same product: formed as M C M it departs
         # from the Gram by rounding, which raised the stationarity residual
-        # of N=2 ``ico`` directions from 5e-12 to 2.5e-7 after one refinement
+        # of N=2 ``ico`` directions from order 1e-11 to 2.5e-7 after one
+        # refinement step
         red_a = self.h_uu.copy()
         for lc in self.loc:
             uu = np.ix_(lc.u_idx, lc.u_idx)
@@ -729,7 +738,9 @@ class _KktFactors:
                 dy[v.y_sl] = dp
                 pv = np.zeros(v.m)
                 pv[v.pins] = dp
-                step += lc.t_apply(pv)
+                # in the Gram form of the pin Gram that gave dp, so that
+                # the pin rows of dz cancel as the solve assumed
+                step += lc.t_gram(pv)
             dz[v.sl] = step
         return dz, dy
 

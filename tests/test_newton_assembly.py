@@ -359,9 +359,10 @@ def test_t_apply_inverts_the_scaled_gram(cond, rng):
 
 
 @pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])
-def test_back_solve_applies_t_once_per_use(name, rng, monkeypatch):
-    """One back-solve maps coordinates to matrices twice per eliminated
-    variable: T r_q and T P^T dp, each one congruence."""
+def test_back_solve_maps_to_matrices_three_times(name, rng, monkeypatch):
+    """One back-solve maps coordinates to matrices three times per
+    eliminated variable: T r_q as one congruence by M and T P^T dp in the
+    Gram form G^T G of the pin Gram (two)."""
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
     kkt = se._KktFactors(comp, random_winvs(problem, rng))
@@ -374,4 +375,4 @@ def test_back_solve_applies_t_once_per_use(name, rng, monkeypatch):
 
     monkeypatch.setattr(ProductBasis, "matrices", spy)
     kkt._solve_linear(rng.standard_normal(comp.m_total), rng.standard_normal(len(comp.b)))
-    assert len(calls) == 2 * len(kkt.loc)
+    assert len(calls) == 3 * len(kkt.loc)
