@@ -3,12 +3,15 @@
 The matrix against image stacks: every imaged basis element's image A(E_a)
 is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
 and read by every adjoint.  The solver builds gauge rows in closed form
-instead.  Its directions against an LU of the saddle matrix
-[[red_a, -E^T], [E, 0]]: the solver factors red_a on the null space of the
-rows instead.  The refinement rule: a system with no eliminated variable
-takes one back-solve per direction.  And the elimination's inverse scaled
-Gram T, one congruence, against its two-half composition and as the inverse
-of K, with a count of the congruences one back-solve makes."""
+instead.  The operator H dz against block congruences W A_j(dz) W read by
+every adjoint: the solver applies the assembled matrix instead.  Its
+directions against an LU of the saddle matrix [[red_a, -E^T], [E, 0]]: the
+solver factors red_a on the null space of the rows instead, and the
+residuals against the block congruences.  The refinement rule: only the
+corrector of a system with an eliminated variable is refined.  And the
+elimination's inverse scaled Gram T, one congruence, and its pin term from
+the stored half images, against their two-half compositions and as the
+inverse of K, with a count of the congruences one back-solve makes."""
 
 import inspect
 import sys
@@ -27,6 +30,7 @@ from combqfi.task_qfi import (
     build_problem,
     product_comb,
 )
+from combqfi.tensor_algebra import hermitize
 
 sys.path.insert(0, "tests")
 from util import split_gauge_columns, split_gauge_rows  # noqa: E402
@@ -58,6 +62,17 @@ def image_stack_assemble(kkt):
             ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
             lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
             lc.c_loc = lc.c_loc[:, lc.u_idx]
+
+
+def block_congruence_h_apply(kkt, dz):
+    """H dz by block congruences: sum_j A_j^*(W_j^{-1} A_j(dz) W_j^{-1})."""
+    comp = kkt.comp
+    out = np.zeros(comp.m_total)
+    for j, block in enumerate(comp.problem.blocks):
+        mat = comp.apply_into(j, dz, np.zeros((block.side, block.side), dtype=complex))
+        y = kkt.winvs[j] @ mat @ kkt.winvs[j]
+        comp.adjoint_into(j, hermitize(y), out)
+    return out
 
 
 def random_winvs(problem, rng):
@@ -173,6 +188,15 @@ def test_closed_form_matches_image_stacks(name, rng, monkeypatch):
         assert _rel(lc.c_loc, lr.c_loc) <= 1e-12
 
 
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_h_apply_matches_block_congruences(name, rng):
+    problem = PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    dz = rng.standard_normal(comp.m_total)
+    assert _rel(kkt._h_apply(dz), block_congruence_h_apply(kkt, dz)) <= 1e-12
+
+
 def saddle_solve_linear(kkt, r_hat, r_b):
     """``_KktFactors._solve_linear`` with the reduced system solved as one
     equilibrated LU of [[red_a, -E^T], [E, 0]] over (imaged coordinates,
@@ -256,7 +280,7 @@ def test_projected_solve_matches_saddle_lu(name, rng):
     assert _rel(dz, ref_z) <= 1e-10
     assert _rel(dy, ref_y) <= 1e-10
     # H dz - B^T dy = r_hat and B dz = r_b against the exact operators
-    h_dz, bt_dy = kkt._h_apply(dz), comp.rows_t(dy)
+    h_dz, bt_dy = block_congruence_h_apply(kkt, dz), comp.rows_t(dy)
     scale = np.linalg.norm(r_hat) + np.linalg.norm(h_dz) + np.linalg.norm(bt_dy)
     assert np.linalg.norm(h_dz - bt_dy - r_hat) <= 1e-12 * scale
     b_dz = comp.rows(dz)
@@ -323,14 +347,32 @@ def test_refinement_only_with_an_eliminated_variable(kind, factorized, monkeypat
     monkeypatch.setattr(se._KktFactors, "solve", spy)
     sol = se.solve(_task_problem(kind, 2, factorized))
     assert (sol.status, sol.stop_reason) == ("optimal", "converged")
-    # a predictor and a corrector at every iterate but the converged last
+    # a predictor and a corrector at every iterate but the converged last;
+    # only the corrector is refined
     mus = [mu for _, _, mu, _, _ in sol.history[:-1]]
     assert len(refines) == 2 * len(mus)
     if factorized:
         assert refines == [0] * len(refines)
     else:
-        assert refines == [_refine_schedule(mu) for mu in mus for _ in range(2)]
-        assert set(refines) == {1, 2, 3}
+        assert refines == [n for mu in mus for n in (0, _refine_schedule(mu))]
+        assert set(refines[1::2]) == {1, 2, 3}
+
+
+def _conditioned_local(cond, rng, pin_mask=None):
+    """A local (2, 2, 2) variable whose W^{-1}_QQ has kappa(K) = cond."""
+    spec = se.HermitianVariable("q", (2, 2, 2), pin_mask=pin_mask)
+    var = se._Var(spec)
+    var.map = se.EmbedDiag(1)
+    n = var.basis.side
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    wq = (u * np.geomspace(1.0, cond**-0.5, n)) @ u.conj().T
+    winv = np.eye(n + 2, dtype=complex)
+    winv[1 : n + 1, 1 : n + 1] = wq
+    return se._Local(var, winv, 0), wq
+
+
+def _congruence(basis, z, cs):
+    return basis.sandwich_coords_many(z, cs.T).T
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e8])
@@ -338,17 +380,11 @@ def test_t_apply_inverts_the_scaled_gram(cond, rng):
     """T X = M X M against the two-half composition G^T G, G X = F^dag X F,
     and as the inverse of K c = coords(W^{-1}_QQ X W^{-1}_QQ), at a
     tolerance eps * cond with cond = kappa(K) = kappa(W^{-1}_QQ)^2."""
-    var = se._Var(se.HermitianVariable("q", (2, 2, 2)))
-    var.map = se.EmbedDiag(1)
-    basis, n = var.basis, var.basis.side
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    wq = (u * np.geomspace(1.0, cond**-0.5, n)) @ u.conj().T
-    winv = np.eye(n + 2, dtype=complex)
-    winv[1 : n + 1, 1 : n + 1] = wq
-    lc = se._Local(var, winv, 0)
+    lc, wq = _conditioned_local(cond, rng)
+    var = lc.var
 
     def congruence(z, cs):
-        return basis.sandwich_coords_many(z, cs.T).T
+        return _congruence(var.basis, z, cs)
 
     cs = rng.standard_normal((var.m, 3))
     tc = lc.t_apply(cs)
@@ -358,11 +394,31 @@ def test_t_apply_inverts_the_scaled_gram(cond, rng):
     assert np.array_equal(lc.t_apply(cs[:, 1]), tc[:, 1])
 
 
+@pytest.mark.parametrize("cond", [1e2, 1e8])
+def test_pin_term_matches_two_half_composition(cond, rng):
+    """T P^T dp from the stored half images against G^T (G P^T dp), two
+    congruences by the half, and its pin rows against the pin Gram, at the
+    tolerance eps * cond of ``test_t_apply_inverts_the_scaled_gram``."""
+    mask = np.zeros(64, dtype=bool)
+    mask[rng.choice(64, size=20, replace=False)] = True
+    lc, _ = _conditioned_local(cond, rng, mask)
+    var = lc.var
+    dp = rng.standard_normal(len(var.pins))
+    pv = np.zeros(var.m)
+    pv[var.pins] = dp
+    ref = _congruence(var.basis, lc.f, _congruence(var.basis, lc.f.conj().T, pv[:, None]))[:, 0]
+    tol = 64 * np.finfo(float).eps * cond
+    out = lc.pin_term(dp)
+    assert _rel(out, ref) <= tol
+    # P T P^T dp is the pin Gram times dp, as the back-solve assumes
+    assert _rel(out[var.pins], lc.y @ (lc.y.T @ dp)) <= tol
+
+
 @pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])
-def test_back_solve_maps_to_matrices_three_times(name, rng, monkeypatch):
-    """One back-solve maps coordinates to matrices three times per
-    eliminated variable: T r_q as one congruence by M and T P^T dp in the
-    Gram form G^T G of the pin Gram (two)."""
+def test_back_solve_maps_to_matrices_once(name, rng, monkeypatch):
+    """One back-solve maps coordinates to matrices once per eliminated
+    variable: T r_q as one congruence by M.  Its pin term T P^T dp combines
+    the stored half images of the pin Gram instead."""
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
     kkt = se._KktFactors(comp, random_winvs(problem, rng))
@@ -375,4 +431,4 @@ def test_back_solve_maps_to_matrices_three_times(name, rng, monkeypatch):
 
     monkeypatch.setattr(ProductBasis, "matrices", spy)
     kkt._solve_linear(rng.standard_normal(comp.m_total), rng.standard_normal(len(comp.b)))
-    assert len(calls) == 3 * len(kkt.loc)
+    assert len(calls) == len(kkt.loc)

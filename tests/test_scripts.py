@@ -17,7 +17,11 @@ HEADERS = {
         "J_seq_markov,J_par_markov,J_cf_markov"
     ),
     "phase_flip_benchmark.py": "p,J_seq,oracle_gap_seq,J_swi,oracle_gap_swi",
+    "start_table.py": "set,k,value,iterations,status,stop_reason,gap",
 }
+# rows per point where a script writes more than one: the start table has
+# one per set
+ROWS_PER_POINT = {"start_table.py": 2}
 
 
 @pytest.mark.parametrize("script", sorted(HEADERS))
@@ -37,7 +41,7 @@ def test_script_writes_csv(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
     assert lines[0] == HEADERS[script]
-    assert len(lines) == 3
+    assert len(lines) == 1 + 2 * ROWS_PER_POINT.get(script, 1)
     for line in lines[1:]:
         cells = line.split(",")
         assert len(cells) == len(HEADERS[script].split(","))
