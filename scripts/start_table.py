@@ -23,6 +23,7 @@ from combqfi.strategy_spaces import StrategySetSpec
 # the module, which the package's ``task_qfi`` function shadows
 tq = importlib.import_module("combqfi.task_qfi")
 SETS = ("ico", "sup")
+P = 0.2  # the damping of the table's channel
 
 
 def run(n: int, k: int, kind: str, fc) -> list:
@@ -43,12 +44,11 @@ def run(n: int, k: int, kind: str, fc) -> list:
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=2)
-    ap.add_argument("--p", type=float, default=0.2)
     ap.add_argument("--points", type=int, default=8)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    fc = tq.product_comb(ad_phase_channel(args.p, float(np.pi / 2)), args.n)
+    fc = tq.product_comb(ad_phase_channel(P, float(np.pi / 2)), args.n)
     rows = []
     for kind in SETS:
         for k in range(args.points):

@@ -8,8 +8,7 @@ in this basis are real, and the coordinate map is an isometry for the
 Frobenius inner product.
 
 Every basis element has at most one nonzero entry per row, so ``B_a F`` is a
-row gather of F; ``half_images`` builds the half images of the pin Gram
-that way.
+row gather of F; ``sandwich_gram`` builds the pin Gram that way.
 
 On several factors, element ``(a, b)`` is ``A_a (x) C_b`` over a split of the
 factor list into two halves, so ``matrices`` and ``coords_many`` are two dense
@@ -190,25 +189,28 @@ class ProductBasis:
         """Coordinates of Z @ matrix(c) @ Z^dag for each row c of cs."""
         return self.coords_many(congruence_many(z, self.matrices(cs)))
 
-    def half_images(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Flattened half images Y_a = F^dag B_a F over the index subset, one
-        complex (k, side^2) array.
+    def sandwich_gram(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the index subset.
 
         For any factor F with F F^dag = M (a Cholesky factor or M^{1/2}),
-        Re <Y_a, Y_b> = Tr(B_a M B_b M): their Gram is the matrix of
-        X -> M X M restricted to the span of the selected elements.
+        G[a,b] = Tr(B_a M B_b M): the matrix of X -> M X M restricted to the
+        span of the selected elements.
         """
         fh = f.conj().T
         k, chunk = len(idx), 512  # elements per batch bound the complex temporaries
         D = self.side
-        out = np.empty((k, D * D), dtype=complex)
+        yr = np.empty((k, D * D))
+        yi = np.empty((k, D * D))
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
             sel = idx[lo:hi]
             # S_a = B_a @ F: row r of S_a is vals[a, r] * F[cols[a, r], :]
             s = self.vals[sel][:, :, None] * f[self.cols[sel], :]
-            np.matmul(fh[None, :, :], s, out=out[lo:hi].reshape(hi - lo, D, D))
-        return out
+            y = np.matmul(fh[None, :, :], s)
+            yf = y.reshape(hi - lo, D * D)
+            yr[lo:hi] = yf.real
+            yi[lo:hi] = yf.imag
+        return yr @ yr.T + yi @ yi.T
 
 
 @lru_cache(maxsize=None)

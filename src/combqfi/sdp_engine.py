@@ -20,13 +20,12 @@ embedded variable of exactly one PSD block and named by no equality row: the
 Newton system eliminates it through its scaled Gram operator
 K X = W^{-1}_QQ X W^{-1}_QQ, whose exact inverse T X = M X M, for
 M = (W^{-1}_QQ)^{-1}, is never materialized: a back-solve applies it to the
-right-hand side as one congruence by M and to the pin term, in the Gram form
-of the pin Gram, as one congruence of a combination of the pins' stored half
-images F^dag B_a F, so it maps coordinates to matrices once per eliminated
-variable, and its only constraints are coordinate pins.  The other
-variables, a scaled identity lambda I and gauges h, are *imaged*, and the
-equality rows E act on them alone, reduced to an orthonormal basis of their
-row space.  So B = [E; P], with P the pins of the eliminated variables, and
+right-hand side as one congruence by M and to the pin term in the Gram form
+of the pin Gram, both halves in matrix space between one map of the pins to
+a matrix and one map back, and its only constraints are coordinate pins.
+The other variables, a scaled identity lambda I and gauges h, are *imaged*,
+and the equality rows E act on them alone, reduced to an orthonormal basis
+of their row space.  So B = [E; P], with P the pins of the eliminated variables, and
 the multipliers of all rows live in one vector y.  On the null space of E
 the Newton matrix is positive definite, so one Cholesky solves it.  The
 corrector direction is refined against the assembled Newton operator only
@@ -110,74 +109,66 @@ class GaugeOffdiag:
         self.k, self.d, self.r = self.cbar.shape
         self._flat = self.cbar.reshape(self.k * self.d, self.r)
         self._hcat = self.cbar.transpose(1, 0, 2).reshape(self.d, self.k * self.r)
-        self._hcat_h = np.ascontiguousarray(self._hcat.conj().T)
-        # the row band R and the column bands C of the term
+
+    def _bands(self) -> tuple[slice, slice]:
         ro, co = self.row_offset, self.col_offset
-        self.rs, self.cs = slice(ro, ro + self.d), slice(co, co + self.k * self.r)
+        return slice(ro, ro + self.d), slice(co, co + self.k * self.r)
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         l = 1j * (self._hcat.reshape(self.d * self.k, self.r) @ m.conj())
-        rs, cs = self.rs, self.cs
+        rs, cs = self._bands()
         out[rs, cs] += l.reshape(self.d, self.k * self.r)
         out[cs, rs] += l.reshape(self.d, self.k * self.r).conj().T
 
     def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         # <A(h), M> = 2 Re[i Tr(conj(h) K)] = <h, i (K^T - conj(K))> for
         # K = sum_j M[rows, cols_j]^dag Cbar_j, exact for Hermitian M
-        b = mats[:, self.rs, self.cs].conj()
+        rs, cs = self._bands()
+        b = mats[:, rs, cs].conj()
         b = b.reshape(-1, self.d, self.k, self.r).transpose(0, 3, 2, 1)
         k = (b.reshape(-1, self.k * self.d) @ self._flat).reshape(-1, self.r, self.r)
         return basis.coords_many(1j * (np.transpose(k, (0, 2, 1)) - k.conj()))
 
     def gram_block(
-        self, other: "GaugeOffdiag", w: np.ndarray, basis: ProductBasis, basis2: ProductBasis
+        self, other: "GaugeOffdiag", w: np.ndarray, els: np.ndarray, els2: np.ndarray
     ) -> np.ndarray:
         """(m, m') block <A(E_a), W A'(E'_b) W> for two gauge terms of one
-        PSD block, over the product bases of the two variables.
+        PSD block; ``els``/``els2`` are the flattened basis elements (m, r^2).
 
         With R, C the row and column bands of a term,
         H[a,b] = 2 Re[Tr(L_a^dag W_RR' L'_b W_C'C) + Tr(L_a^dag W_RC' L'_b^dag W_R'C)]
         = 2 Re sum_s Tr(conj(E_a) X_s conj(E'_b) Y_s) over the (k, l) column
-        blocks of both traces, one (r r' x 2kk') @ (2kk' x r' r) product
-        that gives K[(j, i), (p, q)].  Then H[a,b] = 2 Re Tr(E'_b Z_a) for
-        Z_a[p, q] = sum_ji E_a[j, i] K[(j, i), (p, q)]: two coordinate maps,
-        gathers in O(r^4) for r > 8.
+        blocks of both traces, one (r r' x 2kk') @ (2kk' x r' r) product.
         """
         r, r2, k, k2 = self.r, other.r, self.k, other.k
-        rs2, cs2 = other.rs, other.cs
-        cw = self._hcat_h @ w[self.rs]  # Cbar_k^dag W_R.
-        x1 = cw[:, rs2] @ other._hcat  # Cbar_k^dag W_RR' Cbar'_l
-        x2 = cw[:, cs2]  # Cbar_k^dag W_RC'_l
-        y1 = w[cs2, self.cs]  # W_C'_l C_k
-        y2 = other._hcat_h @ w[rs2, self.cs]  # Cbar'_l^dag W_R'C_k
-        # 2 X_s[j, p] as rows (j, p), Y_s[q, i] as columns (q, i),
-        # s = (+-, k, l); assigning each into place is one strided copy
+        rs, cs = self._bands()
+        rs2, cs2 = other._bands()
+        ch = self._hcat.conj().T
+        x1 = ch @ w[rs, rs2] @ other._hcat  # Cbar_k^dag W_RR' Cbar'_l
+        x2 = ch @ w[rs, cs2]  # Cbar_k^dag W_RC'_l
+        y1 = w[cs2, cs]  # W_C'_l C_k
+        y2 = other._hcat.conj().T @ w[rs2, cs]  # Cbar'_l^dag W_R'C_k
+        # X_s[j, p] as rows (j, p), Y_s[q, i] as columns (q, i), s = (+-, k, l);
+        # assigning each into place is one strided copy
         xs = np.empty((r, r2, 2, k, k2), dtype=complex)
-        np.multiply(x1.reshape(k, r, k2, r2).transpose(1, 3, 0, 2), 2.0, out=xs[:, :, 0])
-        np.multiply(x2.reshape(k, r, k2, r2).transpose(1, 3, 0, 2), -2.0, out=xs[:, :, 1])
+        xs[:, :, 0] = x1.reshape(k, r, k2, r2).transpose(1, 3, 0, 2)
+        np.negative(x2.reshape(k, r, k2, r2).transpose(1, 3, 0, 2), out=xs[:, :, 1])
         ys = np.empty((2, k, k2, r2, r), dtype=complex)
         ys[0] = y1.reshape(k2, r2, k, r).transpose(2, 0, 1, 3)
         ys[1] = y2.reshape(k2, r2, k, r).transpose(2, 0, 1, 3)
         kt = xs.reshape(r * r2, 2 * k * k2) @ ys.reshape(2 * k * k2, r2 * r)
-        # kt[(j, p), (q, i)] = 2 K[(j, i), (p, q)] = X_pq[i, j], so 2 Z_a[p, q]
-        # = Tr(E_a X_pq), whose real and imaginary parts are the coordinates
-        # of X_pq and -i X_pq
-        n2 = r2 * r2
-        x = np.empty((2, r2, r2, r, r), dtype=complex)
-        x[0] = kt.reshape(r, r2, r2, r).transpose(1, 2, 3, 0)
-        np.multiply(x[0], -1j, out=x[1])
-        c = basis.coords_many(x.reshape(2 * n2, r, r))
-        z = np.empty((basis.n, n2), dtype=complex)
-        z.real, z.imag = c[:n2].T, c[n2:].T
-        return basis2.coords_many(z.reshape(-1, r2, r2))
+        # kt[(j, p), (q, i)] -> K[(j, i), (p, q)], then H = 2 Re(E K E'^dag)
+        kk = kt.reshape(r, r2, r2, r).transpose(0, 3, 1, 2).reshape(r * r, r2 * r2)
+        return 2.0 * np.real((els @ kk) @ els2.conj().T)
 
     def local_rows(self, w: np.ndarray, els: np.ndarray, loc: slice) -> np.ndarray:
         """(W A(E_a) W)[loc, loc] = X_a + X_a^dag for every basis element,
         X_a = i sum_k (W[loc, R] Cbar_k) conj(E_a) W[C_k, loc]."""
         r, k = self.r, self.k
+        rs, cs = self._bands()
         n = loc.stop - loc.start
-        f = 1j * (w[loc, self.rs] @ self._hcat)  # (n, k r)
-        g = w[self.cs, loc].reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
+        f = 1j * (w[loc, rs] @ self._hcat)  # (n, k r)
+        g = w[cs, loc].reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
         eg = els.conj().reshape(-1, r, r) @ g  # (m, r, k n)
         x = f @ eg.reshape(-1, r, k, n).transpose(0, 2, 1, 3).reshape(-1, k * r, n)
         return x + np.transpose(x, (0, 2, 1)).conj()
@@ -269,8 +260,7 @@ class _Var:
         mask = spec.pin_mask if spec.pin_mask is not None else np.zeros(0, dtype=bool)
         self.pins = np.flatnonzero(mask)
         self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
-        # (m, side^2) basis elements of a gauge in a block with a local variable
-        self.els: np.ndarray | None = None
+        self.els: np.ndarray | None = None  # (m, side^2) basis elements of a gauge
 
 
 class _Compiled:
@@ -335,11 +325,9 @@ class _Compiled:
         self.img_terms = [
             [(v, mp) for v, mp in terms if v.local_block is None] for terms in self.block_terms
         ]
-        # a gauge's rows on a local variable read its dense elements
-        for j in self.local_of_block:
-            for v, mp in self.img_terms[j]:
-                if isinstance(mp, GaugeOffdiag) and v.els is None:
-                    v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
+        for v, mp in (t for terms in self.img_terms for t in terms):
+            if isinstance(mp, GaugeOffdiag) and v.els is None:
+                v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -568,11 +556,10 @@ class _Local:
     with the exact inverse T X = M X M for M = (W^{-1}_QQ)^{-1} = F F^dag,
     F = L^{-dag} from the Cholesky factor L of W^{-1}_QQ.  The half
     G X = F^dag X F, with T = G^T G, gives the Gram forms that guard the
-    ill-conditioned spots: the pin Gram P T P^T, the Gram of the stored half
-    images Y_a = F^dag B_a F of the pins, the share (G C)^T (G C) of the
-    reduced matrix together with its T C = G^T (G C), and the pin term
-    T P^T dp = G^T (sum_a dp_a Y_a) of a back-solve (``pin_term``).  The
-    back-solve's T r_q takes the one congruence by M (``t_apply``).
+    ill-conditioned spots: the pin Gram P T P^T, the share (G C)^T (G C) of
+    the reduced matrix together with its T C = G^T (G C), and the pin term
+    T P^T dp = G^T G B(dp) of a back-solve (``pin_term``).  The back-solve's
+    T r_q takes the one congruence by M (``t_apply``).
     """
 
     def __init__(self, var: _Var, winv: np.ndarray, n_u: int):
@@ -583,10 +570,7 @@ class _Local:
         self.f = li.conj().T
         self.m = hermitize(self.f @ li)
         if len(var.pins):
-            # (k, 2 side^2) real (re, im) pairs of the half images, kept for
-            # the pin terms of the iteration's back-solves
-            self.y = var.basis.half_images(self.f, var.pins).view(np.float64)
-            gm = self.y @ self.y.T
+            gm = var.basis.sandwich_gram(self.f, var.pins)
             gm = 0.5 * (gm + gm.T)
             gm += (1e-14 * np.trace(gm) / len(var.pins)) * np.eye(len(var.pins))
             self.gsolve = _psd_solver(gm)
@@ -613,11 +597,13 @@ class _Local:
         return self._congruence(self.wq, cs)
 
     def pin_term(self, dp: np.ndarray) -> np.ndarray:
-        """T P^T dp = G^T (sum_a dp_a Y_a) from the stored half images: the
-        Gram form of the pin Gram that gave dp, one congruence by F."""
-        n = self.var.basis.side
-        x = (dp @ self.y).view(complex).reshape(n, n)
-        return self.var.basis.coords(self.f @ x @ self.f.conj().T)
+        """T P^T dp = G^T G B(dp) for B(dp) = sum_a dp_a B_a over the pins:
+        T in the Gram form of the pin Gram, with both halves applied in
+        matrix space, so the pins map to a matrix once."""
+        basis, fh = self.var.basis, self.f.conj().T
+        pv = np.zeros(self.var.m)
+        pv[self.var.pins] = dp
+        return basis.coords(self.f @ (fh @ basis.matrix(pv) @ self.f) @ fh)
 
 
 class _KktFactors:
@@ -630,26 +616,26 @@ class _KktFactors:
     of the local variables.  Each local variable is eliminated through the exact
     inverse T X = M X M of its diagonal H sub-operator K X = W^{-1}_QQ X
     W^{-1}_QQ, M = (W^{-1}_QQ)^{-1} (``_Local``): a back-solve applies it as
-    one congruence by M to the right-hand side and to the pin term from the
-    stored half images of the pin Gram.  Its pins go through a small
-    Cholesky of P T P^T.  What remains is the matrix
-    red_a on the imaged coordinates under the orthonormal rows E: with N a
-    basis of their null space, N^T red_a N is positive definite and factored
-    by Cholesky (Nocedal & Wright, Numerical Optimization, sec. 16.2).
+    one congruence by M to the right-hand side and as G^T G, in matrix space,
+    to the pin term.  Its pins go through a small Cholesky of P T P^T.  What
+    remains is the matrix red_a on the imaged coordinates under the
+    orthonormal rows E: with N a basis of their null space, N^T red_a N is
+    positive definite and factored by Cholesky (Nocedal & Wright, Numerical
+    Optimization, sec. 16.2).
 
     ``solve`` applies ``refine`` steps of iterative refinement, each with
     its residual against the assembled operator (``_h_apply``).  The loop
     asks for them for the corrector only, and only when ``loc`` is
     non-empty: the pin Gram P T P^T of an eliminated variable has a
     condition number that grows as kappa(M)^2, and one step there cuts the
-    corrector's stationarity residual from at worst 1.2e-7 to 1.4e-11 (N=2
+    corrector's stationarity residual from at worst 1.2e-7 to 1.1e-11 (N=2
     ``ico``, amplitude damping p = 0.2, relative to its summands).  The
     predictor only sets sigma and the Mehrotra term, and is one back-solve
-    (at worst 1.1e-7 there).  Without an eliminated variable a direction is
+    (at worst 9.4e-8 there).  Without an eliminated variable a direction is
     one back-solve of a backward-stable Cholesky, which refinement in the
     same precision cannot improve (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., ch. 12): at N=2 ``par`` the residual is
-    at most 1.1e-9 before a step and 5.1e-9 after.
+    at most 6.0e-9 before a step and 4.1e-9 after.
     """
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
@@ -704,9 +690,7 @@ class _KktFactors:
                 if isinstance(mp, GaugeOffdiag):
                     for v2, mp2 in img:
                         if isinstance(mp2, GaugeOffdiag):
-                            self.h_uu[v.sl, v2.sl] += mp.gram_block(
-                                mp2, winv, v.basis, v2.basis
-                            )
+                            self.h_uu[v.sl, v2.sl] += mp.gram_block(mp2, winv, v.els, v2.els)
                     if locvar is not None:
                         rows = locvar.basis.coords_many(mp.local_rows(winv, v.els, loc))
                         lc.c_loc[:, v.sl] += rows.T
@@ -977,9 +961,6 @@ def _interior_point(
         rc_cor = [rc for rc, _ in cors]
         dz, dy, ds = direction(rc_cor, nref)
         dx = kkt.dual_directions(rc_cor, ds)
-        # the factors hold the pins' half images (124 MB at N=3 ``ico``):
-        # release them before the next iteration builds its own
-        del kkt
         tau = 0.995 if mu < 1e-5 else (0.99 if mu < 1e-3 else 0.98)
         steps = []
         for sc, (_, rc_g), dsj in zip(scalings, cors, ds):

@@ -9,8 +9,8 @@ directions against an LU of the saddle matrix [[red_a, -E^T], [E, 0]]: the
 solver factors red_a on the null space of the rows instead, and the
 residuals against the block congruences.  The refinement rule: only the
 corrector of a system with an eliminated variable is refined.  And the
-elimination's inverse scaled Gram T, one congruence, and its pin term from
-the stored half images, against their two-half compositions and as the
+elimination's inverse scaled Gram T, one congruence, and its pin term with
+both halves in matrix space, against their two-half compositions and as the
 inverse of K, with a count of the congruences one back-solve makes."""
 
 import inspect
@@ -396,9 +396,10 @@ def test_t_apply_inverts_the_scaled_gram(cond, rng):
 
 @pytest.mark.parametrize("cond", [1e2, 1e8])
 def test_pin_term_matches_two_half_composition(cond, rng):
-    """T P^T dp from the stored half images against G^T (G P^T dp), two
-    congruences by the half, and its pin rows against the pin Gram, at the
-    tolerance eps * cond of ``test_t_apply_inverts_the_scaled_gram``."""
+    """T P^T dp with both halves in matrix space against G^T (G P^T dp), two
+    congruences by the half with a coordinate round trip between them, and
+    its pin rows against the pin Gram, at the tolerance eps * cond of
+    ``test_t_apply_inverts_the_scaled_gram``."""
     mask = np.zeros(64, dtype=bool)
     mask[rng.choice(64, size=20, replace=False)] = True
     lc, _ = _conditioned_local(cond, rng, mask)
@@ -411,14 +412,14 @@ def test_pin_term_matches_two_half_composition(cond, rng):
     out = lc.pin_term(dp)
     assert _rel(out, ref) <= tol
     # P T P^T dp is the pin Gram times dp, as the back-solve assumes
-    assert _rel(out[var.pins], lc.y @ (lc.y.T @ dp)) <= tol
+    assert _rel(out[var.pins], var.basis.sandwich_gram(lc.f, var.pins) @ dp) <= tol
 
 
 @pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])
-def test_back_solve_maps_to_matrices_once(name, rng, monkeypatch):
-    """One back-solve maps coordinates to matrices once per eliminated
-    variable: T r_q as one congruence by M.  Its pin term T P^T dp combines
-    the stored half images of the pin Gram instead."""
+def test_back_solve_maps_to_matrices_twice(name, rng, monkeypatch):
+    """One back-solve maps coordinates to matrices twice per eliminated
+    variable: T r_q as one congruence by M, and the pins of its pin term
+    T P^T dp, whose two halves then act in matrix space."""
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
     kkt = se._KktFactors(comp, random_winvs(problem, rng))
@@ -431,4 +432,4 @@ def test_back_solve_maps_to_matrices_once(name, rng, monkeypatch):
 
     monkeypatch.setattr(ProductBasis, "matrices", spy)
     kkt._solve_linear(rng.standard_normal(comp.m_total), rng.standard_normal(len(comp.b)))
-    assert len(calls) == len(kkt.loc)
+    assert len(calls) == 2 * len(kkt.loc)
