@@ -5,7 +5,9 @@ scaled by (1 + k * 1e-15) for k = 0 .. points - 1.
 
 Starts that differ in the last bits of lambda_0 tell whether an outcome
 (``optimal`` or not, the gap reached) is decided by rounding, so a change of
-the solver can be judged by a count over starts instead of by one run.
+the solver can be judged by a count over starts instead of by one run.  The
+last lines give that count per set: the starts that end ``optimal``, the
+summed iterations and the worst and median gap (nan if a solve failed).
 
     python3 scripts/start_table.py --n 3 --points 24 --out starts.csv
 """
@@ -56,6 +58,12 @@ def main():
             rows.append(row)
             print(f"{kind} k={k}: value={row[2]:.10f} iterations={row[3]} "
                   f"{row[4]}/{row[5]} gap={row[6]:.3e}", flush=True)
+    for kind in SETS:
+        mine = [row for row in rows if row[0] == kind]
+        gaps = np.array([row[6] for row in mine])
+        print(f"summary {kind}: optimal {sum(row[4] == 'optimal' for row in mine)}/{len(mine)} "
+              f"iterations {sum(row[3] for row in mine)} "
+              f"gap worst {np.max(gaps):.3e} median {np.median(gaps):.3e}")
     header = "set,k,value,iterations,status,stop_reason,gap"
     text = header + "\n" + "\n".join(
         f"{kind},{k},{v:.13e},{it},{st},{sr},{g:.6e}" for kind, k, v, it, st, sr, g in rows

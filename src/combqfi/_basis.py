@@ -140,17 +140,17 @@ class ProductBasis:
             # (lower + conj(upper)) / sqrt(2) of pair j is coordinate 1 + 2j
             # plus i times coordinate 2 + 2j
             m = (self.n - self.side) // 2
-            t = np.take(ms.reshape(k, -1), self._pick, axis=1)
+            t = np.take(ms.reshape(k, self.side * self.side), self._pick, axis=1)
             off = ((t[:, m : 2 * m] + t[:, :m].conj()) * (1.0 / np.sqrt(2.0))).view(np.float64)
             dv = t[:, 2 * m :].real @ self._w.T
             return np.concatenate([dv[:, :1], off, dv[:, 1:]], axis=1)
         da, db = self._da, self._db
         if self._a is None:
-            t = ms.reshape(k, -1)
+            t = ms.reshape(k, self.side * self.side)
         else:
             # contract the A half: (k, D_B^2, D_A^2) @ conj(A)^T -> (k, n_A, D_B^2)
             t = ms.reshape(k, da, db, da, db).transpose(0, 2, 4, 1, 3)
-            t = (t.reshape(k * db * db, da * da) @ self._a_conj.T).reshape(k, db * db, -1)
+            t = (t.reshape(k * db * db, da * da) @ self._a_conj.T).reshape(k, db * db, self._na)
             t = np.ascontiguousarray(t.transpose(0, 2, 1))
         # the real part of the B contraction is one real GEMM on (re, im) pairs
         return (t.reshape(-1, db * db).view(np.float64) @ self._b.T).reshape(k, self.n)
@@ -185,10 +185,6 @@ class ProductBasis:
 
     # -- solver helpers ----------------------------------------------------
 
-    def sandwich_coords_many(self, z: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Coordinates of Z @ matrix(c) @ Z^dag for each row c of cs."""
-        return self.coords_many(congruence_many(z, self.matrices(cs)))
-
     def sandwich_gram(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the index subset.
 
@@ -199,18 +195,16 @@ class ProductBasis:
         fh = f.conj().T
         k, chunk = len(idx), 512  # elements per batch bound the complex temporaries
         D = self.side
-        yr = np.empty((k, D * D))
-        yi = np.empty((k, D * D))
+        y = np.empty((k, D, D), dtype=complex)
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
             sel = idx[lo:hi]
             # S_a = B_a @ F: row r of S_a is vals[a, r] * F[cols[a, r], :]
             s = self.vals[sel][:, :, None] * f[self.cols[sel], :]
-            y = np.matmul(fh[None, :, :], s)
-            yf = y.reshape(hi - lo, D * D)
-            yr[lo:hi] = yf.real
-            yi[lo:hi] = yf.imag
-        return yr @ yr.T + yi @ yi.T
+            np.matmul(fh[None, :, :], s, out=y[lo:hi])
+        # Re <Y_a, Y_b> is one real GEMM on the (re, im) view of the stack
+        yv = y.reshape(k, D * D).view(np.float64)
+        return yv @ yv.T
 
 
 @lru_cache(maxsize=None)

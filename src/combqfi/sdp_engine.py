@@ -17,26 +17,28 @@ corrector's update.
 Three linear maps place variables in the blocks, and each has one role.  A
 variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
 embedded variable of exactly one PSD block and named by no equality row: the
-Newton system eliminates it through its scaled Gram operator
-K X = W^{-1}_QQ X W^{-1}_QQ, whose exact inverse T X = M X M, for
-M = (W^{-1}_QQ)^{-1}, is never materialized: a back-solve applies it to the
-right-hand side as one congruence by M and to the pin term in the Gram form
-of the pin Gram, both halves in matrix space between one map of the pins to
-a matrix and one map back, and its only constraints are coordinate pins.
-The other variables, a scaled identity lambda I and gauges h, are *imaged*,
-and the equality rows E act on them alone, reduced to an orthonormal basis
-of their row space.  So B = [E; P], with P the pins of the eliminated variables, and
-the multipliers of all rows live in one vector y.  On the null space of E
-the Newton matrix is positive definite, so one Cholesky solves it.  The
-corrector direction is refined against the assembled Newton operator only
-when a variable is eliminated, whose pin Gram can be ill-conditioned; the
-predictor, which only sets sigma and the Mehrotra term, takes one back-solve,
-and so does a system of lambda and h alone, whose Cholesky is backward
-stable.  No basis element is ever imaged: a gauge term
-L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix through closed forms in
-r x r blocks of W (its entries against every gauge term of the block, and
-its rows on the eliminated variable), and lambda I through its one sandwich
-W A(1) W, which the adjoints read.
+Newton system eliminates it in the half frame of that block's W^{-1} = R R^dag,
+R upper triangular with the variable's rows last, taken from a QR of the
+scaling's G^{-1} once per iteration.  There the variable fills one corner of
+the half images R^dag A(e_i) R of the block's other coordinates, stacked
+once per solve, so its elimination leaves the Gram of those half images with
+the corner cut: nothing is subtracted.  Its exact inverse scaled Gram T acts
+in the Gram form F (F^dag X F) F^dag of the pin Gram, F = R_QQ^{-dag}, and
+its only constraints are coordinate pins.  The other variables, a scaled
+identity lambda I and gauges h, are *imaged*, and the equality rows E act on
+them alone, reduced to an orthonormal basis of their row space.  So
+B = [E; P], with P the pins of the eliminated variables, and the multipliers
+of all rows live in one vector y.  On the null space of E the Newton matrix
+is positive definite, so one Cholesky solves it.  The corrector direction is
+refined against the assembled Newton operator, read off the frame, only when
+a variable is eliminated, whose pin Gram can be ill-conditioned; the
+predictor, which only sets sigma and the Mehrotra term, takes one
+back-solve, and so does a system of lambda and h alone, whose Cholesky is
+backward stable.  In a block with no eliminated variable no basis element is
+ever imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton
+matrix through closed forms in r x r blocks of W (its entries against every
+gauge term of the block), and lambda I through its one sandwich W A(1) W,
+which the adjoints read.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._basis import ProductBasis, product_basis
+from ._basis import ProductBasis, congruence_many, product_basis
 from .errors import SolverFailureError
 from .tensor_algebra import hermitize
 
@@ -97,8 +99,8 @@ class GaugeOffdiag:
     plus its Hermitian transpose; ``cbar`` is a (k, D, r) stack, and a (D, r)
     matrix is the k = 1 case.
 
-    Its Newton rows are closed forms in blocks of W (``gram_block``,
-    ``local_rows``) rather than congruences of images.
+    In a block with no eliminated variable its Newton rows are closed forms
+    in blocks of W (``gram_block``) rather than congruences of images.
     """
 
     def __init__(self, cbar: np.ndarray, row_offset: int, col_offset: int):
@@ -160,18 +162,6 @@ class GaugeOffdiag:
         # kt[(j, p), (q, i)] -> K[(j, i), (p, q)], then H = 2 Re(E K E'^dag)
         kk = kt.reshape(r, r2, r2, r).transpose(0, 3, 1, 2).reshape(r * r, r2 * r2)
         return 2.0 * np.real((els @ kk) @ els2.conj().T)
-
-    def local_rows(self, w: np.ndarray, els: np.ndarray, loc: slice) -> np.ndarray:
-        """(W A(E_a) W)[loc, loc] = X_a + X_a^dag for every basis element,
-        X_a = i sum_k (W[loc, R] Cbar_k) conj(E_a) W[C_k, loc]."""
-        r, k = self.r, self.k
-        rs, cs = self._bands()
-        n = loc.stop - loc.start
-        f = 1j * (w[loc, rs] @ self._hcat)  # (n, k r)
-        g = w[cs, loc].reshape(k, r, n).transpose(1, 0, 2).reshape(r, k * n)
-        eg = els.conj().reshape(-1, r, r) @ g  # (m, r, k n)
-        x = f @ eg.reshape(-1, r, k, n).transpose(0, 2, 1, 3).reshape(-1, k * r, n)
-        return x + np.transpose(x, (0, 2, 1)).conj()
 
 
 LinearMap = EmbedDiag | ScaledIdentity | GaugeOffdiag
@@ -261,6 +251,10 @@ class _Var:
         self.pins = np.flatnonzero(mask)
         self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
         self.els: np.ndarray | None = None  # (m, side^2) basis elements of a gauge
+        # a local variable's block: its index order with the variable's rows
+        # last, the imaged coordinates u_idx that enter it and their images
+        # A(e_i) in that order
+        self.order = self.u_idx = self.images = None
 
 
 class _Compiled:
@@ -328,6 +322,19 @@ class _Compiled:
         for v, mp in (t for terms in self.img_terms for t in terms):
             if isinstance(mp, GaugeOffdiag) and v.els is None:
                 v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
+        for j, var in self.local_of_block.items():
+            side, o, n = problem.blocks[j].side, var.map.offset, var.basis.side
+            var.order = np.r_[0:o, o + n : side, o : o + n]
+            # each imaged coordinate once, however many terms it enters through
+            img = self.img_terms[j]
+            ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
+            var.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
+            images = np.zeros((len(var.u_idx), side, side), dtype=complex)
+            for v, mp in img:
+                at = int(np.searchsorted(var.u_idx, v.sl.start))
+                for a, el in enumerate(v.basis.elements(np.arange(v.m))):
+                    mp.add_apply(images[at + a], el)
+            var.images = images[:, var.order][:, :, var.order]
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -550,60 +557,75 @@ def _psd_solver(gm: np.ndarray):
 
 
 class _Local:
-    """The elimination of one local variable from the Newton system.
+    """The elimination of one local variable Q, in the half frame of its
+    block's W^{-1}.
 
-    Its diagonal H sub-operator is K X = W^{-1}_QQ X W^{-1}_QQ (``k_apply``),
-    with the exact inverse T X = M X M for M = (W^{-1}_QQ)^{-1} = F F^dag,
-    F = L^{-dag} from the Cholesky factor L of W^{-1}_QQ.  The half
-    G X = F^dag X F, with T = G^T G, gives the Gram forms that guard the
-    ill-conditioned spots: the pin Gram P T P^T, the share (G C)^T (G C) of
-    the reduced matrix together with its T C = G^T (G C), and the pin term
-    T P^T dp = G^T G B(dp) of a back-solve (``pin_term``).  The back-solve's
-    T r_q takes the one congruence by M (``t_apply``).
+    W^{-1} = R R^dag with R upper triangular and Q's rows last (the block
+    order ``var.order``): R = J R_g^dag J for the QR G^{-1} J = Q_g R_g of
+    the scaling's G^{-1} with its columns reversed by J.  Unlike a Cholesky
+    of W^{-1} it cannot fail, and R has the condition number of G, not of
+    W^{-1}.  The block's share of <dz, H dz> is ||R^dag A(dz) R||^2, and Q
+    lands in one corner of the frame: R^dag E(dQ) R = [[0, 0], [0, R_QQ^dag
+    dQ R_QQ]].  So with the half images H_i = R^dag A(e_i) R of the block's
+    imaged coordinates, the block's share h_uu - C^T T C of the reduced
+    matrix, where T is the inverse of Q's diagonal sub-operator
+    K X = W^{-1}_QQ X W^{-1}_QQ and C its rows on the imaged coordinates,
+    is the Gram of the H_i with their (Q, Q) corner cut (``gram``), formed
+    with no subtraction.  F = R_QQ^{-dag} has F F^dag = M =
+    (W^{-1}_QQ)^{-1}, and T X = M X M, so T C is the coordinates of
+    F [H_i]_QQ F^dag (``t_c``).  T itself acts in the Gram form
+    F (F^dag X F) F^dag, on the right-hand side and on the pin term, the
+    form of the pin Gram P T P^T that gave the pin multipliers.
     """
 
-    def __init__(self, var: _Var, winv: np.ndarray, n_u: int):
+    def __init__(self, var: _Var, gi: np.ndarray):
         self.var = var
-        sub, n = var.map.offset, var.basis.side
-        self.wq = hermitize(winv[sub : sub + n, sub : sub + n])
-        _, li = _cholesky_inv(self.wq)
-        self.f = li.conj().T
-        self.m = hermitize(self.f @ li)
+        n = var.basis.side
+        qr = _lapack("zgeqrf", gi[:, var.order[::-1]])[0]
+        r = np.triu(qr)[::-1, ::-1].conj().T
+        self.rq = np.ascontiguousarray(r[-n:, -n:])
+        self.rqh = self.rq.conj().T
+        rqi, info = _lapack("ztrtri", self.rq, lower=0)
+        if info:
+            raise SolverFailureError(f"singular scaling of {var.name!r}")
+        self.fh = rqi
+        self.f = rqi.conj().T
+        h = congruence_many(r.conj().T, var.images)
+        corner = h[:, -n:, -n:].copy()
+        h[:, -n:, -n:] = 0.0
+        # the cut half images and their corners as rows of real (re, im)
+        # pairs, so that a Gram or an inner product is one real GEMM
+        self.cut = h.reshape(len(h), gi.size).view(np.float64)
+        self.corners = corner.reshape(len(h), n * n).view(np.float64)
+        self.gram = self.cut @ self.cut.T
+        self.t_c = var.basis.coords_many(congruence_many(self.f, corner)).T
         if len(var.pins):
             gm = var.basis.sandwich_gram(self.f, var.pins)
             gm = 0.5 * (gm + gm.T)
             gm += (1e-14 * np.trace(gm) / len(var.pins)) * np.eye(len(var.pins))
             self.gsolve = _psd_solver(gm)
-        self.c_loc = np.zeros((var.m, n_u))  # C: the local rows of H on the imaged coordinates
 
-    def _congruence(self, z: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Z X Z^dag on the coordinate columns X of cs."""
-        out = self.var.basis.sandwich_coords_many(z, cs.T.reshape(-1, len(cs)))
-        return out.T.reshape(cs.shape)
-
-    def half(self, cs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """G X = F^dag X F on coordinate columns, or G^T X = F X F^dag with
-        ``adjoint``: T = G^T G."""
-        return self._congruence(self.f if adjoint else self.f.conj().T, cs)
-
-    def t_apply(self, cs: np.ndarray) -> np.ndarray:
-        """T X = M X M, the inverse scaled Gram of the local variable, on
-        coordinate columns."""
-        return self._congruence(self.m, cs)
-
-    def k_apply(self, cs: np.ndarray) -> np.ndarray:
-        """K X = W^{-1}_QQ X W^{-1}_QQ, the diagonal H sub-operator, on
-        coordinate columns."""
-        return self._congruence(self.wq, cs)
+    def t_apply(self, c: np.ndarray) -> np.ndarray:
+        """T X = F (F^dag X F) F^dag on one coordinate vector."""
+        basis, f, fh = self.var.basis, self.f, self.fh
+        return basis.coords(f @ (fh @ basis.matrix(c) @ f) @ fh)
 
     def pin_term(self, dp: np.ndarray) -> np.ndarray:
-        """T P^T dp = G^T G B(dp) for B(dp) = sum_a dp_a B_a over the pins:
-        T in the Gram form of the pin Gram, with both halves applied in
-        matrix space, so the pins map to a matrix once."""
-        basis, fh = self.var.basis, self.f.conj().T
+        """T P^T dp for dp over the pins."""
         pv = np.zeros(self.var.m)
         pv[self.var.pins] = dp
-        return basis.coords(self.f @ (fh @ basis.matrix(pv) @ self.f) @ fh)
+        return self.t_apply(pv)
+
+    def h_apply(self, du: np.ndarray, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block's H dz on (u_idx, Q) for du over u_idx, read off the
+        frame Y = R^dag A(dz) R = sum_i du_i H_i + [[0, 0], [0, Z]],
+        Z = R_QQ^dag dQ R_QQ: its inner products with the H_i, and the
+        coordinates of R_QQ Y_QQ R_QQ^dag."""
+        rq, rqh, basis = self.rq, self.rqh, self.var.basis
+        yq = (du @ self.corners).view(complex).reshape(rq.shape)
+        yq += rqh @ basis.matrix(dq) @ rq
+        out_u = self.cut @ (du @ self.cut) + self.corners @ yq.reshape(-1).view(np.float64)
+        return out_u, basis.coords(rq @ yq @ rqh)
 
 
 class _KktFactors:
@@ -613,54 +635,50 @@ class _KktFactors:
 
     with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: the equality
     rows E on the imaged coordinates (lambda and h) and the coordinate pins P
-    of the local variables.  Each local variable is eliminated through the exact
-    inverse T X = M X M of its diagonal H sub-operator K X = W^{-1}_QQ X
-    W^{-1}_QQ, M = (W^{-1}_QQ)^{-1} (``_Local``): a back-solve applies it as
-    one congruence by M to the right-hand side and as G^T G, in matrix space,
-    to the pin term.  Its pins go through a small Cholesky of P T P^T.  What
+    of the local variables.  A block with no local variable enters H on the
+    imaged coordinates (``h_uu``) through the closed forms of its terms.  A
+    block with one is assembled in the half frame of its W^{-1} (``_Local``),
+    from one QR factor and the half images of its imaged coordinates: its
+    local variable is eliminated through the exact inverse T of its diagonal
+    sub-operator, and its share of the reduced matrix is a Gram with nothing
+    subtracted.  The pins go through a small Cholesky of P T P^T.  What
     remains is the matrix red_a on the imaged coordinates under the
     orthonormal rows E: with N a basis of their null space, N^T red_a N is
     positive definite and factored by Cholesky (Nocedal & Wright, Numerical
     Optimization, sec. 16.2).
 
     ``solve`` applies ``refine`` steps of iterative refinement, each with
-    its residual against the assembled operator (``_h_apply``).  The loop
-    asks for them for the corrector only, and only when ``loc`` is
-    non-empty: the pin Gram P T P^T of an eliminated variable has a
-    condition number that grows as kappa(M)^2, and one step there cuts the
-    corrector's stationarity residual from at worst 1.2e-7 to 1.1e-11 (N=2
-    ``ico``, amplitude damping p = 0.2, relative to its summands).  The
-    predictor only sets sigma and the Mehrotra term, and is one back-solve
-    (at worst 9.4e-8 there).  Without an eliminated variable a direction is
-    one back-solve of a backward-stable Cholesky, which refinement in the
-    same precision cannot improve (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 12): at N=2 ``par`` the residual is
-    at most 6.0e-9 before a step and 4.1e-9 after.
+    its residual against the assembled operator (``_h_apply``), which reads
+    a local variable's block off its frame.  The loop asks for them for the
+    corrector only, and only when ``loc`` is non-empty: the pin Gram
+    P T P^T of an eliminated variable has a condition number that grows as
+    kappa(M)^2, and one step there cuts the corrector's stationarity
+    residual from at worst 1.1e-7 to 5.8e-12 (N=2 ``ico``, amplitude
+    damping p = 0.2, relative to its summands).  The predictor only sets
+    sigma and the Mehrotra term, and is one back-solve (at worst 9.7e-8
+    there).  Without an eliminated variable a direction is one back-solve of
+    a backward-stable Cholesky, which refinement in the same precision
+    cannot improve (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 12): at N=2 ``par`` the residual is at most 6.0e-9 before
+    a step and 4.1e-9 after.
     """
 
-    def __init__(self, comp: _Compiled, winvs: list[np.ndarray]):
+    def __init__(self, comp: _Compiled, winvs: list[np.ndarray], gis: list[np.ndarray]):
+        """``winvs`` are the blocks' W^{-1} = G^{-dag} G^{-1}, and ``gis``
+        their scalings' G^{-1}, which only blocks with a local variable read."""
         self.comp = comp
         self.winvs = winvs
         self._assemble()
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
-        # rhs-independent eliminations and the reduced matrix; C^T T C is
-        # the Gram (G C)^T (G C), which keeps it symmetric and accurate where
-        # T itself is ill-conditioned, and the back-substitution reads
-        # T C = G^T (G C) off the same product: formed as M C M it departs
-        # from the Gram by rounding, which raised the stationarity residual
-        # of N=2 ``ico`` directions from order 1e-11 to 2.5e-7 after one
-        # refinement step
+        self.loc = [_Local(var, gis[j]) for j, var in comp.local_of_block.items()]
         red_a = self.h_uu.copy()
         for lc in self.loc:
-            uu = np.ix_(lc.u_idx, lc.u_idx)
-            lc.t_c = lc.c_loc
-            if len(lc.u_idx):
-                gc = lc.half(lc.c_loc)
-                lc.t_c = lc.half(gc, adjoint=True)
-                red_a[uu] -= gc.T @ gc
+            u_idx = lc.var.u_idx
+            uu = np.ix_(u_idx, u_idx)
+            red_a[uu] += lc.gram
             if len(lc.var.pins):
                 lc.u_i = lc.t_c[lc.var.pins]  # P T C
-                lc.gi_u = lc.gsolve(lc.u_i) if len(lc.u_idx) else lc.u_i
+                lc.gi_u = lc.gsolve(lc.u_i) if len(u_idx) else lc.u_i
                 red_a[uu] += lc.u_i.T @ lc.gi_u
         self.red_a = red_a
         # the rows hold du to E^T r_b + N w, and the matrix is positive
@@ -669,31 +687,23 @@ class _KktFactors:
         self.red_solve = _psd_solver(red_a if n is None else n.T @ red_a @ n)
 
     def _assemble(self) -> None:
-        """H on the imaged coordinates (``h_uu``) and, per local variable,
-        its rows ``c_loc`` on them.  Gauge terms enter through the closed
-        forms of ``GaugeOffdiag``; a scaled identity through its one
-        sandwich W A(1) W, which every imaged adjoint and the local map read.
-        Its gauge entries are set in both triangles."""
+        """H on the imaged coordinates (``h_uu``) from the blocks with no
+        local variable.  Gauge terms enter through the closed forms of
+        ``GaugeOffdiag``; a scaled identity through its one sandwich
+        W A(1) W, which every imaged adjoint reads.  Its gauge entries are
+        set in both triangles."""
         comp = self.comp
         m_u = comp.m_u
         self.h_uu = np.zeros((m_u, m_u))
-        self.loc: list[_Local] = []
         for j, img in enumerate(comp.img_terms):
+            if j in comp.local_of_block:
+                continue
             winv = self.winvs[j]
-            locvar = comp.local_of_block.get(j)
-            if locvar is not None:
-                lc = _Local(locvar, winv, m_u if img else 0)
-                self.loc.append(lc)
-                o = locvar.map.offset
-                loc = slice(o, o + locvar.basis.side)
             for v, mp in img:
                 if isinstance(mp, GaugeOffdiag):
                     for v2, mp2 in img:
                         if isinstance(mp2, GaugeOffdiag):
                             self.h_uu[v.sl, v2.sl] += mp.gram_block(mp2, winv, v.els, v2.els)
-                    if locvar is not None:
-                        rows = locvar.basis.coords_many(mp.local_rows(winv, v.els, loc))
-                        lc.c_loc[:, v.sl] += rows.T
                     continue
                 y = mp.sandwich(winv)[None]
                 for v2, mp2 in img:
@@ -701,26 +711,18 @@ class _KktFactors:
                     self.h_uu[v2.sl, v.sl] += vals.T
                     if isinstance(mp2, GaugeOffdiag):
                         self.h_uu[v.sl, v2.sl] += vals
-                if locvar is not None:
-                    lc.c_loc[:, v.sl] += locvar.map.adjoint_coords_many(y, locvar.basis).T
-            if locvar is not None:
-                # the coordinates of the imaged variables, each once however
-                # many terms of the block it enters through
-                ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
-                lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
-                lc.c_loc = lc.c_loc[:, lc.u_idx]
 
     def _h_apply(self, dz: np.ndarray) -> np.ndarray:
-        """H dz from the assembled operator: h_uu du + C^T dq on the imaged
-        coordinates and C du + K dq on each local variable."""
+        """H dz from the assembled operator: h_uu du, and each local
+        variable's block read off its frame."""
         m_u = self.comp.m_u
         out = np.zeros(self.comp.m_total)
         du = dz[:m_u]
         out[:m_u] = self.h_uu @ du
         for lc in self.loc:
-            dq = dz[lc.var.sl]
-            out[lc.u_idx] += lc.c_loc.T @ dq
-            out[lc.var.sl] = lc.c_loc @ du[lc.u_idx] + lc.k_apply(dq)
+            v = lc.var
+            out_u, out[v.sl] = lc.h_apply(du[v.u_idx], dz[v.sl])
+            out[v.u_idx] += out_u
         return out
 
     def _solve_linear(self, r_hat, r_b):
@@ -732,11 +734,11 @@ class _KktFactors:
         for lc in self.loc:
             v = lc.var
             t_rq = lc.t_apply(r_hat[v.sl])
-            rhs[lc.u_idx] -= lc.c_loc.T @ t_rq
+            rhs[v.u_idx] -= lc.t_c.T @ r_hat[v.sl]  # C^T T r_q = (T C)^T r_q
             gi_r = None
             if len(v.pins):
                 gi_r = lc.gsolve(r_b[v.y_sl] - t_rq[v.pins])
-                rhs[lc.u_idx] -= lc.u_i.T @ gi_r
+                rhs[v.u_idx] -= lc.u_i.T @ gi_r
             parts.append((t_rq, gi_r))
         dz = np.zeros(comp.m_total)
         dy = np.zeros(len(r_b))
@@ -752,9 +754,9 @@ class _KktFactors:
         dz[:m_u] = du
         for lc, (t_rq, gi_r) in zip(self.loc, parts):
             v = lc.var
-            step = t_rq - lc.t_c @ du[lc.u_idx]
+            step = t_rq - lc.t_c @ du[v.u_idx]
             if gi_r is not None:
-                dp = gi_r + lc.gi_u @ du[lc.u_idx]
+                dp = gi_r + lc.gi_u @ du[v.u_idx]
                 dy[v.y_sl] = dp
                 # in the Gram form of the pin Gram that gave dp, so that
                 # the pin rows of dz cancel as the solve assumed
@@ -922,7 +924,7 @@ def _interior_point(
             break
 
         scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
-        kkt = _KktFactors(comp, [sc.winv for sc in scalings])
+        kkt = _KktFactors(comp, [sc.winv for sc in scalings], [sc.gi for sc in scalings])
         r_share = kkt.residual_share(r_stat, r_blocks)
         # refinement pays only where a local variable is eliminated; the
         # Cholesky on (lambda, h) alone is backward stable

@@ -93,22 +93,6 @@ def gauged_columns(fc: FactorizedComb, h: HermitianGauge | np.ndarray) -> np.nda
     return np.conj(fc.dvectors - 1j * fc.vectors @ hm)
 
 
-def schur_block(
-    lam: float, fc: FactorizedComb, h: HermitianGauge | np.ndarray, q: LabeledMatrix
-) -> np.ndarray:
-    """The (r + D) block whose positivity encodes lambda Q >= Omega(h)."""
-    r, d = fc.rank, fc.layout.total_dim
-    if q.layout.total_dim != d:
-        raise DimensionMismatchError("dual element must live on the process space")
-    b = gauged_columns(fc, h)
-    out = np.zeros((r + d, r + d), dtype=complex)
-    out[:r, :r] = (lam / 4.0) * np.eye(r)
-    out[r:, :r] = b
-    out[:r, r:] = b.conj().T
-    out[r:, r:] = q.entries
-    return out
-
-
 def product_comb(ch: KrausChannel, n: int) -> FactorizedComb:
     """N identical queries: columns are tensor products of the single-slot
     Kraus kets with Leibniz-rule derivatives."""

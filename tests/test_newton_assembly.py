@@ -3,15 +3,19 @@
 The matrix against image stacks: every imaged basis element's image A(E_a)
 is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
 and read by every adjoint.  The solver builds gauge rows in closed form
-instead.  The operator H dz against block congruences W A_j(dz) W read by
-every adjoint: the solver applies the assembled matrix instead.  Its
-directions against an LU of the saddle matrix [[red_a, -E^T], [E, 0]]: the
-solver factors red_a on the null space of the rows instead, and the
-residuals against the block congruences.  The refinement rule: only the
-corrector of a system with an eliminated variable is refined.  And the
-elimination's inverse scaled Gram T, one congruence, and its pin term with
-both halves in matrix space, against their two-half compositions and as the
-inverse of K, with a count of the congruences one back-solve makes."""
+where no variable is eliminated, and reads a block with an eliminated
+variable off its half frame: the full Gram of the half images is that
+block's share of H, and the Gram with the (Q, Q) corner cut is the share
+h_uu - C^T T C that the elimination leaves.  The operator H dz against block
+congruences W A_j(dz) W read by every adjoint: the solver applies the
+assembled matrix and the frame instead.  Its directions against an LU of the
+saddle matrix [[red_a, -E^T], [E, 0]]: the solver factors red_a on the null
+space of the rows instead, and the residuals against the block congruences.
+The refinement rule: only the corrector of a system with an eliminated
+variable is refined.  And the elimination's inverse scaled Gram T and its
+pin term, both in the Gram form F (F^dag X F) F^dag, against their two-half
+compositions and as the inverse of K, with a count of the maps one
+back-solve makes."""
 
 import inspect
 import sys
@@ -20,7 +24,7 @@ import numpy as np
 import pytest
 
 from combqfi import sdp_engine as se
-from combqfi._basis import ProductBasis
+from combqfi._basis import ProductBasis, congruence_many
 from combqfi.metrology_zoo import ad_phase_channel
 from combqfi.strategy_spaces import StrategySetSpec, dual_space, primal_space
 from combqfi.task_qfi import (
@@ -36,32 +40,42 @@ sys.path.insert(0, "tests")
 from util import split_gauge_columns, split_gauge_rows  # noqa: E402
 
 
-def image_stack_assemble(kkt):
-    """``_KktFactors._assemble`` from the images of every basis element."""
-    comp = kkt.comp
-    m_u = comp.m_u
-    kkt.h_uu = np.zeros((m_u, m_u))
-    kkt.loc = []
-    for j, block in enumerate(comp.problem.blocks):
-        w = kkt.winvs[j]
-        img = comp.img_terms[j]
-        locvar = comp.local_of_block.get(j)
-        if locvar is not None:
-            lc = se._Local(locvar, w, m_u if img else 0)
-            kkt.loc.append(lc)
-        for v, mp in img:
-            f = np.zeros((v.m, block.side, block.side), dtype=complex)
-            for a, el in enumerate(v.basis.elements(np.arange(v.m))):
-                mp.add_apply(f[a], el)
-            y = w @ f @ w
-            for v2, mp2 in img:
-                kkt.h_uu[v2.sl, v.sl] += mp2.adjoint_coords_many(y, v2.basis).T
-            if locvar is not None:
-                lc.c_loc[:, v.sl] += locvar.map.adjoint_coords_many(y, locvar.basis).T
-        if locvar is not None:
-            ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
-            lc.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
-            lc.c_loc = lc.c_loc[:, lc.u_idx]
+def image_stacks(comp, j, w):
+    """Per imaged variable v of block j: (v, W A(E_a) W) over its basis."""
+    side = comp.problem.blocks[j].side
+    out = []
+    for v, mp in comp.img_terms[j]:
+        f = np.zeros((v.m, side, side), dtype=complex)
+        for a, el in enumerate(v.basis.elements(np.arange(v.m))):
+            mp.add_apply(f[a], el)
+        out.append((v, w @ f @ w))
+    return out
+
+
+def image_stack_h_uu(comp, winvs):
+    """H on the imaged coordinates from the images of every basis element."""
+    h_uu = np.zeros((comp.m_u, comp.m_u))
+    for j in range(len(comp.problem.blocks)):
+        for v, y in image_stacks(comp, j, winvs[j]):
+            for v2, mp2 in comp.img_terms[j]:
+                h_uu[v2.sl, v.sl] += mp2.adjoint_coords_many(y, v2.basis).T
+    return h_uu
+
+
+def image_stack_elimination(comp, winvs):
+    """Per local variable, from image stacks: C, its rows of H on the
+    imaged coordinates u_idx, and T C for T X = M X M, M the inverse of
+    W^{-1}_QQ."""
+    out = []
+    for j, var in comp.local_of_block.items():
+        c = np.zeros((var.m, comp.m_u))
+        for v, y in image_stacks(comp, j, winvs[j]):
+            c[:, v.sl] += var.map.adjoint_coords_many(y, var.basis).T
+        c = c[:, var.u_idx]
+        o, n = var.map.offset, var.basis.side
+        m = np.linalg.inv(winvs[j][o : o + n, o : o + n])
+        out.append((c, _congruence(var.basis, m, c)))
+    return out
 
 
 def block_congruence_h_apply(kkt, dz):
@@ -75,12 +89,14 @@ def block_congruence_h_apply(kkt, dz):
     return out
 
 
-def random_winvs(problem, rng):
-    out = []
+def random_scaling(problem, rng):
+    """Per block a W^{-1} and the G^{-1} with W^{-1} = G^{-dag} G^{-1}."""
+    winvs, gis = [], []
     for b in problem.blocks:
         g = rng.standard_normal((b.side, b.side)) + 1j * rng.standard_normal((b.side, b.side))
-        out.append(g @ g.conj().T / b.side + 0.1 * np.eye(b.side))
-    return out
+        winvs.append(g @ g.conj().T / b.side + 0.1 * np.eye(b.side))
+        gis.append(np.linalg.cholesky(winvs[-1]).conj().T)
+    return winvs, gis
 
 
 def _cbar(rng, k, d, r):
@@ -172,27 +188,66 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
-def test_closed_form_matches_image_stacks(name, rng, monkeypatch):
+def test_closed_form_matches_image_stacks(name, rng):
+    """The closed forms and the full Gram of the half images together give
+    the image-stack H on the imaged coordinates."""
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
     assert any(isinstance(mp, se.GaugeOffdiag) for terms in comp.img_terms for _, mp in terms)
-    winvs = random_winvs(problem, rng)
-    kkt = se._KktFactors(comp, winvs)
-    monkeypatch.setattr(se._KktFactors, "_assemble", image_stack_assemble)
-    ref = se._KktFactors(comp, winvs)
-    assert _rel(kkt.h_uu, ref.h_uu) <= 1e-12
-    assert _rel(kkt.red_a, ref.red_a) <= 1e-12
-    assert len(kkt.loc) == len(ref.loc)
-    for lc, lr in zip(kkt.loc, ref.loc):
-        assert np.array_equal(lc.u_idx, lr.u_idx)
-        assert _rel(lc.c_loc, lr.c_loc) <= 1e-12
+    winvs, gis = random_scaling(problem, rng)
+    kkt = se._KktFactors(comp, winvs, gis)
+    h_uu = kkt.h_uu.copy()
+    for lc in kkt.loc:
+        u_idx = lc.var.u_idx
+        ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in comp.img_terms[lc.var.local_block]]
+        assert np.array_equal(u_idx, np.unique(np.concatenate(ranges)))
+        h_uu[np.ix_(u_idx, u_idx)] += lc.cut @ lc.cut.T + lc.corners @ lc.corners.T
+    assert _rel(h_uu, image_stack_h_uu(comp, winvs)) <= 1e-12
+
+
+# the problems of PROBLEMS with an eliminated variable
+LOCAL_PROBLEMS = [
+    "stacked-geometry",
+    "two-ranks",
+    "seq-2-q",
+    "sup-2-q",
+    "ico-2-q",
+    "par-1-q-split-rows",
+]
+
+
+@pytest.mark.parametrize("name", LOCAL_PROBLEMS)
+def test_cut_gram_matches_the_eliminated_share(name, rng):
+    """At a well-conditioned iterate the cut Gram, formed with no
+    subtraction, and T C read off the frame agree with the image-stack
+    h_uu - C^T T C and T C for T X = M X M, and the pin correction with
+    them."""
+    problem = PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    winvs, gis = random_scaling(problem, rng)
+    kkt = se._KktFactors(comp, winvs, gis)
+    assert kkt.loc
+    ref = image_stack_h_uu(comp, winvs)
+    for lc, (c, t_c) in zip(kkt.loc, image_stack_elimination(comp, winvs)):
+        assert _rel(lc.t_c, t_c) <= 1e-10
+        uu = np.ix_(lc.var.u_idx, lc.var.u_idx)
+        ref[uu] -= c.T @ t_c
+        var = lc.var
+        if len(var.pins):
+            # P T C (P T P^T)^{-1} P T C, with T X = M X M on the pins' unit columns
+            o, n = var.map.offset, var.basis.side
+            m = np.linalg.inv(winvs[var.local_block][o : o + n, o : o + n])
+            t_p = _congruence(var.basis, m, np.eye(var.m)[:, var.pins])
+            u_i = t_c[var.pins]
+            ref[uu] += u_i.T @ np.linalg.solve(t_p[var.pins], u_i)
+    assert _rel(kkt.red_a, ref) <= 1e-10
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_h_apply_matches_block_congruences(name, rng):
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
-    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    kkt = se._KktFactors(comp, *random_scaling(problem, rng))
     dz = rng.standard_normal(comp.m_total)
     assert _rel(kkt._h_apply(dz), block_congruence_h_apply(kkt, dz)) <= 1e-12
 
@@ -211,11 +266,11 @@ def saddle_solve_linear(kkt, r_hat, r_b):
     for lc in kkt.loc:
         v = lc.var
         t_rq = lc.t_apply(r_hat[v.sl])
-        rhs[lc.u_idx] -= lc.c_loc.T @ t_rq
+        rhs[v.u_idx] -= lc.t_c.T @ r_hat[v.sl]
         gi_r = None
         if len(v.pins):
             gi_r = lc.gsolve(r_b[v.y_sl] - t_rq[v.pins])
-            rhs[lc.u_idx] -= lc.u_i.T @ gi_r
+            rhs[v.u_idx] -= lc.u_i.T @ gi_r
         parts.append((t_rq, gi_r))
     sol = np.zeros(0)
     if rhs.size:
@@ -228,9 +283,9 @@ def saddle_solve_linear(kkt, r_hat, r_b):
     dz[:m_u], dy[:g] = du, sol[m_u:]
     for lc, (t_rq, gi_r) in zip(kkt.loc, parts):
         v = lc.var
-        step = t_rq - lc.t_c @ du[lc.u_idx]
+        step = t_rq - lc.t_c @ du[v.u_idx]
         if gi_r is not None:
-            dy[v.y_sl] = gi_r + lc.gi_u @ du[lc.u_idx]
+            dy[v.y_sl] = gi_r + lc.gi_u @ du[v.u_idx]
             pv = np.zeros(v.m)
             pv[v.pins] = dy[v.y_sl]
             step += lc.t_apply(pv)
@@ -272,7 +327,7 @@ def test_projected_solve_matches_saddle_lu(name, rng):
     comp = se._Compiled(problem)
     if name in ("dependent-rows", "swi-3-identity-branch"):
         assert comp.n_rows
-    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    kkt = se._KktFactors(comp, *random_scaling(problem, rng))
     r_hat = rng.standard_normal(comp.m_total)
     r_b = rng.standard_normal(len(comp.b))
     dz, dy = kkt._solve_linear(r_hat, r_b)
@@ -311,7 +366,7 @@ def test_unrefined_solve_meets_verify_bound(name, rng, monkeypatch):
     problem = SOLVE_PROBLEMS[name](rng)
     comp = se._Compiled(problem)
     assert not comp.locals
-    kkt = se._KktFactors(comp, random_winvs(problem, rng))
+    kkt = se._KktFactors(comp, *random_scaling(problem, rng))
     assert not kkt.loc
 
     def no_h_apply(dz):
@@ -359,27 +414,33 @@ def test_refinement_only_with_an_eliminated_variable(kind, factorized, monkeypat
 
 
 def _conditioned_local(cond, rng, pin_mask=None):
-    """A local (2, 2, 2) variable whose W^{-1}_QQ has kappa(K) = cond."""
+    """A local (2, 2, 2) variable, between two other rows of its block,
+    whose W^{-1}_QQ has kappa(K) = cond."""
     spec = se.HermitianVariable("q", (2, 2, 2), pin_mask=pin_mask)
     var = se._Var(spec)
     var.map = se.EmbedDiag(1)
     n = var.basis.side
+    var.order = np.r_[0, n + 1, 1 : n + 1]
+    var.u_idx = np.zeros(0, dtype=int)
+    var.images = np.zeros((0, n + 2, n + 2), dtype=complex)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     wq = (u * np.geomspace(1.0, cond**-0.5, n)) @ u.conj().T
     winv = np.eye(n + 2, dtype=complex)
     winv[1 : n + 1, 1 : n + 1] = wq
-    return se._Local(var, winv, 0), wq
+    return se._Local(var, np.linalg.cholesky(winv).conj().T), wq
 
 
 def _congruence(basis, z, cs):
-    return basis.sandwich_coords_many(z, cs.T).T
+    """Coordinate columns of Z X Z^dag for the coordinate columns X of cs."""
+    return basis.coords_many(congruence_many(z, basis.matrices(cs.T))).T
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e8])
 def test_t_apply_inverts_the_scaled_gram(cond, rng):
-    """T X = M X M against the two-half composition G^T G, G X = F^dag X F,
-    and as the inverse of K c = coords(W^{-1}_QQ X W^{-1}_QQ), at a
-    tolerance eps * cond with cond = kappa(K) = kappa(W^{-1}_QQ)^2."""
+    """T X = F (F^dag X F) F^dag in matrix space against the two-half
+    composition with a coordinate round trip between the halves, and as the
+    inverse of K c = coords(W^{-1}_QQ X W^{-1}_QQ), at a tolerance
+    eps * cond with cond = kappa(K) = kappa(W^{-1}_QQ)^2."""
     lc, wq = _conditioned_local(cond, rng)
     var = lc.var
 
@@ -387,11 +448,13 @@ def test_t_apply_inverts_the_scaled_gram(cond, rng):
         return _congruence(var.basis, z, cs)
 
     cs = rng.standard_normal((var.m, 3))
-    tc = lc.t_apply(cs)
+    tc = np.stack([lc.t_apply(c) for c in cs.T], axis=1)
     tol = 64 * np.finfo(float).eps * cond
     assert _rel(tc, congruence(lc.f, congruence(lc.f.conj().T, cs))) <= tol
     assert _rel(congruence(wq, tc), cs) <= tol
-    assert np.array_equal(lc.t_apply(cs[:, 1]), tc[:, 1])
+    # F F^dag = M: R_QQ, read off the QR of G^{-1}, has R_QQ R_QQ^dag = W^{-1}_QQ
+    assert _rel(lc.rq @ lc.rq.conj().T, wq) <= 64 * np.finfo(float).eps
+    assert np.allclose(lc.rq, np.triu(lc.rq), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e8])
@@ -417,19 +480,29 @@ def test_pin_term_matches_two_half_composition(cond, rng):
 
 @pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])
 def test_back_solve_maps_to_matrices_twice(name, rng, monkeypatch):
-    """One back-solve maps coordinates to matrices twice per eliminated
-    variable: T r_q as one congruence by M, and the pins of its pin term
-    T P^T dp, whose two halves then act in matrix space."""
+    """Per eliminated variable, the factorization makes two congruences of
+    stacks (the half images by R^dag, their corners by F), and one
+    back-solve makes none: it maps coordinates to matrices twice, for T r_q
+    and for the pins of its pin term T P^T dp, whose halves then act in
+    matrix space."""
     problem = PROBLEMS[name](rng)
     comp = se._Compiled(problem)
-    kkt = se._KktFactors(comp, random_winvs(problem, rng))
-    assert kkt.loc and all(len(lc.var.pins) for lc in kkt.loc)
-    matrices, calls = ProductBasis.matrices, []
+    matrices, calls, congruences = ProductBasis.matrices, [], []
 
     def spy(self, cs):
         calls.append(self.dims)
         return matrices(self, cs)
 
+    def count_congruence(z, ms):
+        congruences.append(ms.shape)
+        return congruence_many(z, ms)
+
+    monkeypatch.setattr(se, "congruence_many", count_congruence)
+    kkt = se._KktFactors(comp, *random_scaling(problem, rng))
+    assert kkt.loc and all(len(lc.var.pins) for lc in kkt.loc)
+    assert len(congruences) == 2 * len(kkt.loc)
+    congruences.clear()
     monkeypatch.setattr(ProductBasis, "matrices", spy)
     kkt._solve_linear(rng.standard_normal(comp.m_total), rng.standard_normal(len(comp.b)))
     assert len(calls) == 2 * len(kkt.loc)
+    assert not congruences

@@ -2,6 +2,7 @@
 its CSV."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,24 @@ def test_script_writes_csv(script, tmp_path):
         cells = line.split(",")
         assert len(cells) == len(HEADERS[script].split(","))
         assert "nan" not in cells, line
+    if script == "start_table.py":
+        assert_start_table_summary(proc.stdout, [line.split(",") for line in lines[1:]])
+
+
+def assert_start_table_summary(stdout, rows):
+    """One summary line per set, with the count of optimal starts, the
+    summed iterations and the worst and median gap of its rows (to the
+    three digits printed)."""
+    pattern = re.compile(
+        r"summary (\w+): optimal (\d+)/(\d+) iterations (\d+) gap worst (\S+) median (\S+)$"
+    )
+    found = [pattern.match(line) for line in stdout.splitlines() if line.startswith("summary ")]
+    assert all(found) and sorted(m[1] for m in found) == sorted({row[0] for row in rows})
+    for m in found:
+        mine = [row for row in rows if row[0] == m[1]]
+        assert (int(m[2]), int(m[3])) == (sum(row[4] == "optimal" for row in mine), len(mine))
+        assert int(m[4]) == sum(int(row[3]) for row in mine)
+        gaps = sorted(float(row[6]) for row in mine)
+        median = 0.5 * (gaps[(len(gaps) - 1) // 2] + gaps[len(gaps) // 2])
+        assert float(m[5]) == pytest.approx(gaps[-1], rel=1e-3)
+        assert float(m[6]) == pytest.approx(median, rel=1e-3)

@@ -528,8 +528,6 @@ class TestStackedGauge:
         flat = els.reshape(basis.n, -1)
         gram = np.real(np.einsum("aij,bji->ab", imgs, wiw))
         assert np.allclose(stacked.gram_block(stacked, w, flat, flat), gram, atol=1e-11)
-        loc = slice(self.ro, self.ro + self.d)
-        assert np.allclose(stacked.local_rows(w, flat, loc), wiw[:, loc, loc], atol=1e-11)
 
     def test_apply_is_the_sum_of_single_maps(self, rng):
         stacked, single = self.maps(rng)
