@@ -16,29 +16,24 @@ corrector's update.
 
 Three linear maps place variables in the blocks, and each has one role.  A
 variable embedded as a diagonal sub-block (``EmbedDiag``) must be the only
-embedded variable of exactly one PSD block and named by no equality row: the
-Newton system eliminates it in the half frame of that block's W^{-1} = R R^dag,
-R upper triangular with the variable's rows last, taken from a QR of the
-scaling's G^{-1} once per iteration.  There the variable fills one corner of
-the half images R^dag A(e_i) R of the block's other coordinates, stacked
-once per solve, so its elimination leaves the Gram of those half images with
-the corner cut: nothing is subtracted.  Its exact inverse scaled Gram T acts
-in the Gram form F (F^dag X F) F^dag of the pin Gram, F = R_QQ^{-dag}, and
-its only constraints are coordinate pins.  The other variables, a scaled
-identity lambda I and gauges h, are *imaged*, and the equality rows E act on
-them alone, reduced to an orthonormal basis of their row space.  So
-B = [E; P], with P the pins of the eliminated variables, and the multipliers
-of all rows live in one vector y.  On the null space of E the Newton matrix
-is positive definite, so one Cholesky solves it.  The corrector direction is
-refined against the assembled Newton operator, read off the frame, only when
-a variable is eliminated, whose pin Gram can be ill-conditioned; the
-predictor, which only sets sigma and the Mehrotra term, takes one
-back-solve, and so does a system of lambda and h alone, whose Cholesky is
-backward stable.  In a block with no eliminated variable no basis element is
-ever imaged: a gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton
-matrix through closed forms in r x r blocks of W (its entries against every
-gauge term of the block), and lambda I through its one sandwich W A(1) W,
-which the adjoints read.
+embedded variable of exactly one PSD block and named by no equality row; its
+only constraints are coordinate pins.  The Newton system eliminates it in the
+half frame of that block's W^{-1} = R R^dag, R upper triangular with the
+variable's rows last, from a QR of the scaling's G^{-1}: the variable fills
+one corner of the half images R^dag A(e_i) R of the block's other
+coordinates, so its elimination leaves their Gram with the corner cut, and
+nothing is subtracted.  Its inverse scaled Gram T takes the Gram form
+F (F^dag X F) F^dag, F = R_QQ^{-dag}.  The other variables, a scaled identity
+lambda I and gauges h, are *imaged*, and the equality rows E act on them
+alone, reduced to an orthonormal basis of their row space: B = [E; P], P the
+pins, with all multipliers in one vector y.  On the null space of E the
+Newton matrix is positive definite, so one Cholesky solves it.  Only the
+corrector of a system with an eliminated variable, whose pin Gram can be
+ill-conditioned, is refined, and a correction that raises the residual is
+taken back.  An iterate that rounding has left outside the cone ends the
+iteration (``left-cone``).  In a block with no eliminated variable a gauge
+term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix through closed
+forms in r x r blocks of W, and lambda I through its one sandwich W A(1) W.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -54,6 +49,7 @@ from .errors import SolverFailureError
 from .tensor_algebra import hermitize
 
 FEAS_TOL = 1e-8  # primal and dual residual target of an optimal solve
+_CHUNK = 1 << 16  # complex entries (1 MB) of the image chunk a block holds at once
 
 # ---------------------------------------------------------------------------
 # linear maps from Hermitian variables into PSD blocks
@@ -66,8 +62,8 @@ class EmbedDiag:
         self.offset = int(offset)
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
-        o, n = self.offset, m.shape[0]
-        out[o : o + n, o : o + n] += m
+        o, n = self.offset, m.shape[-1]
+        out[..., o : o + n, o : o + n] += m
 
     def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         o, n = self.offset, basis.side
@@ -82,7 +78,7 @@ class ScaledIdentity:
         self._idx = np.arange(self.offset, self.offset + self.size)
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
-        out[self._idx, self._idx] += self.scale * m.reshape(-1)[0]
+        out[..., self._idx, self._idx] += self.scale * m[..., 0, :1]
 
     def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         return self.scale * np.real(mats[:, self._idx, self._idx].sum(axis=1))[:, None]
@@ -118,9 +114,10 @@ class GaugeOffdiag:
 
     def add_apply(self, out: np.ndarray, m: np.ndarray) -> None:
         l = 1j * (self._hcat.reshape(self.d * self.k, self.r) @ m.conj())
+        l = l.reshape(*l.shape[:-2], self.d, self.k * self.r)
         rs, cs = self._bands()
-        out[rs, cs] += l.reshape(self.d, self.k * self.r)
-        out[cs, rs] += l.reshape(self.d, self.k * self.r).conj().T
+        out[..., rs, cs] += l
+        out[..., cs, rs] += np.swapaxes(l, -1, -2).conj()
 
     def adjoint_coords_many(self, mats: np.ndarray, basis: ProductBasis) -> np.ndarray:
         # <A(h), M> = 2 Re[i Tr(conj(h) K)] = <h, i (K^T - conj(K))> for
@@ -226,7 +223,7 @@ class SdpSolution:
     history: list[tuple[float, float, float, float, float]]  # (pobj, dobj, mu, p_res, d_res)
     block_duals: list[np.ndarray]
     # the exit the iteration took: converged, merit-degraded, step-stall,
-    # max-iter or diverged
+    # left-cone, max-iter or diverged
     stop_reason: str
 
     @property
@@ -250,11 +247,33 @@ class _Var:
         mask = spec.pin_mask if spec.pin_mask is not None else np.zeros(0, dtype=bool)
         self.pins = np.flatnonzero(mask)
         self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
-        self.els: np.ndarray | None = None  # (m, side^2) basis elements of a gauge
+        self.els = None  # (m, side^2) elements of a gauge in a block without a local variable
         # a local variable's block: its index order with the variable's rows
-        # last, the imaged coordinates u_idx that enter it and their images
-        # A(e_i) in that order
-        self.order = self.u_idx = self.images = None
+        # last, the imaged coordinates u_idx that enter it, its imaged terms
+        # with the position of their first coordinate in u_idx, and the
+        # images A(e_i) in block order when they fit in one chunk
+        self.order = self.u_idx = self.img = self.images = None
+
+    def image_chunks(self):
+        """(lo, the images of u_idx[lo:lo + c] in block order) over chunks
+        of at most ``_CHUNK`` entries: a high-rank gauge holds no full stack."""
+        if self.images is not None:
+            yield 0, self.images
+            return
+        n, step = len(self.u_idx), max(1, _CHUNK // len(self.order) ** 2)
+        for lo in range(0, n, step):
+            yield lo, self._images(lo, min(n, lo + step))
+
+    def _images(self, lo: int, hi: int) -> np.ndarray:
+        side = len(self.order)
+        out = np.zeros((hi - lo, side, side), dtype=complex)
+        for v, mp, at in self.img:
+            a0, a1 = max(lo, at) - at, min(hi, at + v.m) - at
+            if a0 < a1:
+                els = v.basis.elements(np.arange(a0, a1)) if v.els is None else v.els[a0:a1]
+                els = els.reshape(a1 - a0, v.basis.side, -1)
+                mp.add_apply(out[at + a0 - lo : at + a1 - lo], els)
+        return out[:, self.order][:, :, self.order]
 
 
 class _Compiled:
@@ -319,9 +338,11 @@ class _Compiled:
         self.img_terms = [
             [(v, mp) for v, mp in terms if v.local_block is None] for terms in self.block_terms
         ]
-        for v, mp in (t for terms in self.img_terms for t in terms):
-            if isinstance(mp, GaugeOffdiag) and v.els is None:
-                v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
+        # the closed forms of gauge terms read their basis elements
+        for j, terms in enumerate(self.img_terms):
+            for v, mp in terms:
+                if isinstance(mp, GaugeOffdiag) and v.els is None and j not in self.local_of_block:
+                    v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
         for j, var in self.local_of_block.items():
             side, o, n = problem.blocks[j].side, var.map.offset, var.basis.side
             var.order = np.r_[0:o, o + n : side, o : o + n]
@@ -329,12 +350,9 @@ class _Compiled:
             img = self.img_terms[j]
             ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
             var.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
-            images = np.zeros((len(var.u_idx), side, side), dtype=complex)
-            for v, mp in img:
-                at = int(np.searchsorted(var.u_idx, v.sl.start))
-                for a, el in enumerate(v.basis.elements(np.arange(v.m))):
-                    mp.add_apply(images[at + a], el)
-            var.images = images[:, var.order][:, :, var.order]
+            var.img = [(v, mp, int(np.searchsorted(var.u_idx, v.sl.start))) for v, mp in img]
+            if len(var.u_idx) * side * side <= _CHUNK:
+                var.images = var._images(0, len(var.u_idx))
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -440,17 +458,18 @@ def _lapack(name: str, *args, **kwargs):
     return *out, info
 
 
-def _cholesky_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """(L, L^{-1}) with L L^dag = m: a Cholesky factor and its triangular
     inverse, else an eigenvalue floor, since rounding can push an iterate
-    microscopically across the boundary."""
+    microscopically across the boundary; and whether m is that close."""
     try:
         l = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(hermitize(m))
+        close = bool(w[0] >= -len(m) * np.finfo(float).eps * w[-1])
         w = np.maximum(w, 1e-14 * max(float(w[-1]), 1e-30))
-        return v * np.sqrt(w), (v / np.sqrt(w)).conj().T
-    return l, _lapack("ztrtri", l, lower=1)[0]  # info is 0: the diagonal of l is positive
+        return v * np.sqrt(w), (v / np.sqrt(w)).conj().T, close
+    return l, _lapack("ztrtri", l, lower=1)[0], True  # info 0: l has a positive diagonal
 
 
 class _NtScaling:
@@ -471,8 +490,9 @@ class _NtScaling:
 
     def __init__(self, s: np.ndarray, x: np.ndarray):
         self.x = x
-        ls, lsi = _cholesky_inv(s)
+        ls, lsi, self.interior = _cholesky_inv(s)
         lam, q = np.linalg.eigh(hermitize(ls.conj().T @ x @ ls))
+        self.interior &= bool(lam[0] > 0)  # S and X positive definite
         self.d = np.sqrt(np.maximum(lam, 1e-300))
         self._lq = ls, q
         self.gi = (q.conj().T @ lsi) * np.sqrt(self.d)[:, None]
@@ -558,47 +578,44 @@ def _psd_solver(gm: np.ndarray):
 
 class _Local:
     """The elimination of one local variable Q, in the half frame of its
-    block's W^{-1}.
-
-    W^{-1} = R R^dag with R upper triangular and Q's rows last (the block
-    order ``var.order``): R = J R_g^dag J for the QR G^{-1} J = Q_g R_g of
-    the scaling's G^{-1} with its columns reversed by J.  Unlike a Cholesky
-    of W^{-1} it cannot fail, and R has the condition number of G, not of
-    W^{-1}.  The block's share of <dz, H dz> is ||R^dag A(dz) R||^2, and Q
-    lands in one corner of the frame: R^dag E(dQ) R = [[0, 0], [0, R_QQ^dag
-    dQ R_QQ]].  So with the half images H_i = R^dag A(e_i) R of the block's
-    imaged coordinates, the block's share h_uu - C^T T C of the reduced
-    matrix, where T is the inverse of Q's diagonal sub-operator
-    K X = W^{-1}_QQ X W^{-1}_QQ and C its rows on the imaged coordinates,
-    is the Gram of the H_i with their (Q, Q) corner cut (``gram``), formed
-    with no subtraction.  F = R_QQ^{-dag} has F F^dag = M =
-    (W^{-1}_QQ)^{-1}, and T X = M X M, so T C is the coordinates of
-    F [H_i]_QQ F^dag (``t_c``).  T itself acts in the Gram form
-    F (F^dag X F) F^dag, on the right-hand side and on the pin term, the
-    form of the pin Gram P T P^T that gave the pin multipliers.
+    block's W^{-1} = R R^dag, R upper triangular with Q's rows last (the
+    block order ``var.order``): R = J R_g^dag J for the QR G^{-1} J = Q_g R_g
+    of the scaling's G^{-1} with its columns reversed by J.  It cannot fail,
+    and R has the condition number of G, not of W^{-1}.  The block's share
+    of <dz, H dz> is ||R^dag A(dz) R||^2, and Q lands in one corner of the
+    frame: R^dag E(dQ) R = [[0, 0], [0, R_QQ^dag dQ R_QQ]].  So the block's
+    share h_uu - C^T T C of the reduced matrix, T the inverse of Q's
+    diagonal sub-operator K X = W^{-1}_QQ X W^{-1}_QQ and C its rows on the
+    imaged coordinates, is the Gram of the half images H_i = R^dag A(e_i) R
+    with their (Q, Q) corner cut (``gram``); of a chunk of H_i only the rows
+    outside Q are kept, the (U, Q) block standing for its transpose too.
+    F = R_QQ^{-dag} has F F^dag = M = (W^{-1}_QQ)^{-1}, and T X = M X M, so
+    T C is the coordinates of F [H_i]_QQ F^dag (``t_c``), and T acts in the
+    Gram form F (F^dag X F) F^dag of the pin Gram P T P^T.
     """
 
     def __init__(self, var: _Var, gi: np.ndarray):
         self.var = var
-        n = var.basis.side
+        n, u = var.basis.side, len(gi) - var.basis.side
         qr = _lapack("zgeqrf", gi[:, var.order[::-1]])[0]
         r = np.triu(qr)[::-1, ::-1].conj().T
         self.rq = np.ascontiguousarray(r[-n:, -n:])
-        self.rqh = self.rq.conj().T
         rqi, info = _lapack("ztrtri", self.rq, lower=0)
         if info:
             raise SolverFailureError(f"singular scaling of {var.name!r}")
         self.fh = rqi
         self.f = rqi.conj().T
-        h = congruence_many(r.conj().T, var.images)
-        corner = h[:, -n:, -n:].copy()
-        h[:, -n:, -n:] = 0.0
-        # the cut half images and their corners as rows of real (re, im)
-        # pairs, so that a Gram or an inner product is one real GEMM
-        self.cut = h.reshape(len(h), gi.size).view(np.float64)
-        self.corners = corner.reshape(len(h), n * n).view(np.float64)
-        self.gram = self.cut @ self.cut.T
-        self.t_c = var.basis.coords_many(congruence_many(self.f, corner)).T
+        rows = np.empty((len(var.u_idx), u, len(gi)), dtype=complex)
+        self.t_c = np.empty((var.m, len(var.u_idx)))
+        for lo, images in var.image_chunks():
+            h = congruence_many(r.conj().T, images)
+            hi = lo + len(h)
+            self.t_c[:, lo:hi] = var.basis.coords_many(congruence_many(self.f, h[:, u:, u:])).T
+            rows[lo:hi] = h[:, :u]
+        rows[:, :, u:] *= np.sqrt(2.0)
+        # as real (re, im) pairs the Gram is one real GEMM
+        rows = rows.reshape(len(rows), u * len(gi)).view(np.float64)
+        self.gram = rows @ rows.T
         if len(var.pins):
             gm = var.basis.sandwich_gram(self.f, var.pins)
             gm = 0.5 * (gm + gm.T)
@@ -615,17 +632,6 @@ class _Local:
         pv = np.zeros(self.var.m)
         pv[self.var.pins] = dp
         return self.t_apply(pv)
-
-    def h_apply(self, du: np.ndarray, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The block's H dz on (u_idx, Q) for du over u_idx, read off the
-        frame Y = R^dag A(dz) R = sum_i du_i H_i + [[0, 0], [0, Z]],
-        Z = R_QQ^dag dQ R_QQ: its inner products with the H_i, and the
-        coordinates of R_QQ Y_QQ R_QQ^dag."""
-        rq, rqh, basis = self.rq, self.rqh, self.var.basis
-        yq = (du @ self.corners).view(complex).reshape(rq.shape)
-        yq += rqh @ basis.matrix(dq) @ rq
-        out_u = self.cut @ (du @ self.cut) + self.corners @ yq.reshape(-1).view(np.float64)
-        return out_u, basis.coords(rq @ yq @ rqh)
 
 
 class _KktFactors:
@@ -647,15 +653,16 @@ class _KktFactors:
     positive definite and factored by Cholesky (Nocedal & Wright, Numerical
     Optimization, sec. 16.2).
 
-    ``solve`` applies ``refine`` steps of iterative refinement, each with
-    its residual against the assembled operator (``_h_apply``), which reads
-    a local variable's block off its frame.  The loop asks for them for the
+    ``solve`` applies up to ``refine`` steps of iterative refinement, each
+    with its residual against the exact operator (``_h_apply``), and takes
+    back a correction that raised the residual: past the conditioning the
+    factors carry, refinement diverges.  The loop asks for them for the
     corrector only, and only when ``loc`` is non-empty: the pin Gram
     P T P^T of an eliminated variable has a condition number that grows as
     kappa(M)^2, and one step there cuts the corrector's stationarity
-    residual from at worst 1.1e-7 to 5.8e-12 (N=2 ``ico``, amplitude
+    residual from at worst 8.1e-8 to 2.2e-12 (N=2 ``ico``, amplitude
     damping p = 0.2, relative to its summands).  The predictor only sets
-    sigma and the Mehrotra term, and is one back-solve (at worst 9.7e-8
+    sigma and the Mehrotra term, and is one back-solve (at worst 1.7e-7
     there).  Without an eliminated variable a direction is one back-solve of
     a backward-stable Cholesky, which refinement in the same precision
     cannot improve (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -713,16 +720,15 @@ class _KktFactors:
                         self.h_uu[v.sl, v2.sl] += vals
 
     def _h_apply(self, dz: np.ndarray) -> np.ndarray:
-        """H dz from the assembled operator: h_uu du, and each local
-        variable's block read off its frame."""
-        m_u = self.comp.m_u
-        out = np.zeros(self.comp.m_total)
-        du = dz[:m_u]
-        out[:m_u] = self.h_uu @ du
-        for lc in self.loc:
-            v = lc.var
-            out_u, out[v.sl] = lc.h_apply(du[v.u_idx], dz[v.sl])
-            out[v.u_idx] += out_u
+        """H dz: h_uu du, and A^*(W^{-1} A(dz) W^{-1}) for each block with a
+        local variable, one matrix however large its image stack."""
+        comp = self.comp
+        out = np.zeros(comp.m_total)
+        out[: comp.m_u] = self.h_uu @ dz[: comp.m_u]
+        for j in comp.local_of_block:
+            w = self.winvs[j]
+            a = comp.apply_into(j, dz, np.zeros_like(w))
+            comp.adjoint_into(j, hermitize(w @ a @ w), out)
         return out
 
     def _solve_linear(self, r_hat, r_b):
@@ -784,10 +790,18 @@ class _KktFactors:
         for j, m in enumerate(rc):
             comp.adjoint_into(j, m, r_hat)
         dz, dy = self._solve_linear(r_hat, r_b)
+        last = None
         for _ in range(refine):
-            # the residual against the assembled operator
             res_hat = r_hat - self._h_apply(dz) + comp.rows_t(dy)
-            cz, cy = self._solve_linear(res_hat, r_b - comp.rows(dz))
+            res_b = r_b - comp.rows(dz)
+            size = float(np.linalg.norm(res_hat) + np.linalg.norm(res_b))
+            # take back a correction that raised the residual: refinement
+            # diverges where the system is too ill-conditioned for the factors
+            if last is not None and size >= last[0]:
+                dz, dy = last[1:]
+                break
+            last = size, dz, dy
+            cz, cy = self._solve_linear(res_hat, res_b)
             dz, dy = dz + cz, dy + cy
         ds = [
             hermitize(r + comp.apply_into(j, dz, np.zeros_like(r)))
@@ -874,7 +888,11 @@ def _interior_point(
     stall = 0
     degraded = 0
     best = None
+    best_key = (True, np.inf)
     best_merit = np.inf
+
+    def acceptable(relgap, p_res, d_res):  # the tolerances of an optimal restore
+        return relgap <= gap_tol and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL
 
     def measures():
         """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
@@ -901,12 +919,21 @@ def _interior_point(
         return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res
 
     for it in range(1, max_iter + 1):
+        # a step to the boundary taken in the frame can cross it by rounding
+        # where W^{-1} is ill-conditioned; such an iterate is not recorded
+        scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
+        if not all(sc.interior for sc in scalings):
+            stop_reason = "left-cone"
+            break
         (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
         mu = sum(float(np.real(np.vdot(x, s))) for x, s in zip(x_blocks, s_blocks)) / ntot
         history.append((comp.obj_sign * pobj, comp.obj_sign * dobj, mu, p_res, d_res))
         merit = max(relgap, p_res, d_res)
-        if merit < best_merit:
-            best_merit = merit
+        best_merit = min(best_merit, merit)
+        # restore an acceptable iterate before any other, then the least merit
+        key = (not acceptable(relgap, p_res, d_res), merit)
+        if key < best_key:
+            best_key = key
             best = (z.copy(), y.copy(), [m.copy() for m in s_blocks], [m.copy() for m in x_blocks])
         if relgap <= gap_tol and p_res <= FEAS_TOL and d_res <= FEAS_TOL:
             status, stop_reason = "optimal", "converged"
@@ -923,7 +950,6 @@ def _interior_point(
             status, stop_reason = "infeasible", "diverged"
             break
 
-        scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
         kkt = _KktFactors(comp, [sc.winv for sc in scalings], [sc.gi for sc in scalings])
         r_share = kkt.residual_share(r_stat, r_blocks)
         # refinement pays only where a local variable is eliminated; the
@@ -986,7 +1012,7 @@ def _interior_point(
     if restored:
         z, y, s_blocks, x_blocks = best
     _, pobj, dobj, relgap, p_res, d_res = measures()
-    if restored and relgap <= gap_tol and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL:
+    if restored and acceptable(relgap, p_res, d_res):
         status = "optimal"
     return SdpSolution(
         status=status,

@@ -87,12 +87,6 @@ def performance_operator(fc: FactorizedComb, h: HermitianGauge | np.ndarray) -> 
     return LabeledMatrix(fc.layout, omega, hermitian=True)
 
 
-def gauged_columns(fc: FactorizedComb, h: HermitianGauge | np.ndarray) -> np.ndarray:
-    """conj(Cdot - i C h), the columns entering the positivity block."""
-    hm = h.h if isinstance(h, HermitianGauge) else np.asarray(h, dtype=complex)
-    return np.conj(fc.dvectors - 1j * fc.vectors @ hm)
-
-
 def product_comb(ch: KrausChannel, n: int) -> FactorizedComb:
     """N identical queries: columns are tensor products of the single-slot
     Kraus kets with Leibniz-rule derivatives."""

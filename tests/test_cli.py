@@ -9,7 +9,7 @@ from combqfi.cli import main
 
 PHI = float(np.pi / 2)
 # the exits SdpSolution.stop_reason documents
-STOP_REASONS = {"converged", "merit-degraded", "step-stall", "max-iter", "diverged"}
+STOP_REASONS = {"converged", "merit-degraded", "step-stall", "left-cone", "max-iter", "diverged"}
 
 
 def write(tmp_path, name, doc):

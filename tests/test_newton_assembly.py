@@ -187,6 +187,16 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def half_images(lc, gi):
+    """The half images R^dag A(e_i) R of a local variable's block, with R
+    from the QR of G^{-1} and the images from ``image_chunks``."""
+    var = lc.var
+    qr = np.linalg.qr(gi[:, var.order[::-1]], mode="r")
+    r = qr[::-1, ::-1].conj().T
+    stack = np.concatenate([ims for _, ims in var.image_chunks()])
+    return congruence_many(r.conj().T, stack)
+
+
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_closed_form_matches_image_stacks(name, rng):
     """The closed forms and the full Gram of the half images together give
@@ -201,8 +211,30 @@ def test_closed_form_matches_image_stacks(name, rng):
         u_idx = lc.var.u_idx
         ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in comp.img_terms[lc.var.local_block]]
         assert np.array_equal(u_idx, np.unique(np.concatenate(ranges)))
-        h_uu[np.ix_(u_idx, u_idx)] += lc.cut @ lc.cut.T + lc.corners @ lc.corners.T
+        h = half_images(lc, gis[lc.var.local_block]).reshape(len(u_idx), -1)
+        h_uu[np.ix_(u_idx, u_idx)] += np.real(h.conj() @ h.T)
     assert _rel(h_uu, image_stack_h_uu(comp, winvs)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+def test_image_chunks_cover_the_stack(chunk, rng, monkeypatch):
+    """Any chunk size gives the same images and the same elimination as one
+    stack held for the solve, and only a stack within one chunk is held."""
+    problem = two_gauge_ranks(rng)
+    winvs, gis = random_scaling(problem, rng)
+    ref = se._KktFactors(se._Compiled(problem), winvs, gis)
+    monkeypatch.setattr(se, "_CHUNK", chunk)
+    comp = se._Compiled(problem)
+    (var,) = comp.locals
+    side = len(var.order)
+    assert (var.images is None) == (len(var.u_idx) * side * side > chunk)
+    chunks = list(var.image_chunks())
+    assert [lo for lo, _ in chunks] == list(range(0, len(var.u_idx), max(1, chunk // side**2)))
+    stack = np.concatenate([ims for _, ims in chunks])
+    assert np.array_equal(stack, ref.loc[0].var.images)
+    kkt = se._KktFactors(comp, winvs, gis)
+    assert _rel(kkt.loc[0].gram, ref.loc[0].gram) <= 1e-14
+    assert _rel(kkt.loc[0].t_c, ref.loc[0].t_c) <= 1e-14
 
 
 # the problems of PROBLEMS with an eliminated variable
@@ -422,7 +454,7 @@ def _conditioned_local(cond, rng, pin_mask=None):
     n = var.basis.side
     var.order = np.r_[0, n + 1, 1 : n + 1]
     var.u_idx = np.zeros(0, dtype=int)
-    var.images = np.zeros((0, n + 2, n + 2), dtype=complex)
+    var.img, var.images = [], np.zeros((0, n + 2, n + 2), dtype=complex)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     wq = (u * np.geomspace(1.0, cond**-0.5, n)) @ u.conj().T
     winv = np.eye(n + 2, dtype=complex)

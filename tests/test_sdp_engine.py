@@ -415,6 +415,23 @@ class TestNtScaling:
         assert np.linalg.norm((sc.g * sc.d) @ sc.g.conj().T - s) < 2e-12
         assert np.all(np.linalg.eigvalsh(sc.winv) > 0)
 
+    def test_interior_flags_a_crossing_beyond_rounding(self, rng):
+        from combqfi.sdp_engine import _NtScaling
+
+        u = random_unitary(6, rng)
+        x = _hpd(rng, 6, 1e4)
+        w = np.array([1e-9, 1e-3, 1.0, 10.0, 100.0, 100.0])
+        assert _NtScaling((u * w) @ u.conj().T, x).interior
+        # S a rounding step across the boundary is floored and kept
+        w[0] = -1e-17
+        assert _NtScaling((u * w) @ u.conj().T, x).interior
+        # S or X further across is not
+        w[0] = -1e-9
+        assert not _NtScaling((u * w) @ u.conj().T, x).interior
+        v = random_unitary(6, rng)
+        x_out = (v * np.array([-1e-9, 1e-3, 1.0, 2.0, 3.0, 4.0])) @ v.conj().T
+        assert not _NtScaling(_hpd(rng, 6, 1e4), x_out).interior
+
 
 class TestStructuredMaps:
     def test_gauge_offdiag_problem(self, rng):

@@ -289,7 +289,8 @@ def test_split_gauge_next_to_an_eliminated_variable():
     assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(a.objective))
 
 
-@pytest.mark.parametrize("p", [0.2, 0.6])
+# 0.617... and 0.622...: the points of test_sup_benchmark_point_ends_optimal
+@pytest.mark.parametrize("p", [0.2, 0.6, 0.6171414766699522, 0.6229016948897019])
 def test_newton_directions_with_local_pins_and_dense_rows(p):
     # the slot-symmetric N=2 sup Q form: each Q is eliminated with its pins
     # while the symmetry rows act on h, all in one Newton system
@@ -311,14 +312,25 @@ def test_newton_directions_with_local_pins_and_dense_rows(p):
     assert abs(value - task_qfi(fc, spec).value) <= 10 * sol.gap * (1.0 + value)
 
 
-def test_sup_benchmark_point_ends_optimal():
-    # an N=2 sup point of the benchmark sweep that ended numerical-limit /
-    # merit-degraded after 17 iterations while the elimination of Q formed
-    # h_uu - C^T T C as a difference; its last directions still miss the
-    # 1e-5 bound of verify_newton, so it is checked without it
-    fc = product_comb(ad_phase_channel(0.6171414766699522, np.pi / 2), 2)
+@pytest.mark.parametrize(
+    "p, max_iter",
+    [
+        # ended numerical-limit / merit-degraded after 17 iterations while
+        # the elimination of Q formed h_uu - C^T T C as a difference
+        (0.6171414766699522, 15),
+        # once stepped out of the cone by rounding after 20 iterations, and
+        # refinement at the iterate outside it gave ||dz|| = 2e29
+        (0.6229016948897019, 14),
+    ],
+)
+def test_sup_benchmark_point_ends_optimal(p, max_iter):
+    # N=2 sup points of the benchmark sweep, solved as the sweep solves them
+    fc = product_comb(ad_phase_channel(p, np.pi / 2), 2)
     sol = task_qfi(fc, StrategySetSpec.qubits("sup", 2)).solver
     assert sol.status == "optimal"
+    assert sol.iterations <= max_iter
+    # every recorded iterate is inside the cone
+    assert all(mu > 0 for _, _, mu, _, _ in sol.history)
 
 
 def _full_value(fc, kind):
