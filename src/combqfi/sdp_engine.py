@@ -603,8 +603,7 @@ class _Local:
         rqi, info = _lapack("ztrtri", self.rq, lower=0)
         if info:
             raise SolverFailureError(f"singular scaling of {var.name!r}")
-        self.fh = rqi
-        self.f = rqi.conj().T
+        self.fh, self.f = rqi, rqi.conj().T
         rows = np.empty((len(var.u_idx), u, len(gi)), dtype=complex)
         self.t_c = np.empty((var.m, len(var.u_idx)))
         for lo, images in var.image_chunks():
@@ -919,13 +918,14 @@ def _interior_point(
         return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res
 
     for it in range(1, max_iter + 1):
-        # a step to the boundary taken in the frame can cross it by rounding
-        # where W^{-1} is ill-conditioned; such an iterate is not recorded
-        scalings = [_NtScaling(s_blocks[j], x_blocks[j]) for j in range(nblk)]
+        (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
+        converged = relgap <= gap_tol and p_res <= FEAS_TOL and d_res <= FEAS_TOL
+        # a step taken in the frame can cross the boundary by rounding where
+        # W^{-1} is ill-conditioned: no step is taken from, or recorded at, such an iterate
+        scalings = [] if converged else [_NtScaling(s, x) for s, x in zip(s_blocks, x_blocks)]
         if not all(sc.interior for sc in scalings):
             stop_reason = "left-cone"
             break
-        (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
         mu = sum(float(np.real(np.vdot(x, s))) for x, s in zip(x_blocks, s_blocks)) / ntot
         history.append((comp.obj_sign * pobj, comp.obj_sign * dobj, mu, p_res, d_res))
         merit = max(relgap, p_res, d_res)
@@ -935,7 +935,7 @@ def _interior_point(
         if key < best_key:
             best_key = key
             best = (z.copy(), y.copy(), [m.copy() for m in s_blocks], [m.copy() for m in x_blocks])
-        if relgap <= gap_tol and p_res <= FEAS_TOL and d_res <= FEAS_TOL:
+        if converged:
             status, stop_reason = "optimal", "converged"
             break
         # stop once numerical precision is exhausted and keep the best iterate
