@@ -123,10 +123,6 @@ class LabeledMatrix:
             entries = 0.5 * (entries + entries.conj().T)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 

@@ -1,6 +1,7 @@
-"""Each script under scripts/ runs end to end on a two-point grid and writes
-its CSV."""
+"""The figure-data configs under configs/ load and sweep through the CLI, and
+scripts/start_table.py runs end to end on a two-start table."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,23 +10,46 @@ from pathlib import Path
 
 import pytest
 
+from combqfi.cli import ExperimentConfig, main
+
 ROOT = Path(__file__).resolve().parents[1]
-
-HEADERS = {
-    "hierarchy_sweep.py": "p,J_par,J_seq,J_swi,J_sup,J_ico",
-    "nonmarkovian_memory.py": (
-        "t,J_seq_nonmarkov,J_par_nonmarkov,J_cf_nonmarkov,"
-        "J_seq_markov,J_par_markov,J_cf_markov"
-    ),
-    "phase_flip_benchmark.py": "p,J_seq,oracle_gap_seq,J_swi,oracle_gap_swi",
-    "start_table.py": "set,k,value,iterations,status,stop_reason,gap",
-}
-# rows per point where a script writes more than one: the start table has
-# one per set
-ROWS_PER_POINT = {"start_table.py": 2}
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+START_TABLE_HEADER = "set,k,value,iterations,status,stop_reason,gap"
 
 
-@pytest.mark.parametrize("script", sorted(HEADERS))
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_config_sweeps(path, tmp_path):
+    doc = json.loads(path.read_text())
+    # loading builds the process at every grid point
+    config = ExperimentConfig.from_json(doc)
+    if config.n_steps > 2:
+        return  # one N=3 point takes about half a minute
+    grid = doc["sweep"]["grid"] = doc["sweep"]["grid"][:2]
+    cut = tmp_path / path.name
+    cut.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(cut), "--out", str(out)]) == 0
+    names = config.strategies
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == (
+        ["grid_value"]
+        + [f"J_{n}" for n in names]
+        + [f"oracle_gap_{n}" for n in names]
+        + [f"stop_{n}" for n in names]
+        + ["status"]
+    )
+    assert [float(row[0]) for row in rows] == grid
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["status"] == "ok", row
+        assert all(cells[f"J_{n}"] for n in names), row
+        if config.validate_oracle:
+            # the CLI synthesizes no control-free strategy to score
+            assert all(cells[f"oracle_gap_{n}"] for n in names if n != "control_free"), row
+            assert not cells.get("oracle_gap_control_free"), row
+
+
+@pytest.mark.parametrize("script", ["start_table.py"])
 def test_script_writes_csv(script, tmp_path):
     out = tmp_path / "out.csv"
     env = dict(os.environ)
@@ -41,14 +65,14 @@ def test_script_writes_csv(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == HEADERS[script]
-    assert len(lines) == 1 + 2 * ROWS_PER_POINT.get(script, 1)
+    assert lines[0] == START_TABLE_HEADER
+    # one row per start and set
+    assert len(lines) == 1 + 2 * 2
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == len(HEADERS[script].split(","))
+        assert len(cells) == len(START_TABLE_HEADER.split(","))
         assert "nan" not in cells, line
-    if script == "start_table.py":
-        assert_start_table_summary(proc.stdout, [line.split(",") for line in lines[1:]])
+    assert_start_table_summary(proc.stdout, [line.split(",") for line in lines[1:]])
 
 
 def assert_start_table_summary(stdout, rows):

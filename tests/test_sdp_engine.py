@@ -288,6 +288,18 @@ class TestSolverContracts:
         sol = solve(prob, max_iter=2)
         assert (sol.status, sol.stop_reason) == ("numerical-limit", "max-iter")
         assert sol.iterations == 2
+        # min -x over x >= 0 is unbounded: the iterate runs off past 1e10,
+        # and the objective reported is the restored iterate's, not a bound
+        unbounded = SdpProblem(
+            variables=[HermitianVariable("x", (1,))],
+            blocks=[PsdBlockSpec(1, None, [("x", ScaledIdentity(0, 1, 1.0))])],
+            objective={"x": np.array([-1.0])},
+            sense="min",
+        )
+        sol = solve(unbounded)
+        assert (sol.status, sol.stop_reason) == ("infeasible", "diverged")
+        assert sol.history[-1][0] < -1e10 < sol.objective
+        assert sol.objective == pytest.approx(-sol.variables["x"][0, 0].real)
 
     def test_status_optimal_implies_gap(self, rng):
         a = rand_herm(rng, 6)

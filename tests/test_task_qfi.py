@@ -392,6 +392,34 @@ def test_slot_symmetry_detection(rng):
                 assert sp.residual(moved) <= 1e-9 * np.linalg.norm(m), sp.name
 
 
+def test_unequal_slot_dims_solve_every_branch():
+    # a qubit slot and a qutrit slot: no slot permutation maps the process
+    # onto itself, so sup solves both branches
+    from combqfi.comb_algebra import KrausChannel
+    from combqfi.task_qfi import _slot_symmetry
+
+    g = np.diag([0.0, 0.5, 1.0])
+    u = np.diag(np.exp(-0.5j * np.pi * np.diag(g)))
+    qutrit_phase = KrausChannel((u,), (-1j * g @ u,))
+    fc = kraus_product_comb([ad_phase_channel(0.3, np.pi / 2), qutrit_phase])
+    specs = {k: StrategySetSpec(k, 2, ((2, 2), (3, 3))) for k in ("par", "seq", "sup", "ico")}
+    assert _slot_symmetry(fc, dual_space(specs["sup"])) is None
+    res = {k: task_qfi(fc, spec) for k, spec in specs.items()}
+    assert len(res["sup"].solver.block_duals) == 2
+    assert res["sup"].solver.status == "optimal"
+    values = [res[k].value for k in specs]
+    assert all(a <= b + 1e-6 for a, b in zip(values, values[1:])), values
+
+    # the columns of a completely depolarizing pair span the whole space, so
+    # every index permutation carries them: only the dims tell the slots apart
+    def depolarizing(d):
+        ks = [np.outer(a, b) / np.sqrt(d) for a in np.eye(d) for b in np.eye(d)]
+        return KrausChannel(tuple(ks), tuple(np.zeros((d, d)) for _ in ks))
+
+    pair = kraus_product_comb([depolarizing(2), depolarizing(3)])
+    assert _slot_symmetry(pair, dual_space(specs["sup"])) is None
+
+
 def test_n4_par_value():
     # the N=4 parallel point of ad p=0.2: 22 Newton systems over a 272-side
     # block with a rank-16 gauge

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from combqfi.comb_algebra import choi_from_kraus, validate_comb
+from combqfi.comb_algebra import choi_from_kraus, compose_kraus, validate_comb
 from combqfi.errors import ConfigError
 from combqfi.metrology_zoo import (
     I2,
@@ -15,7 +15,6 @@ from combqfi.metrology_zoo import (
     bit_flip,
     build_channel,
     ChannelSpec,
-    compose,
     nmr_relaxation,
     nonidentical_pair,
     nonmarkovian_swap_comb,
@@ -103,7 +102,7 @@ class TestCompose:
         from combqfi.comb_algebra import KrausChannel
 
         ident = KrausChannel((I2,), (np.zeros((2, 2)),))
-        out = compose(rz(0.4), ident)
+        out = compose_kraus(rz(0.4), ident)
         assert np.allclose(out.kraus[0], rz(0.4).kraus[0])
 
     def test_frequency_derivative_carries_time(self):
@@ -116,8 +115,8 @@ class TestCompose:
     def test_order_matters(self):
         # amplitude damping is phase covariant, so the probe rotation must
         # be around X for the order to show
-        a = compose(rx(0.9), amplitude_damping(0.4))
-        b = compose(rx(0.9), amplitude_damping(0.4), order="noise_after_signal")
+        a = compose_kraus(rx(0.9), amplitude_damping(0.4))
+        b = compose_kraus(amplitude_damping(0.4), rx(0.9))
         ca = choi_from_kraus(a).choi().entries
         cb = choi_from_kraus(b).choi().entries
         assert np.linalg.norm(ca - cb) > 1e-3
