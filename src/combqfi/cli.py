@@ -28,7 +28,6 @@ from .errors import (
     config_value,
 )
 from .metrology_zoo import (
-    ChannelSpec,
     build_channel,
     nonidentical_pair,
     nonmarkovian_swap_comb,
@@ -41,7 +40,6 @@ from .task_qfi import product_comb, solve_factorized, task_qfi
 from .tensor_algebra import LabeledMatrix, SubsystemLayout
 
 SCHEMA_VERSION = 1
-SET_NAMES = ("par", "seq", "swi", "sup", "ico", "control_free")
 SIG_DIGITS = 12
 # the failures of a solve: they exit 2, and a sweep flags the point and goes on
 SOLVER_ERRORS = (SolverFailureError, SynthesisFailureError, np.linalg.LinAlgError)
@@ -63,14 +61,14 @@ class ExperimentConfig:
     phi: float
     strategies: tuple[str, ...]
     sweep: dict | None = None
-    gap_tol: float = 1e-8
     validate_oracle: bool = True
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
-        """Check every value of a config document by its JSON type, and build
-        the process at each point the config scores: a config that loads
-        runs, and a config fault raises ConfigError before any solve."""
+        """Check every value of a config document by its JSON type, build
+        the process at each point the config scores and the spec of each
+        set on its layout: a config that loads runs, and a config fault
+        raises ConfigError before any solve."""
         checked(doc, "object", "a config")
         version = config_value(doc, "schema_version", "integer", None)
         if version != SCHEMA_VERSION:
@@ -81,21 +79,15 @@ class ExperimentConfig:
             phi=config_value(doc, "phi", "number"),
             strategies=tuple(config_value(doc, "strategies", "array")),
             sweep=config_value(doc, "sweep", "object", None),
-            gap_tol=_gap_tol(
-                config_value(doc, "tolerances", "object", {}).get("gap", 1e-8),
-                "tolerances key 'gap'",
-            ),
             validate_oracle=config_value(doc, "validate_oracle", "boolean", True),
         )
-        for s in config.strategies:
-            if s not in SET_NAMES:
-                raise ConfigError(f"unknown strategy set {s!r}")
         if config.n_steps < 1:
             raise ConfigError("N must be positive")
-        if config.n_steps > 3 and any(s in ("swi", "sup", "ico") for s in config.strategies):
-            raise ConfigError("swi/sup/ico are limited to N <= 3")
         for point in config.points():
-            build_process(*point)
+            fc, _ = build_process(*point)
+        for name in config.strategies:
+            # the control-free space is the identity branch of the SWITCH
+            _set_spec("swi" if name == "control_free" else name, config.n_steps, fc.layout)
         return config
 
     def points(self) -> list[tuple["ExperimentConfig", dict | None]]:
@@ -114,13 +106,6 @@ class ExperimentConfig:
         return [(self, {param: value}) for value in grid]
 
 
-def _gap_tol(value, name: str) -> float:
-    """``value`` as a duality-gap tolerance: a finite JSON number above zero."""
-    if checked(value, "number", name) <= 0:
-        raise ConfigError(f"{name} must be positive, not {value!r}")
-    return value
-
-
 def _set_param(process: dict, key: str, value) -> dict:
     """A copy of the process doc with ``key`` set to ``value``: the top-level
     key if there is one, else the key of the one part that holds it."""
@@ -135,13 +120,6 @@ def _set_param(process: dict, key: str, value) -> dict:
         )
     parts[holders[0]] = {**parts[holders[0]], key: value}
     return {**process, "parts": parts}
-
-
-def _channel_spec_from_doc(doc: dict) -> ChannelSpec:
-    checked(doc, "object", "a process or part")
-    parts = tuple(map(_channel_spec_from_doc, config_value(doc, "parts", "array", [], "process")))
-    params = {k: v for k, v in doc.items() if k not in ("kind", "parts")}
-    return ChannelSpec(config_value(doc, "kind", "string", what="process"), params, parts)
 
 
 def build_process(config: ExperimentConfig, override: dict | None = None):
@@ -174,8 +152,7 @@ def build_process(config: ExperimentConfig, override: dict | None = None):
             raise ConfigError("the non-identical pair has two steps")
         fc = nonidentical_pair(param("p1", "number"), param("p2", "number"), config.phi)
         return fc, swap_slot_order(fc)
-    spec = _channel_spec_from_doc(doc)
-    return product_comb(build_channel(spec, config.phi), config.n_steps), None
+    return product_comb(build_channel(doc, config.phi), config.n_steps), None
 
 
 def _set_spec(kind: str, n_steps: int, layout: SubsystemLayout) -> StrategySetSpec:
@@ -195,13 +172,13 @@ def _score_one(point) -> dict:
         oracle_gap = None
         if name == "control_free":
             space = control_free_space(config.n_steps, fc.layout.dims[0])
-            res = solve_factorized(fc, [space], gap_tol=config.gap_tol)
+            res = solve_factorized(fc, [space])
         else:
             spec = _set_spec(name, config.n_steps, fc.layout)
             # seq reports the better slot order, and certifies that one
-            best, res = fc, task_qfi(fc, spec, gap_tol=config.gap_tol)
+            best, res = fc, task_qfi(fc, spec)
             if alt is not None and name == "seq":
-                res2 = task_qfi(alt, spec, gap_tol=config.gap_tol)
+                res2 = task_qfi(alt, spec)
                 if res2.value > res.value:
                     best, res = alt, res2
             if config.validate_oracle:
@@ -271,14 +248,14 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
     else:
         rows = [_score_or_failure(p) for p in points]
     names = list(config.strategies)
-    header = ["grid_value"] + [f"J_{n}" for n in names] + [
-        f"oracle_gap_{n}" for n in names
-    ] + [f"stop_{n}" for n in names] + ["status"]
+    columns = ("J", "oracle_gap", "stop", "status", "gap")
+    header = ["grid_value"] + [f"{c}_{n}" for c in columns for n in names] + ["status"]
     lines = [",".join(header)]
     for val, row in zip(config.sweep["grid"], rows):
         cells = [_fmt(val)]
         if isinstance(row, Exception):
-            cells += [""] * (3 * len(names)) + [f"failed:solver: {row}".replace(",", ";")]
+            cells += [""] * (len(columns) * len(names))
+            cells.append(f"failed:solver: {row}".replace(",", ";"))
         else:
             cells += [_fmt(row[n]["value"]) for n in names]
             cells += [
@@ -286,6 +263,8 @@ def sweep(config: ExperimentConfig, out_path: str | None, jobs: int = 1) -> int:
                 for n in names
             ]
             cells += [row[n]["stop_reason"] for n in names]
+            cells += [row[n]["status"] for n in names]
+            cells += [_fmt(row[n]["gap"]) for n in names]
             cells.append("ok")
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
@@ -431,7 +410,7 @@ def validate_strategy_file(strategy_path: str, config_path: str) -> int:
             if comb is None:
                 continue
             try:
-                lam = task_qfi(comb, s.spec, gap_tol=config.gap_tol).value if s.spec else 0.0
+                lam = task_qfi(comb, s.spec).value if s.spec else 0.0
                 ver = verify_strategy(
                     s.purification, s.purification_layout, s.future_labels, comb, lam
                 )
@@ -468,7 +447,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol-gap", type=float, default=None)
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1)
     pv = sub.add_parser("validate")
@@ -479,8 +457,6 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return validate_strategy_file(args.strategy, args.config)
         config = ExperimentConfig.from_json(_read_json(args.config, "config"))
-        if args.tol_gap is not None:
-            config.gap_tol = _gap_tol(args.tol_gap, "--tol-gap")
         if args.command == "run":
             return run_task(config, args.out)
         return sweep(config, args.out, jobs=args.jobs)

@@ -7,8 +7,6 @@ X-rotation benchmark the noise after the signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .comb_algebra import (
@@ -18,7 +16,7 @@ from .comb_algebra import (
     kraus_product_comb,
     process_layout,
 )
-from .errors import ConfigError, config_value
+from .errors import ConfigError, checked, config_value
 from .tensor_algebra import (
     LabeledMatrix,
     SubsystemLayout,
@@ -31,15 +29,6 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _ZERO2 = np.zeros((2, 2), dtype=complex)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Declarative description of a single-qubit parametrized channel."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    parts: tuple["ChannelSpec", ...] = ()  # for kind="composed", applied right-to-left
 
 
 def rz(phi: float) -> KrausChannel:
@@ -148,12 +137,15 @@ def pf_rx_channel(p: float, phi: float) -> KrausChannel:
     return compose_kraus(phase_flip(p), rx(phi))
 
 
-def build_channel(spec: ChannelSpec, phi: float) -> KrausChannel:
-    """Materialize a channel spec at the working point."""
-    kind = spec.kind
+def build_channel(doc: dict, phi: float) -> KrausChannel:
+    """Materialize a channel document at the working point: ``kind`` names
+    the channel, its other keys are its parameters, and a ``composed``
+    channel applies its ``parts`` right to left."""
+    checked(doc, "object", "a process or part")
+    kind = config_value(doc, "kind", "string", what="process")
 
     def p(key: str, *default: float) -> float:
-        return config_value(spec.params, key, "number", *default, what=f"channel {kind!r}")
+        return config_value(doc, key, "number", *default, what=f"channel {kind!r}")
 
     if kind == "rz":
         return rz(phi)
@@ -170,10 +162,11 @@ def build_channel(spec: ChannelSpec, phi: float) -> KrausChannel:
     if kind == "nmr_relaxation":
         return nmr_relaxation(p("t"), p("T1", 3.2), p("T2", 1.1), p("a0", 0.5))
     if kind == "composed":
-        if not spec.parts:
+        parts = config_value(doc, "parts", "array", [], "process")
+        if not parts:
             raise ConfigError("composed channel needs parts")
-        out = build_channel(spec.parts[-1], phi)
-        for part in reversed(spec.parts[:-1]):
+        out = build_channel(parts[-1], phi)
+        for part in reversed(parts[:-1]):
             out = compose_kraus(build_channel(part, phi), out)
         return out
     raise ConfigError(f"unknown channel kind {kind!r}")

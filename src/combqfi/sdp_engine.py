@@ -49,6 +49,7 @@ from .errors import SolverFailureError
 from .tensor_algebra import hermitize
 
 FEAS_TOL = 1e-8  # primal and dual residual target of an optimal solve
+GAP_TOL = 1e-8  # relative duality-gap target of an optimal solve
 _CHUNK = 1 << 16  # complex entries (1 MB) of the image chunk a block holds at once
 
 # ---------------------------------------------------------------------------
@@ -841,7 +842,6 @@ class _KktFactors:
 
 def solve(
     problem: SdpProblem,
-    gap_tol: float = 1e-8,
     max_iter: int = 200,
     verify_newton: bool = False,
 ) -> SdpSolution:
@@ -855,14 +855,12 @@ def solve(
     """
     comp = _Compiled(problem)
     try:
-        return _interior_point(comp, gap_tol, max_iter, verify_newton)
+        return _interior_point(comp, max_iter, verify_newton)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverFailureError(f"linear algebra failed in the solver: {exc}") from exc
 
 
-def _interior_point(
-    comp: _Compiled, gap_tol: float, max_iter: int, verify_newton: bool
-) -> SdpSolution:
+def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpSolution:
     problem = comp.problem
     nblk = len(problem.blocks)
     sides = [b.side for b in problem.blocks]
@@ -891,7 +889,7 @@ def _interior_point(
     best_merit = np.inf
 
     def acceptable(relgap, p_res, d_res):  # the tolerances of an optimal restore
-        return relgap <= gap_tol and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL
+        return relgap <= GAP_TOL and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL
 
     def measures():
         """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
@@ -919,7 +917,7 @@ def _interior_point(
 
     for it in range(1, max_iter + 1):
         (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
-        converged = relgap <= gap_tol and p_res <= FEAS_TOL and d_res <= FEAS_TOL
+        converged = relgap <= GAP_TOL and p_res <= FEAS_TOL and d_res <= FEAS_TOL
         # a step taken in the frame can cross the boundary by rounding where
         # W^{-1} is ill-conditioned: no step is taken from, or recorded at, such an iterate
         scalings = [] if converged else [_NtScaling(s, x) for s, x in zip(s_blocks, x_blocks)]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._basis import ProductBasis, product_basis
-from .comb_algebra import comb_tower_sets, max_ent_ket
+from .comb_algebra import comb_tower_sets, max_ent_ket, process_layout
 from .errors import ConfigError, DimensionMismatchError
 from .tensor_algebra import (
     LabeledMatrix,
@@ -56,11 +56,9 @@ class StrategySetSpec:
             raise ConfigError(f"unknown strategy set {self.kind!r}")
         if self.n_steps < 1 or len(self.slot_dims) != self.n_steps:
             raise ConfigError("slot_dims must list one (d_in, d_out) per step")
-        if self.kind in ("swi", "sup") and self.n_steps > 3:
-            raise ConfigError(
-                f"{self.kind} with N={self.n_steps} needs {math.factorial(self.n_steps)} "
-                "branches; N <= 3 is enforced"
-            )
+        # swi and sup carry N! branches, ico one dual on the whole process space
+        if self.kind in ("swi", "sup", "ico") and self.n_steps > 3:
+            raise ConfigError(f"{self.kind} is limited to N <= 3, not N={self.n_steps}")
         if self.kind == "swi":
             dims = {d for pair in self.slot_dims for d in pair}
             if len(dims) != 1:
@@ -81,8 +79,6 @@ class StrategySetSpec:
         return [tuple(range(1, self.n_steps + 1))]
 
     def process_layout(self) -> SubsystemLayout:
-        from .comb_algebra import process_layout
-
         return process_layout(self.slot_dims)
 
     @property

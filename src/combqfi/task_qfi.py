@@ -30,7 +30,6 @@ the other branches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,13 @@ from . import sdp_engine as se
 from ._basis import product_basis
 from .comb_algebra import FactorizedComb, KrausChannel, kraus_product_comb
 from .errors import ConfigError, DimensionMismatchError, SolverFailureError
-from .strategy_spaces import AffineSpace, StrategySetSpec, dual_space, primal_space
+from .strategy_spaces import (
+    AffineSpace,
+    StrategySetSpec,
+    dual_space,
+    permutations_lex,
+    primal_space,
+)
 from .tensor_algebra import LabeledMatrix, hermitize, permute_vector
 
 
@@ -236,7 +241,7 @@ def _slot_symmetry(
     if None in tags:
         return None
     n = len(tags[0])
-    group = list(itertools.permutations(range(1, n + 1)))  # identity first
+    group = permutations_lex(n)  # identity first
     if tags[0] != group[0] or sorted(tags) != group:
         return None
     lay = fc.layout
@@ -344,9 +349,7 @@ def _certified(
     )
 
 
-def solve_task(
-    fc: FactorizedComb, spaces: list[AffineSpace], gap_tol: float = 1e-8
-) -> QfiResult:
+def solve_task(fc: FactorizedComb, spaces: list[AffineSpace]) -> QfiResult:
     """Solve the task-QFI program over explicit dual spaces.
 
     When the comb is symmetric under slot permutations (``_slot_symmetry``),
@@ -357,7 +360,7 @@ def solve_task(
     problem = build_problem(fc, spaces[:1] if sym else spaces)
     if sym:
         _restrict_to_identity_branch(problem, sym)
-    sol = se.solve(problem, gap_tol=gap_tol)
+    sol = se.solve(problem)
     lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     r = fc.rank
     qs = [sol.variables[f"q{i}"] for i in range(len(sol.block_duals))]
@@ -366,9 +369,7 @@ def solve_task(
     return _certified(spaces, sym, sol, lam, h_opt, omega, qs, cands)
 
 
-def solve_factorized(
-    fc: FactorizedComb, spaces: list[AffineSpace], gap_tol: float = 1e-8
-) -> QfiResult:
+def solve_factorized(fc: FactorizedComb, spaces: list[AffineSpace]) -> QfiResult:
     """Solve the task-QFI program over factorized primal spaces.
 
     The dual element of branch i is built exactly from the solved gauge:
@@ -384,7 +385,7 @@ def solve_factorized(
     problem = build_factorized_problem(fc, spaces)
     if sym:
         _restrict_to_identity_branch(problem, sym)
-    sol = se.solve(problem, gap_tol=gap_tol)
+    sol = se.solve(problem)
     lam, h_opt = _accepted(sol, len(sym) if sym else 1)
     omega = performance_operator(fc, h_opt)
     qs, candidates = [], []
@@ -403,7 +404,7 @@ def solve_factorized(
     return _certified(spaces, sym, sol, lam, h_opt, omega.entries, qs, candidates)
 
 
-def task_qfi(fc: FactorizedComb, spec: StrategySetSpec, gap_tol: float = 1e-8) -> QfiResult:
+def task_qfi(fc: FactorizedComb, spec: StrategySetSpec) -> QfiResult:
     """Maximal output-state QFI over the given strategy set."""
     if len(fc.layout) != 2 * spec.n_steps:
         raise DimensionMismatchError(
@@ -422,4 +423,4 @@ def task_qfi(fc: FactorizedComb, spec: StrategySetSpec, gap_tol: float = 1e-8) -
         solver, spaces = solve_factorized, primal_space(spec)
     else:
         solver, spaces = solve_task, dual_space(spec)
-    return solver(fc, spaces, gap_tol=gap_tol)
+    return solver(fc, spaces)

@@ -36,6 +36,8 @@ def test_config_sweeps(path, tmp_path):
         + [f"J_{n}" for n in names]
         + [f"oracle_gap_{n}" for n in names]
         + [f"stop_{n}" for n in names]
+        + [f"status_{n}" for n in names]
+        + [f"gap_{n}" for n in names]
         + ["status"]
     )
     assert [float(row[0]) for row in rows] == grid

@@ -303,7 +303,7 @@ class TestSolverContracts:
 
     def test_status_optimal_implies_gap(self, rng):
         a = rand_herm(rng, 6)
-        sol = solve(lambda_min_problem(a), gap_tol=1e-8)
+        sol = solve(lambda_min_problem(a))
         if sol.optimal:
             assert sol.gap <= 1e-7  # best-iterate restore allows 10x feas slack
             # complementarity of the block S = t I - A and its dual X

@@ -39,9 +39,10 @@ class TestSpecGuards:
         assert StrategySetSpec.qubits("sup", 3).n_branches == 6
         assert StrategySetSpec.qubits("swi", 2).n_branches == 2
 
-    def test_factorial_guard(self):
-        with pytest.raises(ConfigError):
-            StrategySetSpec.qubits("sup", 4)
+    @pytest.mark.parametrize("kind", ["swi", "sup", "ico"])
+    def test_n_guard(self, kind):
+        with pytest.raises(ConfigError, match="N <= 3"):
+            StrategySetSpec.qubits(kind, 4)
 
     def test_switch_needs_equal_dims(self):
         with pytest.raises(ConfigError):

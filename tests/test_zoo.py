@@ -14,7 +14,6 @@ from combqfi.metrology_zoo import (
     bf_phase_channel,
     bit_flip,
     build_channel,
-    ChannelSpec,
     nmr_relaxation,
     nonidentical_pair,
     nonmarkovian_swap_comb,
@@ -134,16 +133,10 @@ class TestCompose:
             assert np.allclose(k, e)
 
 
-class TestChannelSpec:
+class TestBuildChannel:
     def test_composed_right_to_left(self):
-        spec = ChannelSpec(
-            kind="composed",
-            parts=(
-                ChannelSpec("phase_flip", {"p": 0.2}),
-                ChannelSpec("rx", {}),
-            ),
-        )
-        ch = build_channel(spec, 0.6)
+        doc = {"kind": "composed", "parts": [{"kind": "phase_flip", "p": 0.2}, {"kind": "rx"}]}
+        ch = build_channel(doc, 0.6)
         ref = pf_rx_channel(0.2, 0.6)
         assert np.allclose(
             choi_from_kraus(ch).choi().entries, choi_from_kraus(ref).choi().entries
@@ -151,7 +144,7 @@ class TestChannelSpec:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            build_channel(ChannelSpec("warp", {}), 0.1)
+            build_channel({"kind": "warp"}, 0.1)
 
 
 class TestNonidenticalPair:
