@@ -29,11 +29,14 @@ alone, reduced to an orthonormal basis of their row space: B = [E; P], P the
 pins, with all multipliers in one vector y.  On the null space of E the
 Newton matrix is positive definite, so one Cholesky solves it.  Only the
 corrector of a system with an eliminated variable, whose pin Gram can be
-ill-conditioned, is refined, and a correction that raises the residual is
-taken back.  An iterate that rounding has left outside the cone ends the
-iteration (``left-cone``).  In a block with no eliminated variable a gauge
-term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix through closed
-forms in r x r blocks of W, and lambda I through its one sandwich W A(1) W.
+ill-conditioned, is refined, and only once mu <= 1e-4; a correction that
+raises the residual is taken back.  The predictor's right-hand side is
+-(c - B^T y) - sum_j A_j^*(W_j^{-1} R_j W_j^{-1}): its rc = -X cancels the
+A^*(X) of the stationarity residual, so neither is formed.  An iterate that
+rounding has left outside the cone ends the iteration (``left-cone``).  In
+a block with no eliminated variable a gauge term L(h) = i [Cbar_k conj(h)]_k
+enters the Newton matrix through closed forms in r x r blocks of W, and
+lambda I through its one sandwich W A(1) W.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -659,15 +662,19 @@ class _KktFactors:
     factors carry, refinement diverges.  The loop asks for them for the
     corrector only, and only when ``loc`` is non-empty: the pin Gram
     P T P^T of an eliminated variable has a condition number that grows as
-    kappa(M)^2, and one step there cuts the corrector's stationarity
-    residual from at worst 8.1e-8 to 2.2e-12 (N=2 ``ico``, amplitude
-    damping p = 0.2, relative to its summands).  The predictor only sets
-    sigma and the Mehrotra term, and is one back-solve (at worst 1.7e-7
-    there).  Without an eliminated variable a direction is one back-solve of
-    a backward-stable Cholesky, which refinement in the same precision
-    cannot improve (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., ch. 12): at N=2 ``par`` the residual is at most 6.0e-9 before
-    a step and 4.1e-9 after.
+    kappa(M)^2.  It asks for none while mu > 1e-4, then 1 step while
+    mu > 1e-5, 2 while mu > 1e-7 and 3 below.  Over the N=2 Q-form solves of
+    one seed-0 ``pipeline_n2`` pass, the unrefined corrector's Newton
+    residual, relative to its summands, is at most 2.5e-12 (median 3.5e-15,
+    149 correctors) while mu > 1e-4, 2.8e-11 for mu in (1e-5, 1e-4], 8.6e-8
+    for mu in (1e-7, 1e-5] and 5.5e-7 below.  The predictor only sets sigma
+    and the Mehrotra term, and is one back-solve, whose right-hand side
+    already holds its rc = -X (``solve`` is passed no rc for it).  Without
+    an eliminated variable a direction is one back-solve of a
+    backward-stable Cholesky, which refinement in the same precision cannot
+    improve (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 12): at N=2 ``par`` the residual is at most 6.0e-9 before a
+    step and 4.1e-9 after.
     """
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray], gis: list[np.ndarray]):
@@ -773,18 +780,20 @@ class _KktFactors:
     def residual_share(self, r_stat, r_blocks) -> np.ndarray:
         """-r_stat - sum_j A_j^*(W_j^{-1} R_j W_j^{-1}): the share of the
         right-hand side that the two directions of an iteration have in
-        common, formed once."""
+        common, one adjoint pass.  ``r_stat`` may be a stack of rows, each
+        of which gets the same sum."""
         comp = self.comp
-        r_hat = -np.asarray(r_stat, dtype=float).copy()
+        r_hat = np.zeros(comp.m_total)
         for j, (winv, r) in enumerate(zip(self.winvs, r_blocks)):
             comp.adjoint_into(j, hermitize(-(winv @ r @ winv)), r_hat)
-        return r_hat
+        return r_hat - np.asarray(r_stat, dtype=float)
 
     def solve(self, r_share, r_blocks, r_b, rc, refine):
-        """(dz, dy, dS) for the complementarity residuals ``rc``, with
-        ``r_share`` from ``residual_share``; the dual direction
-        dX = rc - W^{-1} dS W^{-1} is left to ``dual_directions`` (or to its
-        frame, G^dag dX G = rc_G - dS_G)."""
+        """(dz, dy, dS) for r_hat = r_share + sum_j A_j^*(rc_j), with
+        ``r_share`` from ``residual_share`` and ``rc`` the complementarity
+        residuals it does not hold (none where it holds them all); the dual
+        direction dX = rc - W^{-1} dS W^{-1} is left to ``dual_directions``
+        (or to its frame, G^dag dX G = rc_G - dS_G)."""
         comp = self.comp
         r_hat = r_share.copy()
         for j, m in enumerate(rc):
@@ -949,20 +958,28 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
             break
 
         kkt = _KktFactors(comp, [sc.winv for sc in scalings], [sc.gi for sc in scalings])
-        r_share = kkt.residual_share(r_stat, r_blocks)
-        # refinement pays only where a local variable is eliminated; the
-        # Cholesky on (lambda, h) alone is backward stable
-        nref = (1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)) if kkt.loc else 0
+        # the predictor's rc = -X cancels the +A^*(X) that r_stat holds, so
+        # its right-hand side -(c - B^T y) - sum_j A_j^*(W_j^{-1} R_j W_j^{-1})
+        # is formed without either; the corrector's is r_share + A^*(rc)
+        r_share, r_pred = kkt.residual_share(np.stack([r_stat, c - comp.rows_t(y)]), r_blocks)
+        # refinement pays only where a local variable is eliminated, and
+        # there only once mu <= 1e-4 (see _KktFactors); the Cholesky on
+        # (lambda, h) alone is backward stable
+        nref = 0
+        if kkt.loc and mu <= 1e-4:
+            nref = 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
 
-        def direction(rc, refine):
-            dz, dy, ds = kkt.solve(r_share, r_blocks, r_b, rc, refine)
+        def direction(share, rc, refine):
+            dz, dy, ds = kkt.solve(share, r_blocks, r_b, rc, refine)
             if verify_newton:
+                # the predictor's share already holds its rc = -X
+                rc = rc or [-x for x in x_blocks]
                 kkt.verify(dz, dy, kkt.dual_directions(rc, ds), r_stat, r_b)
             return dz, dy, ds
 
         # the predictor: rc = -X, whose frame is -D, so dX_G = -D - dS_G; it
         # only sets sigma and the Mehrotra term, so it is not refined
-        _, _, ds_a = direction([-x for x in x_blocks], 0)
+        _, _, ds_a = direction(r_pred, [], 0)
         frames_a = []
         for sc, dsj in zip(scalings, ds_a):
             ds_g = sc.frame(dsj)
@@ -985,7 +1002,7 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
             for sc, f in zip(scalings, frames_a)
         ]
         rc_cor = [rc for rc, _ in cors]
-        dz, dy, ds = direction(rc_cor, nref)
+        dz, dy, ds = direction(r_share, rc_cor, nref)
         dx = kkt.dual_directions(rc_cor, ds)
         tau = 0.995 if mu < 1e-5 else (0.99 if mu < 1e-3 else 0.98)
         steps = []

@@ -12,10 +12,12 @@ assembled matrix and the frame instead.  Its directions against an LU of the
 saddle matrix [[red_a, -E^T], [E, 0]]: the solver factors red_a on the null
 space of the rows instead, and the residuals against the block congruences.
 The refinement rule: only the corrector of a system with an eliminated
-variable is refined.  And the elimination's inverse scaled Gram T and its
-pin term, both in the Gram form F (F^dag X F) F^dag, against their two-half
-compositions and as the inverse of K, with a count of the maps one
-back-solve makes."""
+variable is refined, and one it takes unrefined meets the exact operator.
+The predictor's right-hand side, formed with no adjoint of X, against the
+shared one with its rc = -X adjoined.  And the elimination's inverse
+scaled Gram T and its pin term, both in the Gram form F (F^dag X F) F^dag,
+against their two-half compositions and as the inverse of K, with a count
+of the maps one back-solve makes."""
 
 import inspect
 import sys
@@ -33,6 +35,7 @@ from combqfi.task_qfi import (
     build_factorized_problem,
     build_problem,
     product_comb,
+    task_qfi,
 )
 from combqfi.tensor_algebra import hermitize
 
@@ -417,6 +420,8 @@ def test_unrefined_solve_meets_verify_bound(name, rng, monkeypatch):
 
 
 def _refine_schedule(mu):
+    if mu > 1e-4:
+        return 0
     return 1 if mu > 1e-5 else (2 if mu > 1e-7 else 3)
 
 
@@ -442,7 +447,87 @@ def test_refinement_only_with_an_eliminated_variable(kind, factorized, monkeypat
         assert refines == [0] * len(refines)
     else:
         assert refines == [n for mu in mus for n in (0, _refine_schedule(mu))]
-        assert set(refines[1::2]) == {1, 2, 3}
+        assert set(refines[1::2]) == {0, 1, 2, 3}
+
+
+def _rhs(kkt, r_share, rc):
+    """r_share + sum_j A_j^*(rc_j), the right-hand side ``solve`` forms."""
+    r_hat = r_share.copy()
+    for j, m in enumerate(rc):
+        kkt.comp.adjoint_into(j, m, r_hat)
+    return r_hat
+
+
+@pytest.mark.parametrize(
+    "kind, p",
+    [
+        ("seq", 0.2),
+        ("sup", 0.2),
+        ("ico", 0.2),
+        ("sup", 0.6171414766699522),
+        ("sup", 0.6229016948897019),
+    ],
+)
+def test_unrefined_corrector_meets_the_exact_operator(kind, p, monkeypatch):
+    """Every corrector of an N=2 Q form taken with no refinement step (mu
+    above the schedule's first band) has a relative Newton residual of at
+    most 1e-9 against the exact operator, relative to its summands."""
+    solve, worst = se._KktFactors.solve, []
+
+    def spy(self, r_share, r_blocks, r_b, rc, refine):
+        dz, dy, ds = solve(self, r_share, r_blocks, r_b, rc, refine)
+        if self.loc and len(rc) and not refine:
+            r_hat, comp = _rhs(self, r_share, rc), self.comp
+            h_dz, bt_dy, b_dz = self._h_apply(dz), comp.rows_t(dy), comp.rows(dz)
+            res = np.linalg.norm(r_hat - h_dz + bt_dy) + np.linalg.norm(r_b - b_dz)
+            terms = (r_hat, h_dz, bt_dy, r_b, b_dz)
+            worst.append(res / sum(np.linalg.norm(t) for t in terms))
+        return dz, dy, ds
+
+    monkeypatch.setattr(se._KktFactors, "solve", spy)
+    fc = product_comb(ad_phase_channel(p, np.pi / 2), 2)
+    sol = task_qfi(fc, StrategySetSpec.qubits(kind, 2)).solver
+    assert sol.optimal
+    unrefined = [mu for _, _, mu, _, _ in sol.history[:-1] if _refine_schedule(mu) == 0]
+    assert len(worst) == len(unrefined) > 0
+    assert max(worst) <= 1e-9
+
+
+@pytest.mark.parametrize("kind, factorized", [("par", True), ("sup", False)])
+def test_predictor_rhs_is_the_share_less_the_primal_adjoint(kind, factorized, monkeypatch):
+    """The predictor's right-hand side -(c - B^T y) - sum_j A_j^*(W_j^{-1}
+    R_j W_j^{-1}), formed with no adjoint of X, equals r_share + A^*(-X),
+    the form with rc = -X adjoined, to 1e-12 relative to the summands."""
+    scaling_init, share = se._NtScaling.__init__, se._KktFactors.residual_share
+    solve, xs, shares, calls = se._KktFactors.solve, [], [], []
+
+    def spy_scaling(self, s, x):
+        xs.append(x)
+        scaling_init(self, s, x)
+
+    def spy_share(self, r_stat, r_blocks):
+        out = share(self, r_stat, r_blocks)
+        shares.append((self, list(xs), out))
+        xs.clear()
+        return out
+
+    def spy_solve(self, r_share, r_blocks, r_b, rc, refine):
+        calls.append((r_share, len(rc)))
+        return solve(self, r_share, r_blocks, r_b, rc, refine)
+
+    monkeypatch.setattr(se._NtScaling, "__init__", spy_scaling)
+    monkeypatch.setattr(se._KktFactors, "residual_share", spy_share)
+    monkeypatch.setattr(se._KktFactors, "solve", spy_solve)
+    sol = se.solve(_task_problem(kind, 2, factorized))
+    assert sol.optimal
+    assert len(calls) == 2 * len(shares) == 2 * (len(sol.history) - 1)
+    for (kkt, x_blocks, (r_share, r_pred)), pred, cor in zip(shares, calls[::2], calls[1::2]):
+        # the predictor adjoins no rc, and the corrector adjoins its own
+        assert np.array_equal(pred[0], r_pred) and pred[1] == 0
+        assert np.array_equal(cor[0], r_share) and cor[1] == len(x_blocks)
+        a_x = _rhs(kkt, np.zeros_like(r_share), x_blocks)
+        scale = np.linalg.norm(r_share) + np.linalg.norm(a_x)
+        assert np.linalg.norm(r_pred - (r_share - a_x)) <= 1e-12 * scale
 
 
 def _conditioned_local(cond, rng, pin_mask=None):

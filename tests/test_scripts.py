@@ -14,7 +14,7 @@ from combqfi.cli import ExperimentConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
-START_TABLE_HEADER = "set,k,value,iterations,status,stop_reason,gap"
+START_TABLE_HEADER = "set,k,value,iterations,status,stop_reason,gap,seconds"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -79,10 +79,11 @@ def test_script_writes_csv(script, tmp_path):
 
 def assert_start_table_summary(stdout, rows):
     """One summary line per set, with the count of optimal starts, the
-    summed iterations and the worst and median gap of its rows (to the
-    three digits printed)."""
+    summed iterations, the worst and median gap and the median seconds of
+    its rows (to the three digits printed)."""
     pattern = re.compile(
-        r"summary (\w+): optimal (\d+)/(\d+) iterations (\d+) gap worst (\S+) median (\S+)$"
+        r"summary (\w+): optimal (\d+)/(\d+) iterations (\d+) gap worst (\S+) median (\S+)"
+        r" seconds median (\S+)$"
     )
     found = [pattern.match(line) for line in stdout.splitlines() if line.startswith("summary ")]
     assert all(found) and sorted(m[1] for m in found) == sorted({row[0] for row in rows})
@@ -91,6 +92,12 @@ def assert_start_table_summary(stdout, rows):
         assert (int(m[2]), int(m[3])) == (sum(row[4] == "optimal" for row in mine), len(mine))
         assert int(m[4]) == sum(int(row[3]) for row in mine)
         gaps = sorted(float(row[6]) for row in mine)
-        median = 0.5 * (gaps[(len(gaps) - 1) // 2] + gaps[len(gaps) // 2])
         assert float(m[5]) == pytest.approx(gaps[-1], rel=1e-3)
-        assert float(m[6]) == pytest.approx(median, rel=1e-3)
+        assert float(m[6]) == pytest.approx(_median(gaps), rel=1e-3)
+        seconds = sorted(float(row[7]) for row in mine)
+        assert seconds[0] > 0
+        assert float(m[7]) == pytest.approx(_median(seconds), rel=1e-3, abs=1e-3)
+
+
+def _median(xs):
+    return 0.5 * (xs[(len(xs) - 1) // 2] + xs[len(xs) // 2])
