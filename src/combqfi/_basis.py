@@ -8,7 +8,12 @@ in this basis are real, and the coordinate map is an isometry for the
 Frobenius inner product.
 
 Every basis element has at most one nonzero entry per row, so ``B_a F`` is a
-row gather of F; ``sandwich_gram`` builds the pin Gram that way.
+row gather of F; ``sandwich_gram`` builds the pin Gram that way.  A basis
+holds no per-element row table (n * side entries, D^3): it keeps the
+per-factor index ``patterns`` (n, L) and the half stacks, and ``row_map``
+combines the factor row maps (d^2, d), shared by all bases, for the
+requested elements only.  The solver builds the row map of its pins once
+per solve.
 
 On several factors, element ``(a, b)`` is ``A_a (x) C_b`` over a split of the
 factor list into two halves, so ``matrices`` and ``coords_many`` are two dense
@@ -34,6 +39,7 @@ def _diag_transform(d: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
 def _factor_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row map of the Gell-Mann basis of C^{d x d}: ``B_a[r, cols[a, r]] =
     vals[a, r]`` (0 on empty rows).  Order: I/sqrt(d); for each p<q (lex)
@@ -51,6 +57,8 @@ def _factor_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
     w, diag = _diag_transform(d), np.r_[0, d * (d - 1) + 1 : d * d]
     cols[diag] = np.where(w != 0, np.arange(d), 0)
     vals[diag] = w
+    # cached and shared by every basis with a factor of dimension d
+    cols.flags.writeable = vals.flags.writeable = False
     return cols, vals
 
 
@@ -72,27 +80,18 @@ def congruence_many(z: np.ndarray, ms: np.ndarray) -> np.ndarray:
 
 
 class ProductBasis:
-    """Product basis over factor dims, with padded row-map representation.
+    """Product basis over factor dims.
 
-    ``cols[a, r]`` / ``vals[a, r]`` encode basis element a as
-    ``B_a[r, cols[a, r]] = vals[a, r]`` (vals 0 where the row is empty).
+    It holds the per-factor index ``patterns`` (n, L) and the half stacks
+    (or the Gell-Mann gather of a single large factor); the row map of a
+    set of elements is built on request (``row_map``).
     """
 
     def __init__(self, dims: tuple[int, ...]):
         self.dims = tuple(int(d) for d in dims)
         self.side = int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
         self.n_factors = len(self.dims)
-        # start from the trivial one-element basis on a 1-dim space
-        cols = np.zeros((1, 1), dtype=np.int64)
-        vals = np.ones((1, 1), dtype=complex)
-        for d in self.dims:
-            fcols, fvals = _factor_rows(d)
-            # combine: new index (a_old, a_f), new row (r_old, r_f)
-            n = cols.shape[0] * d * d
-            cols = (cols[:, None, :, None] * d + fcols[None, :, None, :]).reshape(n, -1)
-            vals = (vals[:, None, :, None] * fvals[None, :, None, :]).reshape(n, -1)
-        self.cols, self.vals, self.n = cols, vals, cols.shape[0]
-        assert self.n == self.side * self.side
+        self.n = self.side * self.side
         # (n, L) per-factor basis index, in the lex order of the combination
         sizes = [d * d for d in self.dims]
         self.patterns = np.indices(sizes, dtype=np.int16).reshape(self.n_factors, self.n).T
@@ -140,10 +139,16 @@ class ProductBasis:
             # (lower + conj(upper)) / sqrt(2) of pair j is coordinate 1 + 2j
             # plus i times coordinate 2 + 2j
             m = (self.n - self.side) // 2
-            t = np.take(ms.reshape(k, self.side * self.side), self._pick, axis=1)
-            off = ((t[:, m : 2 * m] + t[:, :m].conj()) * (1.0 / np.sqrt(2.0))).view(np.float64)
-            dv = t[:, 2 * m :].real @ self._w.T
-            return np.concatenate([dv[:, :1], off, dv[:, 1:]], axis=1)
+            flat = ms.reshape(k, self.side * self.side)
+            off = np.take(flat, self._pick[:m], axis=1)
+            np.conjugate(off, out=off)
+            off += np.take(flat, self._pick[m : 2 * m], axis=1)
+            off *= 1.0 / np.sqrt(2.0)
+            dv = np.take(flat.real, self._pick[2 * m :], axis=1) @ self._w.T
+            out = np.empty((k, self.n))
+            out[:, 1 : 2 * m + 1] = off.view(np.float64)
+            out[:, 0], out[:, 2 * m + 1 :] = dv[:, 0], dv[:, 1:]
+            return out
         da, db = self._da, self._db
         if self._a is None:
             t = ms.reshape(k, self.side * self.side)
@@ -163,7 +168,8 @@ class ProductBasis:
         cs = np.asarray(cs, dtype=float)
         k = cs.shape[0]
         if self._b is None:
-            out = np.take(cs, self._src, axis=1) * self._sign
+            out = np.take(cs, self._src, axis=1)
+            out *= self._sign
             out[:, self._dd] = np.take(cs, self._diag, axis=1) @ self._w
             return out.view(complex).reshape(k, self.side, self.side)
         da, db = self._da, self._db
@@ -176,31 +182,49 @@ class ProductBasis:
         t = t.reshape(k, db, db, da, da).transpose(0, 3, 1, 4, 2)
         return t.reshape(k, self.side, self.side)
 
+    def row_map(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row map (cols, vals), each (len(idx), side), of the given elements:
+        ``B_a[r, cols[a, r]] = vals[a, r]`` (vals 0 where the row is empty).
+        The factors are combined one at a time, first factor slowest, for
+        the requested indices only."""
+        pat = self.patterns[np.asarray(idx)]
+        cols = np.zeros((len(pat), 1), dtype=np.int64)
+        vals = np.ones((len(pat), 1), dtype=complex)
+        for l, d in enumerate(self.dims):
+            fcols, fvals = _factor_rows(d)
+            # new row (r_old, r_f) of element a: its old row and factor row
+            cols = (cols[:, :, None] * d + fcols[pat[:, l], None, :]).reshape(len(pat), -1)
+            vals = (vals[:, :, None] * fvals[pat[:, l], None, :]).reshape(len(pat), -1)
+        return cols, vals
+
     def elements(self, idx: np.ndarray) -> np.ndarray:
         """Dense stack of basis elements for the given indices."""
-        idx = np.asarray(idx)
-        out = np.zeros((len(idx), self.side, self.side), dtype=complex)
-        out[np.arange(len(idx))[:, None], np.arange(self.side), self.cols[idx]] = self.vals[idx]
+        cols, vals = self.row_map(idx)
+        out = np.zeros((len(cols), self.side, self.side), dtype=complex)
+        out[np.arange(len(cols))[:, None], np.arange(self.side), cols] = vals
         return out
 
     # -- solver helpers ----------------------------------------------------
 
-    def sandwich_gram(self, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the index subset.
+    def sandwich_gram(self, f: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Gram matrix G[a,b] = <F^dag B_a F, F^dag B_b F> over the elements
+        whose row map (``row_map``) is ``rows``.
 
         For any factor F with F F^dag = M (a Cholesky factor or M^{1/2}),
         G[a,b] = Tr(B_a M B_b M): the matrix of X -> M X M restricted to the
         span of the selected elements.
         """
+        cols, vals = rows
         fh = f.conj().T
-        k, chunk = len(idx), 512  # elements per batch bound the complex temporaries
+        # a batch of 16 elements keeps its gathered S in cache (1 MB at side
+        # 64); larger batches of the same products run slower
+        k, chunk = len(cols), 16
         D = self.side
         y = np.empty((k, D, D), dtype=complex)
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
-            sel = idx[lo:hi]
             # S_a = B_a @ F: row r of S_a is vals[a, r] * F[cols[a, r], :]
-            s = self.vals[sel][:, :, None] * f[self.cols[sel], :]
+            s = vals[lo:hi, :, None] * f[cols[lo:hi]]
             np.matmul(fh[None, :, :], s, out=y[lo:hi])
         # Re <Y_a, Y_b> is one real GEMM on the (re, im) view of the stack
         yv = y.reshape(k, D * D).view(np.float64)

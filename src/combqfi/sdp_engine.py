@@ -44,6 +44,7 @@ Deterministic: fixed initial point, no randomness anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,6 +251,8 @@ class _Var:
         self.sl: slice | None = None
         mask = spec.pin_mask if spec.pin_mask is not None else np.zeros(0, dtype=bool)
         self.pins = np.flatnonzero(mask)
+        # the row map of the pinned elements, which every pin Gram reads
+        self.pin_rows = self.basis.row_map(self.pins) if len(self.pins) else None
         self.y_sl = slice(0, 0)  # multipliers of the pins of a local variable
         self.els = None  # (m, side^2) elements of a gauge in a block without a local variable
         # a local variable's block: its index order with the variable's rows
@@ -445,16 +448,23 @@ class _Compiled:
 # numerical helpers
 
 
-def _lapack(name: str, *args, **kwargs):
-    """LAPACK routine ``name`` of ``scipy.linalg.lapack`` on the arguments,
-    imported on first use (a module-level scipy import would slow the
-    package import).  Returns the routine's outputs and then its info.  An
-    illegal argument (info < 0) and any error of the wrapper itself, whose
-    f2py type scipy does not export, raise SolverFailureError."""
+@lru_cache(maxsize=None)
+def _lapack_module():
+    """``scipy.linalg.lapack``, imported once, on first use: a module-level
+    scipy import would slow the package import."""
     from scipy.linalg import lapack
 
+    return lapack
+
+
+def _lapack(name: str, *args, **kwargs):
+    """LAPACK routine ``name`` of ``scipy.linalg.lapack`` on the arguments,
+    looked up on the module at each call.  Returns the routine's outputs and
+    then its info.  An illegal argument (info < 0) and any error of the
+    wrapper itself, whose f2py type scipy does not export, raise
+    SolverFailureError."""
     try:
-        *out, info = getattr(lapack, name)(*args, **kwargs)
+        *out, info = getattr(_lapack_module(), name)(*args, **kwargs)
     except Exception as exc:
         raise SolverFailureError(f"LAPACK {name} failed: {exc}") from exc
     if info < 0:
@@ -620,7 +630,7 @@ class _Local:
         rows = rows.reshape(len(rows), u * len(gi)).view(np.float64)
         self.gram = rows @ rows.T
         if len(var.pins):
-            gm = var.basis.sandwich_gram(self.f, var.pins)
+            gm = var.basis.sandwich_gram(self.f, var.pin_rows)
             gm = 0.5 * (gm + gm.T)
             gm += (1e-14 * np.trace(gm) / len(var.pins)) * np.eye(len(var.pins))
             self.gsolve = _psd_solver(gm)
@@ -901,11 +911,13 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
         return relgap <= GAP_TOL and p_res <= 10 * FEAS_TOL and d_res <= 10 * FEAS_TOL
 
     def measures():
-        """Residuals, objectives, relative gap, p_res and d_res of the iterate."""
+        """Residuals (with B^T y), objectives, relative gap, p_res and d_res
+        of the iterate."""
         r_stat = c.copy()
         for j in range(nblk):
             comp.adjoint_into(j, -x_blocks[j], r_stat)
-        r_stat -= comp.rows_t(y)
+        bty = comp.rows_t(y)
+        r_stat -= bty
         r_blocks = [comp.block_matrix(j, z) - s_blocks[j] for j in range(nblk)]
         r_b = comp.b - comp.rows(z)
         pobj = float(c @ z)
@@ -922,10 +934,10 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
         d_res = float(np.linalg.norm(r_stat)) / (
             1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(c - r_stat))
         )
-        return (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res
+        return (r_stat, bty, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res
 
     for it in range(1, max_iter + 1):
-        (r_stat, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
+        (r_stat, bty, r_blocks, r_b), pobj, dobj, relgap, p_res, d_res = measures()
         converged = relgap <= GAP_TOL and p_res <= FEAS_TOL and d_res <= FEAS_TOL
         # a step taken in the frame can cross the boundary by rounding where
         # W^{-1} is ill-conditioned: no step is taken from, or recorded at, such an iterate
@@ -961,7 +973,7 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
         # the predictor's rc = -X cancels the +A^*(X) that r_stat holds, so
         # its right-hand side -(c - B^T y) - sum_j A_j^*(W_j^{-1} R_j W_j^{-1})
         # is formed without either; the corrector's is r_share + A^*(rc)
-        r_share, r_pred = kkt.residual_share(np.stack([r_stat, c - comp.rows_t(y)]), r_blocks)
+        r_share, r_pred = kkt.residual_share(np.stack([r_stat, c - bty]), r_blocks)
         # refinement pays only where a local variable is eliminated, and
         # there only once mu <= 1e-4 (see _KktFactors); the Cholesky on
         # (lambda, h) alone is backward stable
@@ -1026,7 +1038,9 @@ def _interior_point(comp: _Compiled, max_iter: int, verify_newton: bool) -> SdpS
     restored = status != "optimal" and best is not None
     if restored:
         z, y, s_blocks, x_blocks = best
-    _, pobj, dobj, relgap, p_res, d_res = measures()
+    # a converged exit took no step after its last measures
+    if stop_reason != "converged":
+        _, pobj, dobj, relgap, p_res, d_res = measures()
     if restored and acceptable(relgap, p_res, d_res):
         status = "optimal"
     return SdpSolution(

@@ -21,7 +21,13 @@ from .comb_algebra import RANK_RTOL, CombReport, FactorizedComb, comb_report, pa
 from .errors import CombValidationError, SynthesisFailureError
 from .strategy_spaces import AffineSpace, StrategySetSpec, primal_space
 from .task_qfi import QfiResult, performance_operator
-from .tensor_algebra import LabeledMatrix, SubsystemLayout, hermitize, permute_factors
+from .tensor_algebra import (
+    LabeledMatrix,
+    SubsystemLayout,
+    hermitian_part,
+    hermitize,
+    permute_factors,
+)
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,7 @@ def saddle_residual(
     saddle point."""
     p = p_marg.entries if isinstance(p_marg, LabeledMatrix) else np.asarray(p_marg)
     g = fc.dvectors - 1j * fc.vectors @ np.asarray(h, dtype=complex)
-    m = fc.vectors.conj().T @ p.T @ g
-    return float(np.linalg.norm(m - m.conj().T))
+    return hermitian_part(fc.vectors.conj().T @ p.T @ g)[0]
 
 
 def polish_gauge(p_marg: np.ndarray, fc: FactorizedComb) -> np.ndarray:
@@ -98,8 +103,7 @@ def polish_gauge(p_marg: np.ndarray, fc: FactorizedComb) -> np.ndarray:
     r_eig = u.conj().T @ rhs @ u
     denom = w[:, None] + w[None, :]
     live = denom > 1e-12 * max(float(w[-1]), 1e-300)
-    h = u @ np.where(live, r_eig / np.where(live, denom, 1.0), 0.0) @ u.conj().T
-    return 0.5 * (h + h.conj().T)
+    return hermitize(u @ np.where(live, r_eig / np.where(live, denom, 1.0), 0.0) @ u.conj().T)
 
 
 def optimal_strategy(

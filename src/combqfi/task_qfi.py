@@ -45,7 +45,7 @@ from .strategy_spaces import (
     permutations_lex,
     primal_space,
 )
-from .tensor_algebra import LabeledMatrix, hermitize, permute_vector
+from .tensor_algebra import LabeledMatrix, hermitian_part, hermitize, permute_vector
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ class HermitianGauge:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
-        if np.linalg.norm(h - h.conj().T) > 1e-8 * max(1.0, np.linalg.norm(h)):
+        resid, herm = hermitian_part(h)
+        if resid > 1e-8 * max(1.0, np.linalg.norm(h)):
             raise ValueError("gauge must be Hermitian")
-        object.__setattr__(self, "h", 0.5 * (h + h.conj().T))
+        object.__setattr__(self, "h", herm)
 
 
 @dataclass(frozen=True)

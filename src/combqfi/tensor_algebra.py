@@ -113,14 +113,14 @@ class LabeledMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         _check_square(self.layout, entries)
         if self.hermitian:
-            resid = np.linalg.norm(entries - entries.conj().T)
+            resid, herm = hermitian_part(entries)
             scale = max(np.linalg.norm(entries), 1e-300)
             if resid > _HERMITICITY_REJECT_RTOL * scale:
                 raise ValueError(
                     f"matrix flagged Hermitian but ||M - M^dag|| = {resid:.3e} "
                     f"(relative {resid / scale:.3e})"
                 )
-            entries = 0.5 * (entries + entries.conj().T)
+            entries = herm
         object.__setattr__(self, "entries", entries)
 
     def trace(self) -> complex:
@@ -243,11 +243,11 @@ def partial_transpose(m: LabeledMatrix, labels: Iterable[str]) -> LabeledMatrix:
 
 
 def _require_hermitian(entries: np.ndarray, what: str) -> np.ndarray:
-    resid = np.linalg.norm(entries - entries.conj().T)
+    resid, herm = hermitian_part(entries)
     scale = max(np.linalg.norm(entries), 1e-300)
     if resid > _HERMITICITY_REJECT_RTOL * scale:
         raise ValueError(f"{what} must be Hermitian (residual {resid:.3e})")
-    return 0.5 * (entries + entries.conj().T)
+    return herm
 
 
 def herm_expm(h: LabeledMatrix, t: float) -> LabeledMatrix:
@@ -295,6 +295,28 @@ def realify(h: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """M^dag as a new C-contiguous array: M^T copied once, then conjugated in
+    place, in the dtype of 0.5 * M (a real M stays real)."""
+    out = np.array(m.T, dtype=np.result_type(m, 0.5), order="C")
+    return np.conjugate(out, out=out)
+
+
+def hermitian_part(entries: np.ndarray) -> tuple[float, np.ndarray]:
+    """(||M - M^dag||, (M + M^dag) / 2), both from one contiguous M^dag;
+    bitwise equal to the two expressions."""
+    m = np.asarray(entries)
+    herm = _adjoint(m)
+    resid = float(np.linalg.norm(m - herm))
+    herm += m
+    herm *= 0.5
+    return resid, herm
+
+
 def hermitize(entries: np.ndarray) -> np.ndarray:
-    """Symmetrize numerical drift away; does not validate."""
-    return 0.5 * (entries + np.asarray(entries).conj().T)
+    """Symmetrize numerical drift away, (M + M^dag) / 2; does not validate."""
+    m = np.asarray(entries)
+    herm = _adjoint(m)
+    herm += m
+    herm *= 0.5
+    return herm

@@ -58,6 +58,33 @@ def test_elements_are_kronecker_products(dims, rng):
     assert np.allclose(gram, np.eye(len(idx)), atol=1e-14)
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (9,), (16,)], ids=str)
+def test_row_map_matches_kronecker_products(dims, rng):
+    """B_a[r, cols[a, r]] = vals[a, r] and no other entry, on the product path
+    and on the gather path of a single factor above dimension 8."""
+    basis = product_basis(dims)
+    idx = np.sort(rng.choice(basis.n, min(basis.n, 48), replace=False))
+    cols, vals = basis.row_map(idx)
+    assert cols.shape == vals.shape == (len(idx), basis.side)
+    els = basis.elements(idx)
+    rows = np.arange(basis.side)
+    for a, el, c, v in zip(idx, els, cols, vals):
+        ref = kron_element(dims, basis.patterns[a])
+        assert np.array_equal(el, ref)
+        assert np.array_equal(ref[rows, c], v)
+        # the row map names every nonzero entry of its row
+        assert np.count_nonzero(ref) == np.count_nonzero(v)
+
+
+def test_basis_holds_no_per_element_row_table():
+    """A basis keeps its patterns and half stacks only: no array it holds
+    has one entry per (element, row) pair."""
+    basis = product_basis((2,) * 8)
+    held = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+    assert held
+    assert max(a.size for a in held) < basis.n * basis.side
+
+
 @pytest.mark.parametrize("dims", MAP_DIMS, ids=str)
 def test_matrices_is_the_sum_of_elements(dims, rng):
     basis = product_basis(dims)
@@ -151,8 +178,9 @@ def test_sandwich_gram_takes_any_factor(dims, rng):
     m = g @ g.conj().T + 0.1 * np.eye(basis.side)
     w, v = np.linalg.eigh(m)
     idx = np.sort(rng.choice(basis.n, size=min(basis.n, 40), replace=False))
-    by_chol = basis.sandwich_gram(np.linalg.cholesky(m), idx)
-    by_sqrt = basis.sandwich_gram((v * np.sqrt(w)) @ v.conj().T, idx)
+    rows = basis.row_map(idx)
+    by_chol = basis.sandwich_gram(np.linalg.cholesky(m), rows)
+    by_sqrt = basis.sandwich_gram((v * np.sqrt(w)) @ v.conj().T, rows)
     els = basis.elements(idx)
     ref = np.real(np.einsum("aij,jk,bkl,li->ab", els, m, els, m))
     assert np.linalg.norm(by_chol - by_sqrt) <= 1e-13 * np.linalg.norm(by_sqrt)

@@ -592,7 +592,7 @@ def test_pin_term_matches_two_half_composition(cond, rng):
     out = lc.pin_term(dp)
     assert _rel(out, ref) <= tol
     # P T P^T dp is the pin Gram times dp, as the back-solve assumes
-    assert _rel(out[var.pins], var.basis.sandwich_gram(lc.f, var.pins) @ dp) <= tol
+    assert _rel(out[var.pins], var.basis.sandwich_gram(lc.f, var.pin_rows) @ dp) <= tol
 
 
 @pytest.mark.parametrize("name", ["seq-2-q", "sup-2-q", "ico-2-q"])

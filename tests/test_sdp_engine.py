@@ -107,6 +107,16 @@ class TestSolverContracts:
                 seen += 1
         assert seen >= 1
 
+    @pytest.mark.parametrize("make", [lambda_min_problem, rho_max_problem])
+    def test_converged_solve_reports_its_last_history_entry(self, make, rng):
+        # a converged exit takes no step after its last measures, so the
+        # reported objective and gap are those of the last history entry
+        sol = solve(make(rand_herm(rng, 6)))
+        assert sol.stop_reason == "converged"
+        p, d, *_ = sol.history[-1]
+        assert sol.objective == p
+        assert sol.gap == abs(p - d) / (1.0 + abs(p) + abs(d))
+
     def test_orthogonal_reparameterization_invariance(self, rng):
         n = 5
         a = rand_herm(rng, n)

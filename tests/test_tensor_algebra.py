@@ -11,6 +11,8 @@ from combqfi.tensor_algebra import (
     SubsystemLayout,
     herm_expm,
     herm_expm_with_deriv,
+    hermitian_part,
+    hermitize,
     identity,
     neutralize,
     partial_trace,
@@ -225,8 +227,29 @@ def test_hermitian_flag_symmetrizes(rng):
     drift = h + 1e-10 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     m = LabeledMatrix(lay, drift, hermitian=True)
     assert np.linalg.norm(m.entries - m.entries.conj().T) < 1e-14
-    with pytest.raises(ValueError):
+    assert m.entries.tobytes() == (0.5 * (drift + drift.conj().T)).tobytes()
+    with pytest.raises(ValueError, match="flagged Hermitian"):
         LabeledMatrix(lay, h + np.triu(np.ones((3, 3))), hermitian=True)
+
+
+@pytest.mark.parametrize("layout", ["complex", "real", "slice", "fortran", "transposed"])
+def test_hermitian_part_matches_the_two_expressions(layout, rng):
+    """(||M - M^dag||, (M + M^dag) / 2) equal the plain expressions bitwise,
+    whatever the dtype or memory layout of M."""
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m = {
+        "complex": g,
+        "real": g.real.copy(),
+        "slice": g[1:8:2, 2:9:2],
+        "fortran": np.asfortranarray(g),
+        "transposed": g.T,
+    }[layout]
+    resid, herm = hermitian_part(m)
+    ref = 0.5 * (m + m.conj().T)
+    assert resid == np.linalg.norm(m - m.conj().T)
+    for out in (herm, hermitize(m)):
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_identity_helper():
