@@ -8,7 +8,8 @@ Starts that differ in the last bits of lambda_0 tell whether an outcome
 the solver can be judged by a count over starts instead of by one run.  The
 last lines give that count per set: the starts that end ``optimal``, the
 summed iterations, the worst and median gap (nan if a solve failed) and the
-median seconds of a solve.
+median seconds of a solve.  The CSV holds each value as its ``repr``, so
+two tables agree exactly when their solves do.
 
     python3 scripts/start_table.py --n 3 --points 24 --out starts.csv
 """
@@ -71,7 +72,7 @@ def main():
               f"seconds median {np.median([row[7] for row in mine]):.3f}")
     header = "set,k,value,iterations,status,stop_reason,gap,seconds"
     text = header + "\n" + "\n".join(
-        f"{kind},{k},{v:.13e},{it},{st},{sr},{g:.6e},{sec:.4f}"
+        f"{kind},{k},{v!r},{it},{st},{sr},{g:.6e},{sec:.4f}"
         for kind, k, v, it, st, sr, g, sec in rows
     ) + "\n"
     if args.out:

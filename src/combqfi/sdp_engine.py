@@ -33,10 +33,23 @@ ill-conditioned, is refined, and only once mu <= 1e-4; a correction that
 raises the residual is taken back.  The predictor's right-hand side is
 -(c - B^T y) - sum_j A_j^*(W_j^{-1} R_j W_j^{-1}): its rc = -X cancels the
 A^*(X) of the stationarity residual, so neither is formed.  An iterate that
-rounding has left outside the cone ends the iteration (``left-cone``).  In
-a block with no eliminated variable a gauge term L(h) = i [Cbar_k conj(h)]_k
-enters the Newton matrix through closed forms in r x r blocks of W, and
-lambda I through its one sandwich W A(1) W.
+rounding has left outside the cone ends the iteration (``left-cone``).
+
+A block with no eliminated variable whose image stack A(e_i) over its
+imaged coordinates fits one ``_CHUNK`` (the rule of a local variable's
+stack) holds that stack for the solve (``_Held``): A_j(z) and A_j^*(M) are
+one real GEMV each, and its Newton Gram is the Gram of the half images
+G^{-1} A(e_i) G^{-dag}, nothing cut, where u side^3 <= ``_HELD_GRAM`` g^2
+for u imaged coordinates and g gauge terms: the congruences cost u side^3,
+and the closed forms a fixed overhead per pair of terms.  Otherwise a
+gauge term L(h) = i [Cbar_k conj(h)]_k enters the Newton matrix through
+closed forms in r x r blocks of W, and lambda I through its one sandwich
+W A(1) W.
+The charge sectors of the factorized task program (sides 2 to 21 at N=3)
+form the held Gram; a one-sector N=2 ``par`` block (side 20 over u = 17)
+and a one-sector N=3 ``swi`` branch block (side 18 over u = 65), where it
+measured slower, keep the closed forms.  Blocks with an eliminated
+variable are untouched by this.
 
 Deterministic: fixed initial point, no randomness anywhere.
 """
@@ -55,6 +68,7 @@ from .tensor_algebra import hermitize
 FEAS_TOL = 1e-8  # primal and dual residual target of an optimal solve
 GAP_TOL = 1e-8  # relative duality-gap target of an optimal solve
 _CHUNK = 1 << 16  # complex entries (1 MB) of the image chunk a block holds at once
+_HELD_GRAM = 1 << 15  # u side^3 per gauge-term pair up to which a held stack forms the Gram
 
 # ---------------------------------------------------------------------------
 # linear maps from Hermitian variables into PSD blocks
@@ -100,8 +114,9 @@ class GaugeOffdiag:
     plus its Hermitian transpose; ``cbar`` is a (k, D, r) stack, and a (D, r)
     matrix is the k = 1 case.
 
-    In a block with no eliminated variable its Newton rows are closed forms
-    in blocks of W (``gram_block``) rather than congruences of images.
+    In a block with no eliminated variable and no held Gram (``_Held``) its
+    Newton rows are closed forms in blocks of W (``gram_block``) rather than
+    congruences of images.
     """
 
     def __init__(self, cbar: np.ndarray, row_offset: int, col_offset: int):
@@ -272,15 +287,48 @@ class _Var:
             yield lo, self._images(lo, min(n, lo + step))
 
     def _images(self, lo: int, hi: int) -> np.ndarray:
-        side = len(self.order)
-        out = np.zeros((hi - lo, side, side), dtype=complex)
-        for v, mp, at in self.img:
-            a0, a1 = max(lo, at) - at, min(hi, at + v.m) - at
-            if a0 < a1:
-                els = v.basis.elements(np.arange(a0, a1)) if v.els is None else v.els[a0:a1]
-                els = els.reshape(a1 - a0, v.basis.side, -1)
-                mp.add_apply(out[at + a0 - lo : at + a1 - lo], els)
+        out = _image_stack(self.img, len(self.order), lo, hi)
         return out[:, self.order][:, :, self.order]
+
+
+def _imaged_coords(img: list[tuple[_Var, LinearMap]]):
+    """The imaged coordinates u_idx that enter a block through its imaged
+    terms, each once however many terms it enters through, and the terms
+    with the position of their variable's first coordinate in u_idx."""
+    ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
+    u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
+    return u_idx, [(v, mp, int(np.searchsorted(u_idx, v.sl.start))) for v, mp in img]
+
+
+def _image_stack(img, side: int, lo: int, hi: int) -> np.ndarray:
+    """The images A(e_i) of the imaged coordinates u_idx[lo:hi] of a block
+    of the given side, through its placed terms ``img`` (``_imaged_coords``)."""
+    out = np.zeros((hi - lo, side, side), dtype=complex)
+    for v, mp, at in img:
+        a0, a1 = max(lo, at) - at, min(hi, at + v.m) - at
+        if a0 < a1:
+            els = v.basis.elements(np.arange(a0, a1)) if v.els is None else v.els[a0:a1]
+            els = els.reshape(a1 - a0, v.basis.side, -1)
+            mp.add_apply(out[at + a0 - lo : at + a1 - lo], els)
+    return out
+
+
+class _Held:
+    """The image stack of a block with no local variable, held once per
+    solve where it fits one chunk: A_j(z) is one real GEMV on the
+    coordinates u_idx, and so is A_j^*(M) = Re <A(e_i), M>.  With ``gram``
+    set, the block's Newton Gram is the Gram of the half images
+    G^{-1} A(e_i) G^{-dag}, nothing cut, as ``_Local`` forms them.  It is
+    set where the congruences' u side^3 is at most ``_HELD_GRAM`` per pair
+    of the block's g gauge terms, whose closed forms (``_assemble``) cost
+    a fixed overhead per pair at these sides."""
+
+    def __init__(self, u_idx: np.ndarray, images: np.ndarray, n_gauges: int):
+        self.u_idx = u_idx
+        self.images = images
+        # as real (re, im) pairs, both maps and the Gram are real products
+        self.flat = images.reshape(len(u_idx), -1).view(np.float64)
+        self.gram = len(u_idx) * images.shape[-1] ** 3 <= _HELD_GRAM * n_gauges**2
 
 
 class _Compiled:
@@ -350,16 +398,24 @@ class _Compiled:
             for v, mp in terms:
                 if isinstance(mp, GaugeOffdiag) and v.els is None and j not in self.local_of_block:
                     v.els = v.basis.elements(np.arange(v.m)).reshape(v.m, -1)
-        for j, var in self.local_of_block.items():
-            side, o, n = problem.blocks[j].side, var.map.offset, var.basis.side
-            var.order = np.r_[0:o, o + n : side, o : o + n]
-            # each imaged coordinate once, however many terms it enters through
-            img = self.img_terms[j]
-            ranges = [np.arange(v.sl.start, v.sl.stop) for v, _ in img]
-            var.u_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *ranges]))
-            var.img = [(v, mp, int(np.searchsorted(var.u_idx, v.sl.start))) for v, mp in img]
-            if len(var.u_idx) * side * side <= _CHUNK:
-                var.images = var._images(0, len(var.u_idx))
+        # per block the imaged coordinates that enter it, and their image
+        # stack where it fits one chunk: a local variable's in its block
+        # order, and any other block's held as it is
+        self.held: dict[int, _Held] = {}
+        for j, img in enumerate(self.img_terms):
+            side = problem.blocks[j].side
+            u_idx, placed = _imaged_coords(img)
+            fits = len(u_idx) * side * side <= _CHUNK
+            var = self.local_of_block.get(j)
+            if var is not None:
+                o, n = var.map.offset, var.basis.side
+                var.order = np.r_[0:o, o + n : side, o : o + n]
+                var.u_idx, var.img = u_idx, placed
+                if fits:
+                    var.images = var._images(0, len(u_idx))
+            elif fits:
+                n_gauges = sum(isinstance(mp, GaugeOffdiag) for _, mp in img)
+                self.held[j] = _Held(u_idx, _image_stack(placed, side, 0, len(u_idx)), n_gauges)
         self.consts = []
         for b in problem.blocks:
             if b.const is None:
@@ -422,6 +478,10 @@ class _Compiled:
 
     def apply_into(self, j: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add A_j(z) to ``out`` and return it."""
+        held = self.held.get(j)
+        if held is not None:
+            out += (z[held.u_idx] @ held.flat).view(complex).reshape(out.shape)
+            return out
         for v, mp in self.block_terms[j]:
             mp.add_apply(out, v.basis.matrix(z[v.sl]))
         return out
@@ -430,6 +490,12 @@ class _Compiled:
         return hermitize(self.apply_into(j, z, self.consts[j].copy()))
 
     def adjoint_into(self, j: int, mat: np.ndarray, out: np.ndarray) -> None:
+        """Add A_j^*(mat) to ``out`` for a Hermitian ``mat``."""
+        held = self.held.get(j)
+        if held is not None:
+            m = np.ascontiguousarray(mat, dtype=complex).reshape(-1).view(np.float64)
+            out[held.u_idx] += held.flat @ m
+            return
         for v, mp in self.block_terms[j]:
             out[v.sl] += mp.adjoint_coords_many(mat[None], v.basis)[0]
 
@@ -655,7 +721,8 @@ class _KktFactors:
     with H = sum_j A_j^T (Winv_j . Winv_j) A_j and B = [E; P]: the equality
     rows E on the imaged coordinates (lambda and h) and the coordinate pins P
     of the local variables.  A block with no local variable enters H on the
-    imaged coordinates (``h_uu``) through the closed forms of its terms.  A
+    imaged coordinates (``h_uu``) through the Gram of its held half images
+    or the closed forms of its terms.  A
     block with one is assembled in the half frame of its W^{-1} (``_Local``),
     from one QR factor and the half images of its imaged coordinates: its
     local variable is eliminated through the exact inverse T of its diagonal
@@ -689,9 +756,11 @@ class _KktFactors:
 
     def __init__(self, comp: _Compiled, winvs: list[np.ndarray], gis: list[np.ndarray]):
         """``winvs`` are the blocks' W^{-1} = G^{-dag} G^{-1}, and ``gis``
-        their scalings' G^{-1}, which only blocks with a local variable read."""
+        their scalings' G^{-1}, which blocks with a local variable or a held
+        Gram read."""
         self.comp = comp
         self.winvs = winvs
+        self.gis = gis
         self._assemble()
         self.h_uu = 0.5 * (self.h_uu + self.h_uu.T)
         self.loc = [_Local(var, gis[j]) for j, var in comp.local_of_block.items()]
@@ -712,15 +781,22 @@ class _KktFactors:
 
     def _assemble(self) -> None:
         """H on the imaged coordinates (``h_uu``) from the blocks with no
-        local variable.  Gauge terms enter through the closed forms of
-        ``GaugeOffdiag``; a scaled identity through its one sandwich
-        W A(1) W, which every imaged adjoint reads.  Its gauge entries are
-        set in both triangles."""
+        local variable: the Gram of the half images G^{-1} A(e_i) G^{-dag}
+        of a held stack that forms it, else gauge terms through the closed
+        forms of ``GaugeOffdiag`` and a scaled identity through its one
+        sandwich W A(1) W, which every imaged adjoint reads.  Its gauge
+        entries are set in both triangles."""
         comp = self.comp
         m_u = comp.m_u
         self.h_uu = np.zeros((m_u, m_u))
         for j, img in enumerate(comp.img_terms):
             if j in comp.local_of_block:
+                continue
+            held = comp.held.get(j)
+            if held is not None and held.gram:
+                y = congruence_many(self.gis[j], held.images)
+                y = y.reshape(len(held.u_idx), -1).view(np.float64)
+                self.h_uu[np.ix_(held.u_idx, held.u_idx)] += y @ y.T
                 continue
             winv = self.winvs[j]
             for v, mp in img:

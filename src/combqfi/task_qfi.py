@@ -26,6 +26,27 @@ then has an optimum with h fixed by every U_pi (Gatermann & Parrilo,
 J. Pure Appl. Algebra 192, 95 (2004)): both forms solve the identity
 branch alone with h held to that subspace, and relabel its solution onto
 the other branches.
+
+The factorized program is also solved in U(1) charge sectors.  Let a
+basis index carry the charge n(out) - n(in), its digits counted on the
+output factors (2k) less the input ones (2k-1) of each slot k, which
+``_slot_symmetry`` reads the same way.  When every column of C and Cdot
+lies on one charge and every fixed factor L_i is block diagonal by charge
+(``_charge_grading``, tested exactly), the phases e^{i theta charge} map
+A_i(h) to D A_i(V h V^dag) D'^dag for diagonal unitaries D, D' and V, so
+the program is invariant and again has an optimum with h fixed by them:
+block diagonal over the columns' charge classes (Gatermann & Parrilo; de
+Klerk, Pasechnik & Schrijver, Math. Program. 109, 613 (2007)).  The
+program then holds one gauge variable per class and, per space, one PSD
+block per charge q of its probe rows, with A_i cut to those rows and to
+the columns (k, r) whose charge c_r - g_k is q (g_k the charge of column
+k of G, the factor of conj(L_i)).  Columns that meet no row hold only
+constants, and a charge whose rows meet no column only lambda >= 0: both
+drop out.  At N=3 amplitude damping this splits par's side-72 block into
+sides 21, 18, 9 and 2, and the SWITCH identity branch's side 18 into 5
+and 2.  A comb that is not covariant is the one-charge case and builds
+the single block; h and each branch's probe are put together from the
+sectors.
 """
 
 from __future__ import annotations
@@ -69,8 +90,9 @@ class QfiResult:
     ``spaces`` are the dual spaces of the Q form, or the factorized primal
     spaces of the factorized program; ``candidates`` are the per-branch
     (unnormalized) strategy marginals read off the solver's block duals.
-    A slot-symmetric solve has one block dual, and its ``solver`` objective
-    is ``value`` divided by the number of branches.
+    A slot-symmetric solve has the identity branch's block duals only (one,
+    or one per charge sector), and its ``solver`` objective is ``value``
+    divided by the number of branches.
     """
 
     value: float
@@ -166,6 +188,157 @@ def build_problem(fc: FactorizedComb, spaces: list[AffineSpace]) -> se.SdpProble
     )
 
 
+def _charges(fc: FactorizedComb, labels: tuple[str, ...]) -> np.ndarray | None:
+    """n(out) - n(in) of every basis index of the comb factors ``labels``,
+    in that order: slot k's labels are 2k-1 (in) and 2k (out), as
+    ``_slot_symmetry`` takes them.  None if a label is neither."""
+    sign = {}
+    for k in range(1, len(fc.layout) // 2 + 1):
+        sign[str(2 * k - 1)], sign[str(2 * k)] = -1, 1
+    if any(l not in sign for l in labels):
+        return None
+    dims = [fc.layout.dim(l) for l in labels]
+    grids = zip(labels, np.indices(dims))
+    return sum((sign[l] * g for l, g in grids), np.zeros(dims, dtype=int)).reshape(-1)
+
+
+def _charge_grading(
+    fc: FactorizedComb, spaces: list[AffineSpace]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None:
+    """The charge of each comb column, and per space those of its free and
+    fixed factors' indices; None unless the comb is covariant: every column
+    of C and Cdot lies on one charge, and every fixed factor is block
+    diagonal by charge.  Both are tested exactly, so a sector program drops
+    no entry of the single-block one."""
+    chi = _charges(fc, fc.layout.labels)
+    if chi is None:
+        return None
+    mass = np.abs(fc.vectors) + np.abs(fc.dvectors)
+    cols = chi[np.argmax(mass, axis=0)]
+    if mass[chi[:, None] != cols].any():
+        return None
+    per_space = []
+    for sp in spaces:
+        free = _charges(fc, sp.var_labels)
+        fixed = _charges(fc, sp.fixed_factor.layout.labels)
+        if free is None or fixed is None:
+            return None
+        if sp.fixed_factor.entries[fixed[:, None] != fixed].any():
+            return None
+        per_space.append((free, fixed))
+    return cols, per_space
+
+
+@dataclass
+class _Sectored:
+    """The factorized program with its charge bookkeeping: per gauge class
+    its variable and comb columns, and per block its space and probe rows."""
+
+    problem: se.SdpProblem
+    gauges: list[tuple[str, np.ndarray]]
+    owners: list[tuple[int, np.ndarray]]
+
+
+def _factorized_program(
+    fc: FactorizedComb, spaces: list[AffineSpace], n_solved: int | None = None
+) -> _Sectored:
+    """``build_factorized_problem`` with the bookkeeping that reassembles
+    its solution, holding the blocks of the first ``n_solved`` spaces (all
+    by default); the gauges that no block sees are read off every space."""
+    r, dims = fc.rank, fc.layout.dims
+    b0 = np.conj(fc.dvectors)
+    cb = np.conj(fc.vectors)
+    grading = _charge_grading(fc, spaces)
+    # a comb that is not covariant is the one-charge case
+    col_q = grading[0] if grading else np.zeros(r, dtype=int)
+    charges = np.unique(col_q)
+    classes = [np.flatnonzero(col_q == c) for c in charges]
+    names = ["h"] if len(classes) == 1 else [f"h{c}" for c in range(len(classes))]
+    lam0 = 1.0
+    seen = np.zeros((r, r), dtype=complex)
+    blocks: list[se.PsdBlockSpec] = []
+    owners: list[tuple[int, np.ndarray]] = []
+    for i, sp in enumerate(spaces):
+        if not sp.is_factorized:
+            raise ConfigError(f"{sp.name} is not a factorized space")
+        order = np.arange(fc.layout.total_dim).reshape(dims)
+        order = order.transpose(fc.layout.positions(sp.factor_order)).reshape(-1)
+        df = sp.fixed_factor.layout.total_dim
+        dv = fc.layout.total_dim // df
+        free_q, fixed_q = grading[1][i] if grading else (np.zeros(dv, int), np.zeros(df, int))
+        # G G^dag = conj(L) from the eigenvectors of each charge block, so
+        # that every column of G has one charge
+        lf = hermitize(np.conj(sp.fixed_factor.entries))
+        parts = [np.flatnonzero(fixed_q == q) for q in np.unique(fixed_q)]
+        eigs = [np.linalg.eigh(lf[np.ix_(idx, idx)]) for idx in parts]
+        wmax = max(float(w[-1]) for w, _ in eigs)
+        g_cols, g_q = [], []
+        for idx, (w, u) in zip(parts, eigs):
+            keep = w > 1e-12 * max(wmax, 1e-300)
+            col = np.zeros((df, int(keep.sum())), dtype=complex)
+            col[idx] = u[:, keep] * np.sqrt(w[keep])
+            g_cols.append(col)
+            g_q.append(np.full(col.shape[1], fixed_q[idx[0]]))
+        g, g_q = np.concatenate(g_cols, axis=1), np.concatenate(g_q)
+        k = g.shape[1]
+        a0 = np.einsum("afr,fk->akr", b0[order].reshape(dv, df, r), g).reshape(dv, k * r)
+        ck = np.einsum("afr,fk->kar", cb[order].reshape(dv, df, r), g)
+        seen += np.einsum("kar,kas->rs", ck.conj(), ck)
+        lam0 = max(lam0, 4.2 * float(np.linalg.norm(a0, 2)) ** 2 + 1.0)
+        if n_solved is not None and i >= n_solved:
+            continue
+        # entry (a, (k, r)) of A_i(h) is nonzero only where the probe index
+        # a has charge col_q[r] - g_q[k]: one block per charge of the probe
+        # rows, which leaves out the columns that meet no row (constants
+        # only); a charge whose rows meet no column (lambda only) drops out
+        a3 = a0.reshape(dv, k, r)
+        for q in np.unique(free_q):
+            rows = np.flatnonzero(free_q == q)
+            m = side = len(rows)
+            terms: list[tuple[str, se.LinearMap]] = [("lam", se.ScaledIdentity(0, m, 1.0))]
+            a_q = []
+            for name, c, cls in zip(names, charges, classes):
+                ks = np.flatnonzero(c - g_q == q)
+                if len(ks):
+                    terms.append((name, se.GaugeOffdiag(ck[np.ix_(ks, rows, cls)], 0, side)))
+                    a_q.append(a3[np.ix_(rows, ks, cls)].reshape(m, -1))
+                    side += len(ks) * len(cls)
+            if side == m:
+                continue
+            const = np.zeros((side, side), dtype=complex)
+            const[:m, m:] = np.concatenate(a_q, axis=1)
+            const[m:, :m] = const[:m, m:].conj().T
+            const[m:, m:] = 0.25 * np.eye(side - m)
+            blocks.append(se.PsdBlockSpec(side, const, terms))
+            owners.append((i, rows))
+    # a gauge class that enters no block stays zero
+    used = {name for b in blocks for name, _ in b.terms}
+    gauges = [(name, cls) for name, cls in zip(names, classes) if name in used]
+    # gauge directions that no block sees (the SWITCH wires hide some) would
+    # leave the Newton matrix singular: C_k conj(h) = 0 for every block and
+    # k exactly when conj(h) lives on the kernel of sum C_k^dag C_k, and
+    # those h are pinned to zero, class by class
+    equalities = []
+    for name, cls in gauges:
+        w, u = np.linalg.eigh(seen[np.ix_(cls, cls)])
+        ker = u[:, w <= 1e-12 * max(float(w[-1]), 1e-300)]
+        if ker.shape[1]:
+            hb, kb = product_basis((len(cls),)), product_basis((ker.shape[1],))
+            equalities += [
+                se.EqualityRow({name: hb.coords(np.conj(ker) @ e @ ker.T)}, 0.0)
+                for e in kb.elements(np.arange(kb.n))
+            ]
+    problem = se.SdpProblem(
+        variables=[se.HermitianVariable("lam", (1,), init=np.array([lam0]))]
+        + [se.HermitianVariable(name, (len(cls),)) for name, cls in gauges],
+        blocks=blocks,
+        equalities=equalities,
+        objective={"lam": np.array([1.0])},
+        sense="min",
+    )
+    return _Sectored(problem, gauges, owners)
+
+
 def build_factorized_problem(
     fc: FactorizedComb, spaces: list[AffineSpace]
 ) -> se.SdpProblem:
@@ -174,57 +347,11 @@ def build_factorized_problem(
     With conj(L_i) = G G^dag and B(h) = conj(Cdot) + i conj(C) conj(h) (rows
     in free-then-fixed factor order), E_i(h) = 4 A_i A_i^dag for the stack
     A_i(h) = [(I (x) G[:, k]^T) B(h)]_k, so the block
-    [[lambda I, A_i(h)], [A_i(h)^dag, I/4]] >= 0 is lambda I >= E_i(h).
+    [[lambda I, A_i(h)], [A_i(h)^dag, I/4]] >= 0 is lambda I >= E_i(h).  A
+    charge-covariant comb gives one such block per charge sector of each
+    space, and one gauge variable per charge class of its columns.
     """
-    r, dims = fc.rank, fc.layout.dims
-    b0 = np.conj(fc.dvectors)
-    cb = np.conj(fc.vectors)
-    hb = product_basis((r,))
-    lam0 = 1.0
-    seen = np.zeros((r, r), dtype=complex)
-    blocks: list[se.PsdBlockSpec] = []
-    for sp in spaces:
-        if not sp.is_factorized:
-            raise ConfigError(f"{sp.name} is not a factorized space")
-        order = np.arange(fc.layout.total_dim).reshape(dims)
-        order = order.transpose(fc.layout.positions(sp.factor_order)).reshape(-1)
-        df = sp.fixed_factor.layout.total_dim
-        dv = fc.layout.total_dim // df
-        w, u = np.linalg.eigh(hermitize(np.conj(sp.fixed_factor.entries)))
-        keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-        g = u[:, keep] * np.sqrt(w[keep])
-        k = g.shape[1]
-        a0 = np.einsum("afr,fk->akr", b0[order].reshape(dv, df, r), g).reshape(dv, k * r)
-        ck = np.einsum("afr,fk->kar", cb[order].reshape(dv, df, r), g)
-        seen += np.einsum("kar,kas->rs", ck.conj(), ck)
-        side = dv + k * r
-        const = np.zeros((side, side), dtype=complex)
-        const[:dv, dv:] = a0
-        const[dv:, :dv] = a0.conj().T
-        const[dv:, dv:] = 0.25 * np.eye(k * r)
-        terms = [("lam", se.ScaledIdentity(0, dv, 1.0)), ("h", se.GaugeOffdiag(ck, 0, dv))]
-        blocks.append(se.PsdBlockSpec(side, const, terms))
-        lam0 = max(lam0, 4.2 * float(np.linalg.norm(a0, 2)) ** 2 + 1.0)
-    # gauge directions that no block sees (the SWITCH wires hide some) would
-    # leave the Newton matrix singular: C_k conj(h) = 0 for every block and
-    # k exactly when conj(h) lives on the kernel of sum C_k^dag C_k, and
-    # those h are pinned to zero
-    w, u = np.linalg.eigh(seen)
-    ker = u[:, w <= 1e-12 * max(float(w[-1]), 1e-300)]
-    flat = []
-    if ker.shape[1]:
-        kb = product_basis((ker.shape[1],))
-        flat = [hb.coords(np.conj(ker) @ e @ ker.T) for e in kb.elements(np.arange(kb.n))]
-    return se.SdpProblem(
-        variables=[
-            se.HermitianVariable("lam", (1,), init=np.array([lam0])),
-            se.HermitianVariable("h", (r,)),
-        ],
-        blocks=blocks,
-        equalities=[se.EqualityRow({"h": row}, 0.0) for row in flat],
-        objective={"lam": np.array([1.0])},
-        sense="min",
-    )
+    return _factorized_program(fc, spaces).problem
 
 
 def _slot_symmetry(
@@ -271,25 +398,32 @@ def _slot_symmetry(
 
 
 def _restrict_to_identity_branch(
-    problem: se.SdpProblem, sym: list[tuple[np.ndarray, np.ndarray]]
+    problem: se.SdpProblem,
+    sym: list[tuple[np.ndarray, np.ndarray]],
+    gauges: list[tuple[str, np.ndarray]] | None = None,
 ) -> None:
-    """Keep the first block, hold h to the gauges fixed by every Ad(U_pi)
-    and weigh lambda by 1/N!.
+    """Hold each gauge class of a program with the identity branch's blocks
+    to the gauges fixed by every Ad(U_pi), and weigh lambda by 1/N!.
 
-    The rows are an orthonormal basis, in h's product-basis coordinates, of
-    the row space of the orthogonal projector I - (1/N!) sum_pi Ad(U_pi).
-    The weight makes the program the full one restricted to symmetric
-    points with its Lagrangian divided by N!: the block dual is one
-    branch's share, so the solver starts and steers as over all branches.
+    ``gauges`` are the (variable, comb columns) of the gauge classes, by
+    default one variable ``h`` on all columns.  A U_pi keeps every column
+    charge, so it is block diagonal by class.  The rows are an orthonormal
+    basis, in a class's product-basis coordinates, of the row space of the
+    orthogonal projector I - (1/N!) sum_pi Ad(U_pi).  The weight makes the
+    program the full one restricted to symmetric points with its
+    Lagrangian divided by N!: the block duals are one branch's share, so
+    the solver starts and steers as over all branches.
     """
-    units = [u for _, u in sym]
-    hb = product_basis((units[0].shape[0],))
-    el = hb.elements(np.arange(hb.n))
-    avg = sum(hb.coords_many(u @ el @ u.conj().T) for u in units) / len(units)
-    w, vecs = np.linalg.eigh(np.eye(hb.n) - 0.5 * (avg + avg.T))
-    problem.blocks = problem.blocks[:1]
-    problem.equalities += [se.EqualityRow({"h": row}, 0.0) for row in vecs[:, w > 0.5].T]
-    problem.objective = {"lam": np.array([1.0 / len(units)])}
+    if gauges is None:
+        gauges = [("h", np.arange(sym[0][1].shape[0]))]
+    for name, cols in gauges:
+        units = [u[np.ix_(cols, cols)] for _, u in sym]
+        hb = product_basis((len(cols),))
+        el = hb.elements(np.arange(hb.n))
+        avg = sum(hb.coords_many(u @ el @ u.conj().T) for u in units) / len(units)
+        w, vecs = np.linalg.eigh(np.eye(hb.n) - 0.5 * (avg + avg.T))
+        problem.equalities += [se.EqualityRow({name: row}, 0.0) for row in vecs[:, w > 0.5].T]
+    problem.objective = {"lam": np.array([1.0 / len(sym)])}
 
 
 def _relabel(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -297,9 +431,9 @@ def _relabel(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return m[np.ix_(idx, idx)]
 
 
-def _accepted(sol: se.SdpSolution, n_branches: int = 1) -> tuple[float, HermitianGauge]:
-    """Task value and gauge of an acceptable solve whose objective weighs
-    lambda by 1/n_branches."""
+def _accepted(sol: se.SdpSolution, n_branches: int = 1) -> float:
+    """Task value of an acceptable solve whose objective weighs lambda by
+    1/n_branches."""
     if sol.status == "infeasible":
         raise SolverFailureError("task SDP flagged infeasible")
     if not sol.optimal and sol.gap > 2e-5:
@@ -310,7 +444,7 @@ def _accepted(sol: se.SdpSolution, n_branches: int = 1) -> tuple[float, Hermitia
     lam = float(sol.objective) * n_branches
     if lam < -1e-7:
         raise SolverFailureError(f"negative task QFI {lam:.3e}")
-    return lam, HermitianGauge(sol.variables["h"])
+    return lam
 
 
 def _check_certificate(lam: float, omega: np.ndarray, q_opt: list[LabeledMatrix]) -> None:
@@ -362,7 +496,8 @@ def solve_task(fc: FactorizedComb, spaces: list[AffineSpace]) -> QfiResult:
     if sym:
         _restrict_to_identity_branch(problem, sym)
     sol = se.solve(problem)
-    lam, h_opt = _accepted(sol, len(sym) if sym else 1)
+    lam = _accepted(sol, len(sym) if sym else 1)
+    h_opt = HermitianGauge(sol.variables["h"])
     r = fc.rank
     qs = [sol.variables[f"q{i}"] for i in range(len(sol.block_duals))]
     cands = [hermitize(x[r:, r:]) for x in sol.block_duals]
@@ -380,28 +515,37 @@ def solve_factorized(fc: FactorizedComb, spaces: list[AffineSpace]) -> QfiResult
 
     The slot-symmetric case is solved on the identity branch alone, as in
     ``solve_task``; the pins of the gauges no branch sees still come from
-    all branches.
+    all branches.  A charge-covariant comb is solved in its charge sectors,
+    and h and each branch's probe are put together from the sectors.
     """
     sym = _slot_symmetry(fc, spaces)
-    problem = build_factorized_problem(fc, spaces)
+    branches = 1 if sym else len(spaces)
+    prog = _factorized_program(fc, spaces, branches)
     if sym:
-        _restrict_to_identity_branch(problem, sym)
-    sol = se.solve(problem)
-    lam, h_opt = _accepted(sol, len(sym) if sym else 1)
+        _restrict_to_identity_branch(prog.problem, sym, prog.gauges)
+    sol = se.solve(prog.problem)
+    lam = _accepted(sol, len(sym) if sym else 1)
+    h = np.zeros((fc.rank, fc.rank), dtype=complex)
+    for name, cols in prog.gauges:
+        h[np.ix_(cols, cols)] = sol.variables[name]
+    h_opt = HermitianGauge(h)
     omega = performance_operator(fc, h_opt)
+    # the probe blocks of a branch's block duals are its optimal probe
+    dvs = [sp.layout.total_dim // sp.fixed_factor.layout.total_dim for sp in spaces]
+    probes = [np.zeros((dv, dv), dtype=complex) for dv in dvs[:branches]]
+    for (i, rows), x in zip(prog.owners, sol.block_duals):
+        probes[i][np.ix_(rows, rows)] = x[: len(rows), : len(rows)]
     qs, candidates = [], []
-    for sp, x in zip(spaces, sol.block_duals):
+    for sp, dv, probe in zip(spaces, dvs, probes):
         f = sp.fixed_factor.entries
         nrm = float(np.vdot(f, f).real)
         e = sp.contract(omega)
-        dv = e.shape[0]
         if lam > 0.0:
             q = omega.entries / lam + sp.lift(np.eye(dv) - e / lam) / nrm
         else:
             q = sp.lift(np.eye(dv)) / nrm
         qs.append(hermitize(q))
-        # the probe block of the block dual is the branch's optimal probe
-        candidates.append(sp.lift(hermitize(x[:dv, :dv])))
+        candidates.append(sp.lift(hermitize(probe)))
     return _certified(spaces, sym, sol, lam, h_opt, omega.entries, qs, candidates)
 
 

@@ -3,14 +3,16 @@
 The matrix against image stacks: every imaged basis element's image A(E_a)
 is built with ``add_apply``, congruenced as W A(E_a) W over the whole block
 and read by every adjoint.  The solver builds gauge rows in closed form
-where no variable is eliminated, and reads a block with an eliminated
-variable off its half frame: the full Gram of the half images is that
-block's share of H, and the Gram with the (Q, Q) corner cut is the share
-h_uu - C^T T C that the elimination leaves.  The operator H dz against block
-congruences W A_j(dz) W read by every adjoint: the solver applies the
-assembled matrix and the frame instead.  Its directions against an LU of the
-saddle matrix [[red_a, -E^T], [E, 0]]: the solver factors red_a on the null
-space of the rows instead, and the residuals against the block congruences.
+where no variable is eliminated, or from the half images of the stack
+such a block holds (against the closed forms and the per-term maps), and
+reads a block with an eliminated variable off its half frame: the full
+Gram of the half images is that block's share of H, and the Gram with the
+(Q, Q) corner cut is the share h_uu - C^T T C that the elimination leaves.
+The operator H dz against block congruences W A_j(dz) W read by every
+adjoint: the solver applies the assembled matrix and the frame instead.
+Its directions against an LU of the saddle matrix [[red_a, -E^T], [E, 0]]:
+the solver factors red_a on the null space of the rows instead, and the
+residuals against the block congruences.
 The refinement rule: only the corrector of a system with an eliminated
 variable is refined, and one it takes unrefined meets the exact operator.
 The predictor's right-hand side, formed with no adjoint of X, against the
@@ -30,6 +32,7 @@ from combqfi._basis import ProductBasis, congruence_many
 from combqfi.metrology_zoo import ad_phase_channel
 from combqfi.strategy_spaces import StrategySetSpec, dual_space, primal_space
 from combqfi.task_qfi import (
+    _factorized_program,
     _restrict_to_identity_branch,
     _slot_symmetry,
     build_factorized_problem,
@@ -40,7 +43,7 @@ from combqfi.task_qfi import (
 from combqfi.tensor_algebra import hermitize
 
 sys.path.insert(0, "tests")
-from util import split_gauge_columns, split_gauge_rows  # noqa: E402
+from util import random_unitary, split_gauge_columns, split_gauge_rows  # noqa: E402
 
 
 def image_stacks(comp, j, w):
@@ -162,8 +165,13 @@ def two_gauge_ranks(rng):
     )
 
 
-def _task_problem(kind, n, factorized):
+def _task_problem(kind, n, factorized, mix=None):
+    """The task program of ad p=0.3; ``mix``, a generator, mixes the comb's
+    columns by a random unitary, which leaves one charge sector."""
     fc = product_comb(ad_phase_channel(0.3, np.pi / 2), n)
+    if mix is not None:
+        u = random_unitary(fc.rank, mix)
+        fc = fc.gauge_shift(u, np.zeros_like(u))
     spec = StrategySetSpec.qubits(kind, n)
     if factorized:
         return build_factorized_problem(fc, primal_space(spec))
@@ -177,6 +185,9 @@ PROBLEMS = {
     "swi-2": lambda rng: _task_problem("swi", 2, True),
     "par-3": lambda rng: _task_problem("par", 3, True),
     "swi-3": lambda rng: _task_problem("swi", 3, True),
+    "par-2-one-sector": lambda rng: _task_problem("par", 2, True, rng),
+    "par-3-one-sector": lambda rng: _task_problem("par", 3, True, rng),
+    "swi-3-one-sector": lambda rng: _task_problem("swi", 3, True, rng),
     "seq-2-q": lambda rng: _task_problem("seq", 2, False),
     "sup-2-q": lambda rng: _task_problem("sup", 2, False),
     "ico-2-q": lambda rng: _task_problem("ico", 2, False),
@@ -238,6 +249,80 @@ def test_image_chunks_cover_the_stack(chunk, rng, monkeypatch):
     kkt = se._KktFactors(comp, winvs, gis)
     assert _rel(kkt.loc[0].gram, ref.loc[0].gram) <= 1e-14
     assert _rel(kkt.loc[0].t_c, ref.loc[0].t_c) <= 1e-14
+
+
+# the problems whose blocks with no local variable hold their image stacks
+HELD_PROBLEMS = [
+    "two-ranks",
+    "par-2",
+    "swi-2",
+    "par-3",
+    "swi-3",
+    "par-2-one-sector",
+    "swi-3-one-sector",
+    "par-3-split-columns",
+    "swi-3-identity-branch",
+]
+
+
+@pytest.mark.parametrize("name", HELD_PROBLEMS)
+def test_held_stack_maps_match_the_terms(name, rng):
+    """A held stack's A_j(z) and A_j^*(M) are the per-term maps, and each
+    other's adjoints."""
+    problem = SOLVE_PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    assert comp.held
+    for j, held in comp.held.items():
+        side = problem.blocks[j].side
+        z = rng.standard_normal(comp.m_total)
+        m = _random_herm(rng, side)
+        a = comp.apply_into(j, z, np.zeros((side, side), dtype=complex))
+        at = np.zeros(comp.m_total)
+        comp.adjoint_into(j, m, at)
+        a_ref = np.zeros((side, side), dtype=complex)
+        at_ref = np.zeros(comp.m_total)
+        for v, mp in comp.block_terms[j]:
+            mp.add_apply(a_ref, v.basis.matrix(z[v.sl]))
+            at_ref[v.sl] += mp.adjoint_coords_many(m[None], v.basis)[0]
+        assert _rel(a, a_ref) <= 1e-12
+        assert _rel(at, at_ref) <= 1e-12
+        assert not at[np.setdiff1d(np.arange(comp.m_total), held.u_idx)].any()
+        # Re Tr(A(z)^dag M) = z . A^*(M)
+        pair = float(np.real(np.vdot(a, m)))
+        assert abs(pair - z @ at) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("name", HELD_PROBLEMS)
+def test_held_gram_matches_the_closed_forms(name, rng):
+    """The Gram of a held stack's half images is the block's Newton Gram
+    that the closed forms give."""
+    problem = SOLVE_PROBLEMS[name](rng)
+    comp = se._Compiled(problem)
+    winvs, gis = random_scaling(problem, rng)
+    for held in comp.held.values():
+        held.gram = True
+    ref = se._KktFactors(comp, winvs, gis).h_uu
+    for held in comp.held.values():
+        held.gram = False
+    assert _rel(ref, se._KktFactors(comp, winvs, gis).h_uu) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, grams",
+    [
+        # the charge sectors of N=3 par (sides 21, 18, 9, 2) and of the
+        # SWITCH identity branch (5, 2) form the held Gram
+        ("par-3", [True] * 4),
+        ("swi-3-identity-branch", [True] * 2),
+        # one sector: N=2 par (side 20 over 17 coordinates) and each N=3
+        # SWITCH branch (side 18 over 65) keep the closed forms
+        ("par-2-one-sector", [False]),
+        ("swi-3-one-sector", [False] * 6),
+    ],
+)
+def test_held_gram_rule(name, grams, rng):
+    comp = se._Compiled(SOLVE_PROBLEMS[name](rng))
+    assert [held.gram for held in comp.held.values()] == grams
 
 
 # the problems of PROBLEMS with an eliminated variable
@@ -344,9 +429,9 @@ def swi_3_identity_branch(rng):
     """The factorized N=3 SWITCH held to its identity branch by symmetry rows."""
     fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 3)
     spaces = primal_space(StrategySetSpec.qubits("swi", 3))
-    problem = build_factorized_problem(fc, spaces)
-    _restrict_to_identity_branch(problem, _slot_symmetry(fc, spaces))
-    return problem
+    prog = _factorized_program(fc, spaces, 1)
+    _restrict_to_identity_branch(prog.problem, _slot_symmetry(fc, spaces), prog.gauges)
+    return prog.problem
 
 
 SOLVE_PROBLEMS = {
@@ -384,6 +469,9 @@ LOCAL_FREE = [
     "swi-2",
     "par-3",
     "swi-3",
+    "par-2-one-sector",
+    "par-3-one-sector",
+    "swi-3-one-sector",
     "par-2-split-columns",
     "par-3-split-columns",
     "dependent-rows",

@@ -74,6 +74,8 @@ def test_script_writes_csv(script, tmp_path):
         cells = line.split(",")
         assert len(cells) == len(START_TABLE_HEADER.split(","))
         assert "nan" not in cells, line
+        # the value is written in full: its cell is the repr of the float it reads as
+        assert repr(float(cells[2])) == cells[2], line
     assert_start_table_summary(proc.stdout, [line.split(",") for line in lines[1:]])
 
 

@@ -253,25 +253,103 @@ def test_stacked_gauge_matches_per_column_terms(n, rng):
     from combqfi.strategy_spaces import primal_space
     from combqfi.task_qfi import build_factorized_problem
 
+    spec = StrategySetSpec.qubits("par", n)
+    covariant = product_comb(ad_phase_channel(0.2, np.pi / 2), n)
+    # a unitary that mixes the columns' charge classes leaves one sector
+    u = random_unitary(covariant.rank, rng)
+    one_sector = covariant.gauge_shift(u, np.zeros_like(u))
+    for fc in (one_sector, covariant):
+        stacked = build_factorized_problem(fc, primal_space(spec))
+        split = split_gauge_columns(stacked)
+        if fc is one_sector:
+            assert [len(b.terms) for b in stacked.blocks] == [2]
+            assert len(split.blocks[0].terms) == 2 ** n + 1
+        else:
+            # lambda and one gauge term per charge class that enters a
+            # sector: the sector of charge -n holds all n + 1 classes
+            assert [len(b.terms) for b in stacked.blocks] == list(range(n + 2, 1, -1))
+            assert len(split.blocks[0].terms) > len(stacked.blocks[0].terms)
+        winvs = []
+        for b in stacked.blocks:
+            g = rng.standard_normal((b.side, b.side)) + 1j * rng.standard_normal((b.side, b.side))
+            winvs.append(g @ g.conj().T / b.side + np.eye(b.side))
+        gis = [np.linalg.cholesky(w).conj().T for w in winvs]
+        kkt = se._KktFactors(se._Compiled(stacked), winvs, gis)
+        ref = se._KktFactors(se._Compiled(split), winvs, gis)
+        assert np.linalg.norm(kkt.red_a - ref.red_a) <= 1e-12 * np.linalg.norm(ref.red_a)
+        assert np.array_equal(kkt.comp.e_rows, ref.comp.e_rows)
+        # the engine still takes several terms of one variable, to the same optimum
+        a, b = se.solve(stacked), se.solve(split)
+        assert a.optimal and b.optimal
+        gap = max(a.gap, b.gap) * (1.0 + abs(a.objective) + abs(b.objective))
+        assert abs(a.objective - b.objective) <= gap
+
+
+# the charge sectors of ad's identity branch, by charge n(out) - n(in) of
+# the probe rows: -N first
+SECTOR_SIDES = {
+    ("par", 2): [7, 6, 2],
+    ("swi", 2): [4, 2],
+    ("par", 3): [21, 18, 9, 2],
+    ("swi", 3): [5, 2],
+}
+
+
+@pytest.mark.parametrize("kind, n", list(SECTOR_SIDES))
+def test_charge_sectors_match_the_single_block(kind, n, monkeypatch):
+    import importlib
+
+    tq = importlib.import_module("combqfi.task_qfi")
     fc = product_comb(ad_phase_channel(0.2, np.pi / 2), n)
-    stacked = build_factorized_problem(fc, primal_space(StrategySetSpec.qubits("par", n)))
-    split = split_gauge_columns(stacked)
-    assert [len(b.terms) for b in stacked.blocks] == [2]
-    assert len(split.blocks[0].terms) == 2 ** n + 1
-    winvs = []
-    for b in stacked.blocks:
-        g = rng.standard_normal((b.side, b.side)) + 1j * rng.standard_normal((b.side, b.side))
-        winvs.append(g @ g.conj().T / b.side + np.eye(b.side))
-    gis = [np.linalg.cholesky(w).conj().T for w in winvs]
-    kkt = se._KktFactors(se._Compiled(stacked), winvs, gis)
-    ref = se._KktFactors(se._Compiled(split), winvs, gis)
-    assert np.linalg.norm(kkt.red_a - ref.red_a) <= 1e-12 * np.linalg.norm(ref.red_a)
-    assert np.array_equal(kkt.comp.e_rows, ref.comp.e_rows)
-    # the engine still takes several terms of one variable, to the same optimum
-    a, b = se.solve(stacked), se.solve(split)
-    assert a.optimal and b.optimal
-    gap = max(a.gap, b.gap) * (1.0 + abs(a.objective) + abs(b.objective))
-    assert abs(a.objective - b.objective) <= gap
+    spec = StrategySetSpec.qubits(kind, n)
+    prog = tq._factorized_program(fc, primal_space(spec), 1)
+    assert [b.side for b in prog.problem.blocks] == SECTOR_SIDES[kind, n]
+    res = task_qfi(fc, spec)
+    # the single block, which a comb that is not covariant builds
+    monkeypatch.setattr(tq, "_charge_grading", lambda fc, spaces: None)
+    one = tq._factorized_program(fc, primal_space(spec), 1)
+    assert len(one.problem.blocks) == 1
+    assert [v.name for v in one.problem.variables] == ["lam", "h"]
+    ref = task_qfi(fc, spec)
+    assert res.solver.optimal and ref.solver.optimal
+    gap = max(res.solver.gap, ref.solver.gap)
+    assert abs(res.value - ref.value) <= gap * (1.0 + ref.value)
+    # the gauge is block diagonal by the columns' charge classes
+    classes = np.zeros(fc.rank, dtype=int)
+    for c, (_, cols) in enumerate(prog.gauges):
+        classes[cols] = c
+    assert not res.h_opt.h[classes[:, None] != classes].any()
+
+
+def test_combs_that_are_not_covariant_build_one_block_per_space(monkeypatch):
+    import importlib
+
+    from combqfi.metrology_zoo import nonmarkovian_swap_comb, pf_rx_channel
+    from combqfi.strategy_spaces import control_free_space
+
+    tq = importlib.import_module("combqfi.task_qfi")
+    bf = product_comb(bf_phase_channel(0.3, np.pi / 2), 2)
+    pf = product_comb(pf_rx_channel(0.3, np.pi / 2), 2)
+    for fc in (bf, pf):
+        for kind in ("par", "swi"):
+            spaces = primal_space(StrategySetSpec.qubits(kind, 2))
+            assert tq._charge_grading(fc, spaces) is None
+            prog = tq._factorized_program(fc, spaces)
+            assert [i for i, _ in prog.owners] == list(range(len(spaces)))
+            assert all(len(b.terms) == 2 for b in prog.problem.blocks)
+            assert [v.name for v in prog.problem.variables] == ["lam", "h"]
+    # the criterion-8 comb is covariant: its exchange coupling conserves
+    # n(system) + n(environment), so column e' (the final environment
+    # state) lies on charge -e'; it solves in two sectors to the same value
+    fn = nonmarkovian_swap_comb(0.0, 1.0, 1.0, markovian=False)
+    spaces = [control_free_space(2, 2)]
+    assert [b.side for b in tq.build_factorized_problem(fn, spaces).blocks] == [3, 2]
+    res = tq.solve_factorized(fn, spaces)
+    monkeypatch.setattr(tq, "_charge_grading", lambda fc, spaces: None)
+    assert len(tq.build_factorized_problem(fn, spaces).blocks) == 1
+    ref = tq.solve_factorized(fn, spaces)
+    gap = max(res.solver.gap, ref.solver.gap)
+    assert abs(res.value - ref.value) <= gap * (1.0 + ref.value)
 
 
 def test_split_gauge_next_to_an_eliminated_variable():
@@ -354,12 +432,15 @@ def test_slot_symmetric_combs_solve_one_branch(kind):
     spec = StrategySetSpec.qubits(kind, 2)
     fc = product_comb(ad_phase_channel(0.3, np.pi / 2), 2)
     res = task_qfi(fc, spec)
-    assert len(res.solver.block_duals) == 1
+    # a Q-form branch is one block; a factorized swi branch of these
+    # charge-covariant combs is two charge sectors
+    per_branch = 1 if kind == "sup" else 2
+    assert len(res.solver.block_duals) == per_branch
     assert len(res.spaces) == len(res.q_opt) == len(res.candidates) == 2
     ref = _full_value(fc, kind)
     assert abs(res.value - ref) <= 1e-7 * ref
     other = task_qfi(nonidentical_pair(0.4, 0.2, np.pi / 2), spec)
-    assert len(other.solver.block_duals) == 2
+    assert len(other.solver.block_duals) == 2 * per_branch
 
 
 def test_slot_symmetry_detection(rng):
